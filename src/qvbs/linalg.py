@@ -1,7 +1,9 @@
 """Fraction-free exact linear algebra over Laurent-polynomial matrices.
 
-Only what the change-of-basis machinery needs: Bareiss determinants and
-adjugates for the small weight-sector blocks (dimension <= 2S+1).
+Bareiss determinants, adjugates and a matrix-vector product, used by
+`transfercorr.top_eigenvector_exact` on the (S+1)-dimensional equal-index
+block of the transfer matrix. The two-site weight sectors need none of it:
+their change of basis is orthogonal, so `cgproj` inverts it by duals.
 """
 
 from __future__ import annotations

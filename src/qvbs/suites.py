@@ -438,8 +438,8 @@ def suite_exact_certificates():
     The two-site solution space is identified exactly with the bond-product
     multiples (inclusion plus dimension count), and the closed-form spectrum
     with multiplicities is proved exactly through annihilation of the
-    rational similar core and the moment sum rules. S=5 also passes but takes
-    minutes, so it is left out of the default run.
+    rational similar core and the moment sum rules. S=5 also passes, in
+    seconds, but is not part of the default run.
     """
     lemma = [vbsstate.verify_two_site_lemma(S) for S in (1, 2, 3)]
     certs = [transfercorr.conjecture_exact_certificate(S) for S in (1, 2, 3, 4)]

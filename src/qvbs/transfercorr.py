@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import adjugate, mat_vec
 from .mpscore import tensor_f
-from .qnum import LaurentQ, RadScalar, RatQ, q_binomial, q_factorial, q_integer
+from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -344,49 +344,54 @@ def sz_distribution(S, q0):
 # -- exact trace identities --------------------------------------------
 
 
-def exact_transfer_entry(S, a, b, c, d):
-    """One matrix entry as a radical scalar, indices 1-based.
+def _mat_mul(A, B):
+    n, m = len(B), len(B[0])
+    out = []
+    for row in A:
+        acc = [LaurentQ.zero()] * m
+        for k in range(n):
+            a = row[k]
+            if a.is_zero:
+                continue
+            for j, b in enumerate(B[k]):
+                if not b.is_zero:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
-    Individual entries are irrational in general, but every closed cycle of
-    entries collapses: each index pair contributes its binomials twice.
-    """
-    if a - b != c - d:
-        return RadScalar(LaurentQ.zero())
-    e2 = (a + b + c + d - 2 * S - 4) * (S + 1)
-    sign = -1 if (a + b) % 2 else 1
-    rat = LaurentQ.q_power(e2 // 2, sign)
-    factors = (
-        q_binomial(S, a - 1), q_binomial(S, b - 1),
-        q_binomial(S, c - 1), q_binomial(S, d - 1),
-        q_factorial(S - a + c), q_factorial(S + a - c),
-        q_factorial(S - b + d), q_factorial(S + b - d),
-    )
-    return RadScalar(rat, factors)
+
+@lru_cache(maxsize=32)
+def _core_block_powers(S, k):
+    """N_delta^k for every block of the rational similar core, k >= 1,
+    each power built from the one below it."""
+    blocks = _rational_similar_core(S)
+    if k == 1:
+        return blocks
+    return [_mat_mul(P, N) for P, N in zip(_core_block_powers(S, k - 1), blocks)]
 
 
 def exact_trace_power(S, k):
-    """Tr G^k as an exact Laurent polynomial, by summing entry cycles."""
+    """Tr G^k as an exact Laurent polynomial, summed over the a-b blocks.
+
+    Tr G^k = Tr N^k = sum_delta Tr(N_delta^h N_delta^(k-h)) with h = k // 2,
+    so only powers up to ceil(k/2) are formed, and consecutive moments share
+    them through the power cache.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
-    n = S + 1
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
     acc = LaurentQ.zero()
-
-    def walk(start, pos, cur, scalar):
-        nonlocal acc
-        if pos == k:
-            if cur == start:
-                acc = acc + scalar.to_laurent()
-            return
-        for nxt in pairs:
-            if pos == k - 1 and nxt != start:
-                continue
-            e = exact_transfer_entry(S, cur[0], cur[1], nxt[0], nxt[1])
-            if not e.is_zero:
-                walk(start, pos + 1, nxt, scalar * e)
-
-    for p in pairs:
-        walk(p, 0, p, RadScalar.one())
+    if k == 1:
+        for block in _rational_similar_core(S):
+            for i, row in enumerate(block):
+                acc = acc + row[i]
+        return acc
+    h = k // 2
+    for P, Q in zip(_core_block_powers(S, h), _core_block_powers(S, k - h)):
+        for i, row in enumerate(P):
+            for j, a in enumerate(row):
+                b = Q[j][i]
+                if not (a.is_zero or b.is_zero):
+                    acc = acc + a * b
     return acc
 
 
@@ -408,63 +413,67 @@ def conjecture_moment_identity(S, k):
 
 @lru_cache(maxsize=None)
 def _rational_similar_core(S):
-    """A rational matrix exactly similar to G.
+    """A rational matrix exactly similar to G, as its diagonal blocks.
 
     G = D M D with D = diag(sqrt of the index binomials) and M rational, so
-    N = M D^2 shares G's spectrum; N has plain Laurent entries.
+    N = M D^2 shares G's spectrum; N has plain Laurent entries. Both couple
+    (a, b) to (c, d) only when a - b = c - d, so N is block-diagonal in
+    delta = a - b; the blocks N_delta come for delta = -S..S, each indexed by
+    its pairs (a, a - delta) with a ascending.
     """
     n = S + 1
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    N = []
-    for (a, b) in pairs:
-        row = []
-        for (c, d) in pairs:
-            if a - b != c - d:
-                row.append(LaurentQ.zero())
-                continue
-            e2 = (a + b + c + d - 2 * S - 4) * (S + 1)
-            sign = -1 if (a + b) % 2 else 1
-            m_rat = (LaurentQ.q_power(e2 // 2, sign)
-                     * q_factorial(S - a + c) * q_factorial(S + a - c))
-            row.append(m_rat * q_binomial(S, c - 1) * q_binomial(S, d - 1))
-        N.append(row)
-    return N
+    blocks = []
+    for delta in range(-S, S + 1):
+        pairs = [(a, a - delta) for a in range(max(1, 1 + delta),
+                                               min(n, n + delta) + 1)]
+        block = []
+        for (a, b) in pairs:
+            row = []
+            for (c, d) in pairs:
+                e2 = (a + b + c + d - 2 * S - 4) * (S + 1)
+                sign = -1 if (a + b) % 2 else 1
+                m_rat = (LaurentQ.q_power(e2 // 2, sign)
+                         * q_factorial(S - a + c) * q_factorial(S + a - c))
+                row.append(m_rat * q_binomial(S, c - 1) * q_binomial(S, d - 1))
+            block.append(row)
+        blocks.append(block)
+    return blocks
+
+
+def _factors_annihilate(block, roots):
+    """True when prod_r (block - r I) is the zero matrix.
+
+    The factors commute, and once the running product is zero every further
+    factor keeps it zero, so the loop stops there.
+    """
+    work = None
+    for r in roots:
+        factor = [[e - r if i == j else e for j, e in enumerate(row)]
+                  for i, row in enumerate(block)]
+        work = factor if work is None else _mat_mul(work, factor)
+        if all(e.is_zero for row in work for e in row):
+            return True
+    return False
 
 
 def conjecture_exact_certificate(S):
     """Exact proof of the closed-form spectrum at one S.
 
     Checks (i) the conjectured characteristic factors annihilate the rational
-    similar core, so every eigenvalue of G is one of the closed-form values,
-    and (ii) the first S+1 exact moment identities, which pin the
-    multiplicities 2l+1 through an invertible Vandermonde system wherever the
-    values are distinct. Both are identities in q.
+    similar core, block by block, so every eigenvalue of G is one of the
+    closed-form values, and (ii) the first S+1 exact moment identities, which
+    pin the multiplicities 2l+1 through an invertible Vandermonde system
+    wherever the values are distinct. Both are identities in q.
     """
-    N = _rational_similar_core(S)
-    n = len(N)
-    work = None
-    for l in range(S + 1):
+    roots = []
+    # descending l: the block delta holds the levels l >= |delta|, so its
+    # product vanishes after S+1-|delta| factors
+    for l in range(S, -1, -1):
         lam = conjectured_eigenvalue(S, l)
-        num = lam.num.divide_exact(lam.den) if lam.den != LaurentQ.one() else lam.num
-        factor = [[(N[i][j] - (num if i == j else LaurentQ.zero()))
-                   for j in range(n)] for i in range(n)]
-        if work is None:
-            work = factor
-        else:
-            nxt = [[LaurentQ.zero()] * n for _ in range(n)]
-            for i in range(n):
-                rowi = work[i]
-                for k in range(n):
-                    a = rowi[k]
-                    if a.is_zero:
-                        continue
-                    rowk = factor[k]
-                    for j in range(n):
-                        b = rowk[j]
-                        if not b.is_zero:
-                            nxt[i][j] = nxt[i][j] + a * b
-            work = nxt
-    annihilates = all(e.is_zero for row in work for e in row)
+        roots.append(lam.num.divide_exact(lam.den)
+                     if lam.den != LaurentQ.one() else lam.num)
+    annihilates = all(_factors_annihilate(block, roots)
+                      for block in _rational_similar_core(S))
     moments = all(conjecture_moment_identity(S, k) for k in range(1, S + 2))
     return {
         "S": S,

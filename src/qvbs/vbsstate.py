@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cgproj import check_budget, upper_dual_rows
+from .cgproj import bond_list, check_budget, upper_dual_rows
 from .qnum import LaurentQ, RadScalar, q_binomial
 from .weylrep import SitePoly, StateVector, bond_factor, poly_to_spin
 
@@ -81,15 +81,6 @@ def random_weight_zero_state(S, L, seed=0):
     return StateVector(S, L, amps)
 
 
-def _bond_list(L, boundary):
-    bonds = [(k, k + 1) for k in range(1, L)]
-    if boundary == "periodic":
-        bonds.append((L, 1))
-    elif boundary != "open":
-        raise ValueError("boundary must be 'periodic' or 'open'")
-    return bonds
-
-
 def verify_annihilation(state, boundary="periodic", bonds=None):
     """Exact residuals of every high-spin projector on every bond.
 
@@ -100,7 +91,7 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
     S, L = state.S, state.L
     duals = upper_dual_rows(S)
     if bonds is None:
-        bonds = _bond_list(L, boundary)
+        bonds = bond_list(L, boundary)
     report = {"S": S, "L": L, "boundary": boundary, "bonds": {}, "all_zero": True}
     for (k, l) in bonds:
         pk, pl = k - 1, l - 1

@@ -70,30 +70,70 @@ def test_rep_basis_s2_lowered_vector_matches_published():
     assert v.proportional_to(ref)
 
 
+def _pair(row, col):
+    acc = LaurentQ.zero()
+    for d, c in zip(row, col):
+        acc = acc + d * c
+    return acc
+
+
 def test_sector_inverse_identity():
+    # rows D_J / n_J invert B from both sides: D @ B = diag(n) and
+    # sum_J B[:, J] D_J prod_{K != J} n_K = prod_K n_K * I
     for S in (1, 2):
         for w, sec in sector_system(S).items():
             n = len(sec.pairs)
-            for i in range(n):
-                for j in range(n):
+            assert len(sec.Js) == n
+            for j in range(n):
+                col_k = [[row[k] for row in sec.B] for k in range(n)]
+                for k in range(n):
+                    acc = _pair(sec.duals[j], col_k[k])
+                    assert acc == (sec.norms[j] if j == k else LaurentQ.zero())
+            full = LaurentQ.one()
+            for nj in sec.norms:
+                full = full * nj
+            for p in range(n):
+                for r in range(n):
                     acc = LaurentQ.zero()
-                    for k in range(n):
-                        acc = acc + sec.adj[i][k] * sec.B[k][j]
-                    assert acc == (sec.det if i == j else LaurentQ.zero())
+                    for j in range(n):
+                        others = LaurentQ.one()
+                        for k in range(n):
+                            if k != j:
+                                others = others * sec.norms[k]
+                        acc = acc + sec.B[p][j] * sec.duals[j][r] * others
+                    assert acc == (full if p == r else LaurentQ.zero())
 
 
 def test_projector_idempotent_orthogonal_complete_exact():
-    # rank-one cores: pi_J^2 = pi_J  <=>  row_J . col_J = det, and
-    # pi_J pi_K = 0  <=>  row_J . col_K = 0; completeness is adj @ B = det I
+    # rank-one cores: pi_J^2 = pi_J  <=>  D_J . col_J = n_J, and
+    # pi_J pi_K = 0  <=>  D_J . col_K = 0; completeness is D @ B = diag(n)
+    # with every n_J nonzero
     for S in (1, 2, 3):
         for w, sec in sector_system(S).items():
             n = len(sec.pairs)
+            assert all(not nj.is_zero for nj in sec.norms)
             for j in range(n):
                 for k in range(n):
-                    acc = LaurentQ.zero()
-                    for i in range(n):
-                        acc = acc + sec.adj[j][i] * sec.B[i][k]
-                    assert acc == (sec.det if j == k else LaurentQ.zero())
+                    acc = _pair(sec.duals[j], [row[k] for row in sec.B])
+                    assert acc == (sec.norms[j] if j == k else LaurentQ.zero())
+
+
+def test_sector_orthogonality_check_rejects_wrong_weight(monkeypatch):
+    # with unit radicand weights the orbit vectors are not orthogonal, and
+    # the exact check inside sector_system must refuse the sector
+    import qvbs.cgproj as cgproj
+    monkeypatch.setattr(cgproj, "weight_radicand", lambda S, m: LaurentQ.one())
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        cgproj.sector_system.__wrapped__(2)
+
+
+def test_sector_system_spin4_frontier():
+    # the orthogonality certificate holds at S=4 and the two-site kernel of
+    # the J > 4 projectors has dimension (S+1)^2
+    from qvbs.vbsstate import two_site_kernel_dimension
+    secs = sector_system(4)
+    assert sum(len(sec.Js) for sec in secs.values()) == 81
+    assert two_site_kernel_dimension(4) == 25
 
 
 def test_projector_defining_property_exact():

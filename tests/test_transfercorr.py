@@ -258,10 +258,18 @@ def test_spin3_isotropic_adjacent_value():
 
 
 def test_exact_trace_matches_numeric():
-    for S in (1, 2, 3):
-        t = exact_trace_power(S, 2).eval_float(Fraction(4, 5))
-        G = transfer_matrix(S, Fraction(4, 5)).matrix
-        assert abs(t - np.trace(G @ G)) < 1e-9 * abs(t)
+    # the float transfer matrix is the independent route to Tr G^k; the
+    # error scale is sum |lambda|^k, since odd moments cancel between signs
+    for S in (1, 2, 3, 4):
+        for q0 in (Fraction(4, 5), Fraction(7, 4)):
+            G = transfer_matrix(S, q0).matrix
+            ev = np.abs(np.linalg.eigvalsh(G))
+            for k in range(1, S + 2):
+                t = exact_trace_power(S, k).eval_float(q0)
+                ref = np.trace(np.linalg.matrix_power(G, k))
+                assert abs(t - ref) < 1e-9 * (ev ** k).sum()
+    with pytest.raises(ValueError):
+        exact_trace_power(2, 0)
 
 
 def test_conjecture_moment_identities_exact():
@@ -272,9 +280,21 @@ def test_conjecture_moment_identities_exact():
 
 def test_conjecture_exact_certificates():
     # identity-level proof of the closed-form spectrum with multiplicities;
-    # S=5 also passes but takes minutes, so it is not run here
+    # S=4 runs in the certificates suite, S=5 passes too in several seconds
     for S in (1, 2, 3):
         rep = conjecture_exact_certificate(S)
         assert rep["characteristic_factors_annihilate"]
         assert rep["moment_identities"]
         assert rep["proved"]
+
+
+def test_characteristic_factors_need_every_level():
+    # negative control for the blockwise annihilation check: the delta = 0
+    # block carries every level, so dropping one factor must leave it nonzero
+    from qvbs.transfercorr import _factors_annihilate, _rational_similar_core
+    S = 3
+    roots = [conjectured_eigenvalue(S, l).to_laurent() for l in range(S, -1, -1)]
+    blocks = _rational_similar_core(S)
+    assert all(_factors_annihilate(b, roots) for b in blocks)
+    for drop in range(S + 1):
+        assert not _factors_annihilate(blocks[S], roots[:drop] + roots[drop + 1:])
