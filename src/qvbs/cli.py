@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__, cgproj, suites, transfercorr, vbsstate
 from .qnum import parse_q
@@ -79,7 +80,7 @@ def cmd_state(args):
 
 def cmd_eigenvalues(args):
     q0 = parse_q(args.q)
-    es = transfercorr.eigensystem(transfercorr.transfer_matrix(args.spin, q0))
+    es = transfercorr.spectral_data(args.spin, q0).es
     payload = {
         "spin": args.spin,
         "q": str(q0),
@@ -233,8 +234,15 @@ def build_parser():
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    # built on first use and kept: argparse re-parses safely, and building
+    # the tree costs more than most queries
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, cgproj.BudgetError) as exc:

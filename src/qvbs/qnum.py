@@ -243,10 +243,15 @@ class LaurentQ:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be > 0")
-        acc = Fraction(0)
-        for e, v in self._c.items():
-            acc += Fraction(v) * q0 ** e
-        return acc
+        if not self._c:
+            return Fraction(0)
+        # q0^e = n^(e-lo) d^(hi-e) * n^lo / d^hi with q0 = n/d: the sum runs
+        # in integers (Fractions only for rational coefficients) and is
+        # reduced once at the end, not once per term
+        n, d = q0.numerator, q0.denominator
+        lo, hi = min(self._c), max(self._c)
+        acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in self._c.items())
+        return acc * q0 ** lo / d ** (hi - lo)
 
     def eval_float(self, q0):
         return float(self.eval_fraction(Fraction(q0)))

@@ -368,7 +368,7 @@ def suite_symmetries():
         e1 = transfercorr.eigensystem(transfercorr.transfer_matrix(S, q0))
         e2 = transfercorr.eigensystem(transfercorr.transfer_matrix(S, 1 / q0))
         d = float(np.abs(e1.eigenvalues - e2.eigenvalues).max())
-        ok = d < 1e-9 * abs(e1.top)
+        ok = bool(d < 1e-9 * abs(e1.top))
         bar_ok = bar_ok and ok
         bar_rows.append({"S": S, "spectrum_diff": d, "match": ok})
     for S in (2, 3):

@@ -1,16 +1,19 @@
 """Acceptance battery: one test per criterion, at the stated tolerances.
 
 Each test prints a single pass/fail line (run with -s to stream them) and
-asserts both the verdict and the stated runtime budget.
+asserts both the verdict and the stated runtime budget. The criteria come
+from one shared run of the battery (the `acceptance_run` fixture).
 """
 
 from fractions import Fraction
 
-from qvbs import suites, transfercorr, vbsstate
+from qvbs import transfercorr, vbsstate
 from qvbs.qnum import RatQ, q_integer
 
 
-def _report(n, rep, limit_s):
+def _report(n, acceptance_run, limit_s):
+    rep = acceptance_run[0]["items"][n - 1]
+    assert rep["criterion"] == n
     line = "ACCEPTANCE %d %-24s %s  (%.2fs, limit %ds)" % (
         n, rep["id"], "PASS" if rep["passed"] else "FAIL",
         rep["elapsed_s"], limit_s)
@@ -20,31 +23,31 @@ def _report(n, rep, limit_s):
     return rep
 
 
-def test_criterion_1_spectrum_s2():
-    rep = _report(1, suites.suite_spectrum_s2(), 1)
+def test_criterion_1_spectrum_s2(acceptance_run):
+    rep = _report(1, acceptance_run, 1)
     assert rep["details"]["tolerance"] == 1e-10
     assert len(rep["details"]["points"]) == 5
     iso = [p for p in rep["details"]["points"] if p["q"] == "1"][0]
     assert [(round(v), m) for v, m in iso["groups"]] == [(40, 1), (-20, 3), (4, 5)]
 
 
-def test_criterion_2_eigenvalue_conjecture():
-    rep = _report(2, suites.suite_eigenvalue_conjecture(), 10)
+def test_criterion_2_eigenvalue_conjecture(acceptance_run):
+    rep = _report(2, acceptance_run, 10)
     assert rep["details"]["exact_s2"] is True
     assert len(rep["details"]["numeric"]) == 15  # S in {3,4,5} x five q points
     assert rep["details"]["tolerance"] == 1e-9
 
 
-def test_criterion_3_divisibility():
-    rep = _report(3, suites.suite_divisibility(), 60)
+def test_criterion_3_divisibility(acceptance_run):
+    rep = _report(3, acceptance_run, 60)
     rows = rep["details"]["vectors"]
     assert len(rows) == sum((S + 1) ** 2 for S in (1, 2, 3, 4))
     assert all(r["remainder_zero"] for r in rows)
     assert rep["details"]["spin2_quotients_match"] is True
 
 
-def test_criterion_4_ground_state():
-    rep = _report(4, suites.suite_ground_state(seed=0), 120)
+def test_criterion_4_ground_state(acceptance_run):
+    rep = _report(4, acceptance_run, 120)
     cases = rep["details"]["cases"]
     pbc = [(c["S"], c["L"]) for c in cases if c["boundary"] == "periodic"]
     assert pbc == [(1, 6), (2, 5), (3, 4)]
@@ -52,8 +55,8 @@ def test_criterion_4_ground_state():
     assert rep["details"]["control_nonzero"] is True
 
 
-def test_criterion_5_mps_equivalence():
-    rep = _report(5, suites.suite_mps_equivalence(), 60)
+def test_criterion_5_mps_equivalence(acceptance_run):
+    rep = _report(5, acceptance_run, 60)
     cases = rep["details"]["cases"]
     pbc = [(c["S"], c["L"]) for c in cases if c["boundary"] == "periodic"]
     assert pbc == [(S, L) for S in (1, 2) for L in (3, 4, 5, 6)]
@@ -62,16 +65,16 @@ def test_criterion_5_mps_equivalence():
     assert open_case["ratio_constant"] is True
 
 
-def test_criterion_6_sz_distribution():
-    rep = _report(6, suites.suite_sz_distribution(), 5)
+def test_criterion_6_sz_distribution(acceptance_run):
+    rep = _report(6, acceptance_run, 5)
     d = rep["details"]
     assert d["exact_identities"] and d["sum_exact_one"] and d["isotropic_uniform"]
     assert all(abs(row["sum"] - 1) < 1e-14 for row in d["sums"])
     assert len(d["sums"]) == 7  # q = 0.5 .. 2.0 in steps of 0.25
 
 
-def test_criterion_7_closed_form_correlators():
-    rep = _report(7, suites.suite_closed_form_correlators(), 5)
+def test_criterion_7_closed_form_correlators(acceptance_run):
+    rep = _report(7, acceptance_run, 5)
     d = rep["details"]
     assert d["tolerance"] == 1e-9
     assert len(d["comparisons"]) == 2 * 3 * 7  # S in {2,3}, three q, r=2..8
@@ -81,8 +84,8 @@ def test_criterion_7_closed_form_correlators():
     assert abs(flag["implemented_form"] - flag["finite_L200"]) < 1e-10
 
 
-def test_criterion_8_oracle_closure():
-    rep = _report(8, suites.suite_oracle_closure(), 30)
+def test_criterion_8_oracle_closure(acceptance_run):
+    rep = _report(8, acceptance_run, 30)
     d = rep["details"]
     assert all(row["match"] for row in d["dense_comparisons"])
     assert {row["r"] for row in d["dense_comparisons"]} == {2, 3, 4, 5}
@@ -90,8 +93,8 @@ def test_criterion_8_oracle_closure():
     assert d["convergence"][-1]["abs_diff"] < 1e-10
 
 
-def test_criterion_9_algebra():
-    rep = _report(9, suites.suite_algebra(), 10)
+def test_criterion_9_algebra(acceptance_run):
+    rep = _report(9, acceptance_run, 10)
     d = rep["details"]
     assert d["commutators"] and d["boson_relations"] and d["product_identity_m_le_6"]
 

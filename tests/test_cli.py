@@ -1,8 +1,11 @@
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qvbs import suites
+from qvbs import suites, transfercorr
 from qvbs.cli import main
 
 
@@ -83,6 +86,28 @@ def test_correlator_argument_errors(capsys):
     assert code == 2
 
 
+def test_correlator_former_nan_rows_are_finite(capsys):
+    # printed 0.0, nan, nan and exited 0 before the eigenbasis layer
+    code, out, _ = run(capsys, "correlator", "--spin", "5", "--q", "0.9",
+                       "--r-min", "44", "--r-max", "46")
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert len(values) == 3
+    assert all(math.isfinite(v) and v != 0.0 for v in values)
+
+
+def test_correlator_non_finite_exits_2(capsys, monkeypatch):
+    good = transfercorr.spectral_data(2, Fraction(9, 10))
+    broken = transfercorr.Spectral(good.es, good.w, np.full_like(good.sz, np.nan))
+    monkeypatch.setattr(transfercorr, "_spectral", lambda S, q: broken)
+    for mode in (["--mode", "thermo"], ["--mode", "finite", "--length", "20"]):
+        code, out, err = run(capsys, "correlator", "--spin", "2", "--q", "0.9",
+                             *mode)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
+
 def test_prob_csv(capsys):
     code, out, _ = run(capsys, "prob", "--spin", "2", "--q", "1")
     assert code == 0
@@ -108,6 +133,14 @@ def test_verify_suite_json_and_exit(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert "elapsed_s" not in json.dumps(data)
+
+
+def test_verify_symmetries_serializes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "symmetries")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert all(row["match"] is True for row in data["details"]["bar_symmetry"])
 
 
 def test_verify_unknown_suite(capsys):

@@ -69,6 +69,20 @@ def test_eval_at_examples():
         eval_at(q_integer(2), -1)
 
 
+def test_eval_fraction_matches_termwise_sum():
+    # the evaluation sums over a common denominator; the reference adds
+    # coefficient times power term by term, rational coefficients included
+    rng = random.Random(11)
+    for _ in range(300):
+        coeffs = {rng.randint(-12, 12): rng.choice(
+            (rng.randint(-30, 30), Fraction(rng.randint(-30, 30), rng.randint(1, 9))))
+            for _ in range(rng.randint(0, 6))}
+        q0 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        ref = sum((Fraction(v) * q0 ** e for e, v in coeffs.items()), Fraction(0))
+        got = LaurentQ(coeffs).eval_fraction(q0)
+        assert isinstance(got, Fraction) and got == ref
+
+
 def test_ring_axioms_random():
     rng = random.Random(7)
 

@@ -23,9 +23,8 @@ def test_suite_registry_complete():
     assert len(suites.ACCEPTANCE_SUITES) == 9
 
 
-def test_run_acceptance_shape():
-    lines = []
-    rep = suites.run_acceptance(seed=0, progress=lines.append)
+def test_run_acceptance_shape(acceptance_run):
+    rep, lines = acceptance_run
     assert rep["passed"]
     assert [it["criterion"] for it in rep["items"]] == list(range(1, 10))
     assert len(lines) == 9

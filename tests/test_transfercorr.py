@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from qvbs import transfercorr
 from qvbs.mpscore import dense_pbc_two_point_sz
 from qvbs.qnum import RatQ, q_integer
 from qvbs.transfercorr import (
+    EigenSystem,
+    Q_CACHE_SIZE,
+    Spectral,
     SpectralGapError,
     conjecture_exact_certificate,
     conjecture_moment_identity,
@@ -23,6 +27,7 @@ from qvbs.transfercorr import (
     sz_distribution_exact,
     sz_operator,
     sz_probabilities_reference_spin2,
+    sz_projector,
     top_eigenvector_exact,
     transfer_diag_block_exact,
     transfer_matrix,
@@ -298,3 +303,143 @@ def test_characteristic_factors_need_every_level():
     assert all(_factors_annihilate(b, roots) for b in blocks)
     for drop in range(S + 1):
         assert not _factors_annihilate(blocks[S], roots[:drop] + roots[drop + 1:])
+
+
+# -- the cached eigenbasis layer ------------------------------------------
+
+Q_NEAR = Fraction(9, 10)
+
+
+def test_thermo_finite_beyond_former_overflow():
+    # lambda^(r-2) / lambda_1^r overflowed here: S=5 gave 0.0, nan, nan at
+    # r = 44..46 and S=6 gave nan from r = 40
+    for S, rs in ((5, range(44, 47)), (6, range(40, 61))):
+        vals = [two_point_thermo("sz", "sz", S, Q_NEAR, r) for r in rs]
+        assert all(np.isfinite(vals)) and all(v != 0.0 for v in vals)
+        # the decay keeps its sign pattern and shrinks in magnitude
+        assert all(abs(b) < abs(a) for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("S,L", ((2, 3000), (2, 4000), (5, 1000), (5, 3000)))
+def test_finite_large_length_matches_thermo(S, L):
+    # scaling by the largest entry of G instead of lambda_1 made these NaN
+    for r in (2, 5, 30):
+        fin = two_point_finite("sz", "sz", S, Q_NEAR, L, r)
+        th = two_point_thermo("sz", "sz", S, Q_NEAR, r)
+        assert np.isfinite(fin)
+        assert abs(fin - th) <= 1e-12 * max(1.0, abs(th))
+    assert one_point_finite("sz", S, Q_NEAR, L) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_thermo_matches_closed_form_at_long_range():
+    for S in (2, 3):
+        cf = closed_form_szsz(S, Q_NEAR, 60)
+        assert abs(two_point_thermo("sz", "sz", S, Q_NEAR, 60) - cf) <= 1e-9 * abs(cf)
+
+
+def test_finite_eigenbasis_sum_matches_matrix_powers():
+    # independent route: the trace of matrix powers, scaled by lambda_1
+    S, q0, L = 2, Fraction(4, 5), 30
+    tm = transfer_matrix(S, q0)
+    lam1 = eigensystem(tm).top
+    Gs = tm.matrix / lam1
+    Gz = transfer_matrix(S, q0, "sz").matrix / lam1
+    den = np.trace(np.linalg.matrix_power(Gs, L))
+    for r in (2, 7, 16, 30):
+        num = np.trace(Gz @ np.linalg.matrix_power(Gs, r - 2)
+                       @ Gz @ np.linalg.matrix_power(Gs, L - r))
+        assert abs(two_point_finite("sz", "sz", S, q0, L, r) - num / den) < 1e-13
+    num = np.trace(Gz @ np.linalg.matrix_power(Gs, L - 1))
+    assert abs(one_point_finite("sz", S, q0, L) - num / den) < 1e-13
+
+
+def test_non_finite_results_raise():
+    bad = np.full((3, 3), np.nan)
+    with pytest.raises(ValueError, match="not finite"):
+        two_point_finite(bad, "sz", 1, Q_NEAR, 10, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        two_point_thermo("sz", bad, 1, Q_NEAR, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        one_point_thermo(bad, 1, Q_NEAR)
+    with pytest.raises(ValueError, match="not finite"):
+        one_point_finite(bad, 1, Q_NEAR, 4)
+
+
+def test_thermo_requires_gap(monkeypatch):
+    es = EigenSystem(np.array([2.0, 2.0, 1.0, 0.5]), np.eye(4),
+                     [(2.0, 2), (1.0, 1), (0.5, 1)])
+    fake = Spectral(es, es.eigenvalues / 2.0, np.eye(4))
+    monkeypatch.setattr(transfercorr, "_spectral", lambda S, q0: fake)
+    with pytest.raises(SpectralGapError):
+        two_point_thermo("sz", "sz", 1, Q_NEAR, 3)
+    with pytest.raises(SpectralGapError):
+        two_point_thermo_printed_form("sz", "sz", 1, Q_NEAR, 3)
+    with pytest.raises(SpectralGapError):
+        sz_distribution(1, Q_NEAR)
+    # the finite-chain trace needs no gap
+    assert np.isfinite(two_point_finite("sz", "sz", 1, Q_NEAR, 6, 3))
+
+
+def test_two_transfer_matrices_per_spin_and_q(monkeypatch):
+    built = []
+    original = transfercorr.transfer_matrix
+
+    def counting(S, q0, A=None):
+        built.append((S, Fraction(q0), A))
+        return original(S, q0, A)
+
+    monkeypatch.setattr(transfercorr, "transfer_matrix", counting)
+    transfercorr._spectral.cache_clear()
+    q0 = Fraction(7, 9)
+    for r in range(2, 40):
+        two_point_thermo("sz", "sz", 3, q0, r)
+        two_point_thermo_printed_form("sz", "sz", 3, q0, r)
+        two_point_finite("sz", "sz", 3, q0, 50, r)
+    one_point_finite("sz", 3, q0, 50)
+    one_point_thermo("sz", 3, q0)
+    sz_distribution(3, q0)
+    conjecture_check(3, q0)
+    assert len(built) == 2
+    assert set(built) == {(3, q0, None), (3, q0, "sz")}
+
+
+def test_q_keyed_caches_are_bounded():
+    assert Q_CACHE_SIZE > 96  # six spins on the sixteen-point grid fit
+    caches = (transfercorr._spectral, transfercorr._f_spin_scalars,
+              transfercorr._q_floats)
+    for k in range(300):
+        q0 = Fraction(1000 + k, 1001)
+        two_point_thermo("sz", "sz", 1, q0, 3)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == Q_CACHE_SIZE
+        assert info.currsize <= Q_CACHE_SIZE
+        cache.cache_clear()
+
+
+def test_sz_distribution_matches_projector_route():
+    # the former route: one generic transfer matrix per projector
+    for S in range(1, 7):
+        for q0 in (Fraction(1, 2), Fraction(4, 5), Fraction(2)):
+            probs = sz_distribution(S, q0)
+            for m, p in zip(range(-S, S + 1), probs):
+                assert abs(one_point_thermo(sz_projector(S, m), S, q0) - p) < 1e-13
+
+
+def test_conjecture_check_resolves_spin6_far_from_isotropic():
+    # the two lowest S=6 levels lie below 1e-9 lambda_1 at q = 1/2 and 2
+    for q0 in (Fraction(1, 2), Fraction(2)):
+        rep = conjecture_check(6, q0)
+        assert rep["match"] is True
+        assert [lvl["mult"] for lvl in rep["levels"]] == [1, 3, 5, 7, 9, 11, 13]
+
+
+def test_conjecture_check_rejects_wrong_level(monkeypatch):
+    true_value = transfercorr.conjectured_eigenvalue_float
+    monkeypatch.setattr(
+        transfercorr, "conjectured_eigenvalue_float",
+        lambda S, l, q0: true_value(S, l, q0) * (1.001 if l == 1 else 1.0))
+    for S in (1, 2, 3, 4, 5):
+        rep = conjecture_check(S, Fraction(4, 5))
+        assert rep["match"] is False
+        assert [lvl["l"] for lvl in rep["levels"] if not lvl["match"]] == [1]
