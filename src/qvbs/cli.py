@@ -70,10 +70,9 @@ def cmd_state(args):
             payload["p1"], payload["p2"] = args.p1, args.p2
         _emit(_json_text(payload), args.output)
         return 0
-    rows = []
-    for k in sorted(st.amps):
-        val = st.spin_amplitude(k).eval_float(q0)
-        rows.append([";".join(str(m) for m in k), repr(val), source])
+    values = st.float_amplitudes(q0)
+    rows = [[";".join(str(m) for m in k), repr(values[k]), source]
+            for k in sorted(values)]
     _emit(_csv_text(["m", "value", "source"], rows), args.output)
     return 0
 
@@ -245,7 +244,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, cgproj.BudgetError) as exc:
+    except (ValueError, ArithmeticError, cgproj.BudgetError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

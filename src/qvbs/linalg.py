@@ -1,9 +1,9 @@
 """Fraction-free exact linear algebra over Laurent-polynomial matrices.
 
-Bareiss determinants, adjugates and a matrix-vector product, used by
-`transfercorr.top_eigenvector_exact` on the (S+1)-dimensional equal-index
-block of the transfer matrix. The two-site weight sectors need none of it:
-their change of basis is orthogonal, so `cgproj` inverts it by duals.
+Bareiss determinants and adjugates, kept as a reference for the tests only:
+no module of the package imports this one. The two-site weight sectors are
+inverted by orthogonal duals (`cgproj`), and the top eigenvector of the
+equal-index transfer block has a closed form (`transfercorr`).
 """
 
 from __future__ import annotations
@@ -57,13 +57,3 @@ def adjugate(matrix):
             adj[i][j] = -d if (i + j) % 2 else d
     return adj
 
-
-def mat_vec(matrix, vec):
-    out = []
-    for row in matrix:
-        acc = LaurentQ.zero()
-        for a, b in zip(row, vec):
-            if not (a.is_zero or b.is_zero):
-                acc = acc + a * b
-        out.append(acc)
-    return out

@@ -185,7 +185,7 @@ def contract_open(S, L, p1, p2):
 # -- numeric oracles ----------------------------------------------------
 
 
-def dense_pbc_state(S, L, q0, which="g"):
+def dense_pbc_state(S, L, q0):
     """Physical amplitudes of the periodic chain as a dense float vector.
 
     Contracts the two chain halves separately and joins them, which keeps the
@@ -193,8 +193,7 @@ def dense_pbc_state(S, L, q0, which="g"):
     """
     d = 2 * S + 1
     check_budget((d ** L) * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
-    tensor = {"g": tensor_g, "f": tensor_f}[which](S)
-    W = tensor.phys_matrices(q0)  # [digit, i, j]
+    W = tensor_g(S).phys_matrices(q0)  # [digit, i, j]
 
     def half(n):
         acc = np.eye(S + 1).reshape(S + 1, S + 1, 1)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 def _norm_coeff(c):
     # ints stay ints; Fractions with unit denominator collapse back to int
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
 
@@ -86,7 +86,8 @@ class LaurentQ:
         return self._key
 
     def nonneg_coeffs(self):
-        """True when every coefficient is >= 0 (then p(q) >= 0 for q > 0)."""
+        """True when no coefficient is negative (zeros are not stored), so a
+        nonzero polynomial with this property is positive at every q > 0."""
         return all(v > 0 for v in self._c.values())
 
     # -- arithmetic ---------------------------------------------------
@@ -201,15 +202,17 @@ class LaurentQ:
 
         Works on the ordinary-polynomial images (exponents shifted to 0),
         so the remainder is only canonical up to the q-power bookkeeping;
-        exactness (rem == 0) is what callers rely on.
+        exactness (rem == 0) is what callers rely on. Coefficients stay
+        ints while the divisor's leading coefficient divides them; a
+        Fraction appears only where it does not.
         """
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return LaurentQ.zero(), LaurentQ.zero()
         sh_s, sh_o = self.min_exp(), other.min_exp()
-        num = {e - sh_s: Fraction(v) for e, v in self._c.items()}
-        den = {e - sh_o: Fraction(v) for e, v in other._c.items()}
+        num = {e - sh_s: v for e, v in self._c.items()}
+        den = {e - sh_o: v for e, v in other._c.items()}
         dd = max(den)
         dl = den[dd]
         quot = {}
@@ -217,13 +220,17 @@ class LaurentQ:
             nd = max(num)
             if nd < dd:
                 break
-            f = num[nd] / dl
+            c = num[nd]
+            if type(c) is int and type(dl) is int and not c % dl:
+                f = c // dl
+            else:
+                f = _norm_coeff(Fraction(c) / dl)
             quot[nd - dd] = f
             for e, v in den.items():
                 ne = nd - dd + e
                 s = num.get(ne, 0) - f * v
                 if s:
-                    num[ne] = s
+                    num[ne] = _norm_coeff(s)
                 else:
                     num.pop(ne, None)
         qpoly = LaurentQ({e + sh_s - sh_o: v for e, v in quot.items()})
@@ -258,24 +265,20 @@ class LaurentQ:
 
     # -- misc ---------------------------------------------------------
 
-    def content_int(self):
-        """Integer content when all coefficients are integers, else None."""
-        g = 0
-        for v in self._c.values():
-            if isinstance(v, Fraction):
-                return None
-            g = math.gcd(g, abs(v))
-        return g
-
     def primitive(self):
-        """Divide out the integer content (sign-normalized on max exponent)."""
-        g = self.content_int()
-        if not g:
+        """The integer polynomial with coprime coefficients and a positive
+        leading (max exponent) coefficient that is a rational multiple of
+        self: denominators cleared, integer content divided out."""
+        if not self._c:
             return self
-        if self._c[self.max_exp()] < 0:
+        scale = math.lcm(*(v.denominator for v in self._c.values()))
+        ints = {e: v.numerator * (scale // v.denominator)
+                for e, v in self._c.items()}
+        g = math.gcd(*ints.values())
+        if ints[max(ints)] < 0:
             g = -g
         out = LaurentQ.__new__(LaurentQ)
-        out._c = {e: v // g for e, v in self._c.items()}
+        out._c = {e: v // g for e, v in ints.items()}
         out._key = None
         return out
 
@@ -304,54 +307,19 @@ class LaurentQ:
 
 
 def laurent_gcd(a, b):
-    """Monic gcd of two Laurent polynomials (min exponent normalized to 0)."""
+    """Monic gcd of two Laurent polynomials (min exponent normalized to 0).
+
+    Euclid on divmod_by remainders, each made primitive (Knuth, TAOCP
+    vol. 2, 4.6.1), so the sequence stays in integers and only the final
+    monic scaling brings in rationals.
+    """
+    a, b = a.primitive(), b.primitive()
+    while not b.is_zero:
+        a, b = b, a.divmod_by(b)[1].primitive()
     if a.is_zero:
-        return _monic_min0(b)
-    if b.is_zero:
-        return _monic_min0(a)
-    fa = _to_list(a)
-    fb = _to_list(b)
-    while fb:
-        fa, fb = fb, _list_mod(fa, fb)
-    lead = fa[-1]
-    coeffs = {i: Fraction(v) / lead for i, v in enumerate(fa) if v}
-    return LaurentQ(coeffs)
-
-
-def _monic_min0(p):
-    if p.is_zero:
-        return LaurentQ.zero()
-    sh = p.shift(-p.min_exp())
-    lead = Fraction(sh.coeff(sh.max_exp()))
-    return LaurentQ({e: Fraction(v) / lead for e, v in sh.items()})
-
-
-def _to_list(p):
-    sh = p.shift(-p.min_exp())
-    n = sh.max_exp()
-    out = [Fraction(0)] * (n + 1)
-    for e, v in sh.items():
-        out[e] = Fraction(v)
-    return out
-
-
-def _list_mod(a, b):
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[da] == 0:
-            a.pop()
-            continue
-        f = a[da] / lb
-        for i, v in enumerate(b):
-            a[da - db + i] -= f * v
-        while a and a[-1] == 0:
-            a.pop()
-    # strip a leading block of exact zeros
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+        return a
+    a = a.shift(-a.min_exp())
+    return a * Fraction(1, a.coeff(a.max_exp()))
 
 
 class RatQ:
@@ -382,10 +350,6 @@ class RatQ:
             den = LaurentQ.one()
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p, None, reduce=False)
 
     @property
     def is_zero(self):

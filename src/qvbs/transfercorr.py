@@ -6,7 +6,8 @@ every construction. Each (S, q) is built, checked and diagonalized once and
 kept in a bounded cache together with the S^z insertion in the eigenbasis;
 every numeric correlator is then a short sum in the eigenvalue ratios. An
 exact symbolic path exists for the equal-index block, which is all the
-spin-resolved probabilities need.
+spin-resolved probabilities need: its top eigenvector has the closed form
+v_a = q^a, proved by exact matrix products, so no elimination is needed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import adjugate, mat_vec
 from .mpscore import tensor_f
 from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
 
@@ -555,25 +555,20 @@ def transfer_diag_block_exact(S):
 def top_eigenvector_exact(S):
     """Exact top eigenvalue and (unnormalized) eigenvector of the diagonal block.
 
-    The eigenvector is an adjugate column of (block - lambda_1); the eigenvalue
-    equation is then verified exactly, so a wrong closed-form eigenvalue cannot
-    slip through.
+    The eigenvector is the closed form v_a = q^a, a = 0..S, proved by two
+    exact checks that need no elimination: the eigenvalue equation
+    block v = lambda_1 v, and every block entry being a nonzero Laurent
+    polynomial with positive coefficients. The latter makes the block
+    entrywise positive at every q > 0, so by Perron-Frobenius its positive
+    eigenvector v belongs to the simple top eigenvalue, and a wrong
+    closed-form eigenvalue cannot slip through.
     """
     lam1 = conjectured_eigenvalue(S, 0).to_laurent()
     block = transfer_diag_block_exact(S)
-    n = S + 1
-    M = [[block[i][j] - (lam1 if i == j else LaurentQ.zero()) for j in range(n)]
-         for i in range(n)]
-    adj = adjugate(M)
-    vec = None
-    for j in range(n):
-        col = [adj[i][j] for i in range(n)]
-        if any(not c.is_zero for c in col):
-            vec = col
-            break
-    if vec is None:
-        raise AssertionError("adjugate vanished; top eigenvalue is degenerate?")
-    if mat_vec(block, vec) != [lam1 * v for v in vec]:
+    if not all(not e.is_zero and e.nonneg_coeffs() for row in block for e in row):
+        raise AssertionError("diagonal block is not entrywise positive")
+    vec = [LaurentQ.q_power(a) for a in range(S + 1)]
+    if _mat_mul(block, [[v] for v in vec]) != [[lam1 * v] for v in vec]:
         raise AssertionError("exact eigenvalue equation failed")
     return lam1, vec
 

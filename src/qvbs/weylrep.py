@@ -8,6 +8,7 @@ q-integer prefactors, so no rational-function arithmetic is ever needed here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -363,26 +364,27 @@ class StateVector:
             idx = idx * d + (self.S - m)
         return idx
 
-    def index_basis(self, idx):
-        d = 2 * self.S + 1
-        out = []
-        for _ in range(self.L):
-            out.append(self.S - idx % d)
-            idx //= d
-        return tuple(reversed(out))
-
-    def to_dense(self, q0):
-        """Physical amplitudes as a float vector, product-basis ordering."""
+    def float_amplitudes(self, q0):
+        """Physical amplitudes as floats keyed by basis state, from one table
+        of per-site roots; a non-finite value raises ValueError."""
         q0 = Fraction(q0)
-        d = 2 * self.S + 1
-        vec = np.zeros(d ** self.L)
         pref = self.prefactor.eval_float(q0)
         root = {m: float(weight_radicand(self.S, m).eval_fraction(q0)) ** 0.5
                 for m in range(-self.S, self.S + 1)}
+        out = {}
         for k, a in self.amps.items():
             val = float(a.eval_fraction(q0)) * pref
             for m in k:
                 val *= root[m]
+            if not math.isfinite(val):
+                raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
+            out[k] = val
+        return out
+
+    def to_dense(self, q0):
+        """Physical amplitudes as a float vector, product-basis ordering."""
+        vec = np.zeros((2 * self.S + 1) ** self.L)
+        for k, val in self.float_amplitudes(q0).items():
             vec[self.basis_index(k)] = val
         return vec
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qvbs import suites, transfercorr
+from qvbs import suites, transfercorr, vbsstate
 from qvbs.cli import main
 
 
@@ -33,6 +33,26 @@ def test_state_exact_json(capsys):
     assert data["bc"] == "open"
     assert data["amplitudes"]["1;-1"] == {"1": "1"}
     assert data["amplitudes"]["0;0"] == {"-1": "-1"}
+
+
+@pytest.mark.parametrize("argv, state", (
+    (["--spin", "1", "--length", "6"], lambda: vbsstate.build_pbc(1, 6)),
+    (["--spin", "2", "--length", "4", "--bc", "open", "--p1", "2", "--p2", "1"],
+     lambda: vbsstate.build_open(2, 4, 2, 1)),
+))
+def test_state_csv_matches_exact_amplitudes(capsys, argv, state):
+    # the values come from per-site root tables; the reference evaluates each
+    # exact amplitude, the open chain's radical prefactor included
+    code, out, _ = run(capsys, "state", "--q", "4/5", *argv)
+    assert code == 0
+    st = state()
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == len(st.amps)
+    for row in rows:
+        key, value, _ = row.split(",")
+        ref = st.spin_amplitude(tuple(int(m) for m in key.split(";"))
+                                ).eval_float(Fraction(4, 5))
+        assert abs(float(value) - ref) <= 1e-14 * abs(ref)
 
 
 def test_state_determinism(capsys):
@@ -154,6 +174,30 @@ def test_verify_failing_suite_exit_code(capsys, monkeypatch):
         lambda: {"id": "always-red", "passed": False, "details": {}})
     code, out, _ = run(capsys, "verify", "--suite", "always-red")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", (
+    ["correlator", "--spin", "2", "--q", "1e20"],
+    ["correlator", "--spin", "2", "--q", "1e-30"],
+    ["prob", "--spin", "2", "--q", "1e400"],
+    ["eigenvalues", "--spin", "2", "--q", "1e-400"],
+    ["state", "--spin", "1", "--length", "3", "--q", "1e400"],
+))
+def test_far_q_overflow_is_argument_error(capsys, argv):
+    # these died with an OverflowError traceback and exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_state_non_finite_amplitude_exits_2(capsys):
+    # every factor is a finite float, their product overflows
+    code, out, err = run(capsys, "state", "--spin", "2", "--length", "3",
+                         "--q", "1e30")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_bad_q_is_argument_error(capsys):

@@ -198,3 +198,30 @@ def test_parse_q():
     assert parse_q("0.8") == Fraction(4, 5)
     with pytest.raises(ValueError):
         parse_q("-1")
+
+
+def test_divmod_keeps_integer_coefficients():
+    a = q_factorial(5)
+    quot, rem = a.divmod_by(q_integer(4))
+    assert rem.is_zero and quot * q_integer(4) == a
+    assert all(type(v) is int for _, v in quot.items())
+    # a non-unit leading coefficient brings in a Fraction only where needed
+    quot, rem = LaurentQ({2: 1, 0: 1}).divmod_by(LaurentQ({1: 2, 0: 1}))
+    assert dict(quot.items()) == {1: Fraction(1, 2), 0: Fraction(-1, 4)}
+    assert dict(rem.items()) == {0: Fraction(5, 4)}
+
+
+def test_primitive_clears_denominators_and_content():
+    p = LaurentQ({3: Fraction(-2, 3), 1: Fraction(4, 9), -1: 2})
+    assert dict(p.primitive().items()) == {3: 3, 1: -2, -1: -9}
+    assert LaurentQ({2: 6, 0: 4}).primitive() == LaurentQ({2: 3, 0: 2})
+    assert LaurentQ.zero().primitive().is_zero
+
+
+def test_laurent_gcd_is_monic_with_min_exponent_zero():
+    g = laurent_gcd((q_integer(2) * q_integer(3)).shift(5) * 6,
+                    (q_integer(2) * q_integer(4)).shift(-3) * Fraction(2, 7))
+    assert g == LaurentQ({2: 1, 0: 1})
+    assert laurent_gcd(LaurentQ.zero(), LaurentQ({1: 3, 0: 6})) == LaurentQ({1: 1, 0: 2})
+    assert laurent_gcd(LaurentQ.zero(), LaurentQ.zero()).is_zero
+

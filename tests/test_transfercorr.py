@@ -3,8 +3,9 @@ import pytest
 from fractions import Fraction
 
 from qvbs import transfercorr
+from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz
-from qvbs.qnum import RatQ, q_integer
+from qvbs.qnum import LaurentQ, RatQ, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
     Q_CACHE_SIZE,
@@ -193,11 +194,11 @@ def test_sz_distribution_exact_matches_printed():
 
 
 def test_sz_distribution_exact_matches_numeric():
-    for S in (1, 2, 3):
+    for S in (1, 2, 3, 4, 5):
         exact = sz_distribution_exact(S)
         numeric = sz_distribution(S, Fraction(4, 5))
         for m, p in zip(range(-S, S + 1), numeric):
-            assert abs(exact[m].eval_float(Fraction(4, 5)) - p) < 1e-11
+            assert abs(exact[m].eval_float(Fraction(4, 5)) - p) < 1e-13
 
 
 def test_top_eigenvector_exact_s2_isotropic():
@@ -205,6 +206,44 @@ def test_top_eigenvector_exact_s2_isotropic():
     assert lam1 == q_integer(5) * q_integer(4) * q_integer(2)
     vals = [c.eval_fraction(Fraction(1)) for c in v]
     assert vals[0] == vals[1] == vals[2] != 0
+
+
+@pytest.mark.parametrize("S", (1, 2, 3))
+def test_top_eigenvector_matches_adjugate_column(S):
+    # reference: a nonzero column of adj(block - lambda_1 I) spans the
+    # eigenspace of a simple eigenvalue
+    lam1, v = top_eigenvector_exact(S)
+    assert v == [LaurentQ.q_power(a) for a in range(S + 1)]
+    block = transfer_diag_block_exact(S)
+    n = S + 1
+    adj = adjugate([[block[i][j] - (lam1 if i == j else 0) for j in range(n)]
+                    for i in range(n)])
+    cols = [[adj[i][j] for i in range(n)] for j in range(n)]
+    col = next(c for c in cols if any(not e.is_zero for e in c))
+    assert all(col[i] * v[j] == col[j] * v[i]
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("scale, match", ((-1, "positive"), (2, "eigenvalue")))
+def test_top_eigenvector_checks_reject_a_wrong_block(monkeypatch, scale, match):
+    # a negated entry fails the positivity check; a doubled one stays
+    # positive and fails the eigenvalue equation
+    bad = [list(row) for row in transfer_diag_block_exact(2)]
+    bad[0][1] = bad[0][1] * scale
+    monkeypatch.setattr(transfercorr, "transfer_diag_block_exact", lambda S: bad)
+    top_eigenvector_exact.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=match):
+            top_eigenvector_exact(2)
+    finally:
+        top_eigenvector_exact.cache_clear()
+
+
+def test_top_eigenvector_exact_up_to_spin6():
+    for S in range(1, 7):
+        lam1, v = top_eigenvector_exact(S)
+        assert lam1 == conjectured_eigenvalue(S, 0).to_laurent()
+        assert len(v) == S + 1
 
 
 def test_diag_block_values_isotropic():
