@@ -333,7 +333,12 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
     """Sum of two-site projector embeddings as a sparse matrix at numeric q0.
 
     coeffs maps J in (S, 2S] to a nonnegative weight; missing entries get 1.
+    Site 1 is the most significant digit, so bond (k, k+1) is the Kronecker
+    product I (x) h (x) I; the wrap bond (L, 1) is bond (L-1, L) under the
+    digit rotation that moves site 1 to the end.
     """
+    if L < 2:
+        raise ValueError("need L >= 2")
     d = 2 * S + 1
     dim = d ** L
     check_budget(dim * d * d * 16, "hamiltonian(S=%d, L=%d)" % (S, L))
@@ -347,26 +352,22 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
     for J, c in cs.items():
         if c:
             local = local + c * projector(S, J).to_dense(q0)
-    bonds = bond_list(L, boundary)
-    rows, cols, vals = [], [], []
-    strides = [d ** (L - 1 - p) for p in range(L)]
-    nz = [(a, b) for a in range(d * d) for b in range(d * d)
-          if abs(local[a, b]) > 0.0]
-    for (ka, kb) in bonds:
-        pa, pb = ka - 1, kb - 1
-        rest = [p for p in range(L) if p not in (pa, pb)]
-        rest_dims = [d] * len(rest)
-        for restidx in np.ndindex(*rest_dims) if rest else [()]:
-            base = sum(strides[p] * v for p, v in zip(rest, restidx))
-            for a, b in nz:
-                ia, ib = divmod(a, d)
-                ja, jb = divmod(b, d)
-                i = base + strides[pa] * ia + strides[pb] * ib
-                j = base + strides[pa] * ja + strides[pb] * jb
-                rows.append(i)
-                cols.append(j)
-                vals.append(local[a, b])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    h = scipy.sparse.csr_matrix(local)
+
+    def on_bond(k):
+        return scipy.sparse.kron(
+            scipy.sparse.identity(d ** (k - 1)),
+            scipy.sparse.kron(h, scipy.sparse.identity(d ** (L - k - 1))),
+            format="csr")
+
+    H = scipy.sparse.csr_matrix((dim, dim))
+    for k, l in bond_list(L, boundary):
+        if l == k + 1:
+            H = H + on_bond(k)
+        else:
+            rot = np.arange(dim).reshape(d ** (L - 1), d).T.reshape(-1)
+            H = H + on_bond(L - 1)[rot][:, rot]
+    return H
 
 
 # -- divisibility of the orbit vectors by the bond product -------------

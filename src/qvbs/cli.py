@@ -244,8 +244,16 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, cgproj.BudgetError) as exc:
+    except (ValueError, cgproj.BudgetError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # the bare text names neither the command nor the point
+        at = " at q=%s" % args.q if getattr(args, "q", None) else ""
+        kind = ("float overflow" if isinstance(exc, OverflowError)
+                else type(exc).__name__)
+        print("error: %s%s: %s (%s)" % (args.command, at, kind, exc.args[-1]
+                                        if exc.args else ""), file=sys.stderr)
         return 2
 
 

@@ -126,30 +126,33 @@ def _state_from_radscalars(S, L, rad_amps):
     return StateVector(S, L, amps, pref)
 
 
+def _walk(tensors, first, last, amps):
+    """Add to amps, keyed by the m string, the product of entries along each
+    auxiliary path from index `first` through `tensors` to index `last`."""
+    n = len(tensors)
+
+    def step(pos, idx, scalar, ms):
+        if pos == n:
+            key = tuple(ms)
+            prev = amps.get(key)
+            amps[key] = scalar if prev is None else prev + scalar
+            return
+        t = tensors[pos]
+        for j in (last,) if pos == n - 1 else range(1, t.dim + 1):
+            step(pos + 1, j, scalar * t.entry(idx, j), ms + [j - idx])
+
+    step(0, first, RadScalar.one(), [])
+
+
 def contract_pbc(tensor, L):
     """Trace over the auxiliary chain of one repeated site tensor."""
     if L < 1:
         raise ValueError("need L >= 1")
     S = tensor.S
     check_budget((2 * S + 1) ** L * 256, "contract_pbc(S=%d, L=%d)" % (S, L))
-    dim = tensor.dim
     amps = {}
-
-    def walk(start, pos, idx, scalar, ms):
-        if pos == L:
-            if idx != start:
-                return
-            key = tuple(ms)
-            prev = amps.get(key)
-            amps[key] = scalar if prev is None else prev + scalar
-            return
-        for j in range(1, dim + 1):
-            if pos == L - 1 and j != start:
-                continue
-            walk(start, pos + 1, j, scalar * tensor.entry(idx, j), ms + [j - idx])
-
-    for start in range(1, dim + 1):
-        walk(start, 0, start, RadScalar.one(), [])
+    for start in range(1, tensor.dim + 1):
+        _walk([tensor] * L, start, start, amps)
     return _state_from_radscalars(S, L, amps)
 
 
@@ -160,25 +163,8 @@ def contract_open(S, L, p1, p2):
     if L < 1:
         raise ValueError("need L >= 1")
     check_budget((2 * S + 1) ** L * 256, "contract_open(S=%d, L=%d)" % (S, L))
-    start = tensor_g_start(S)
-    bulk = tensor_g(S)
     amps = {}
-
-    def walk(pos, idx, scalar, ms):
-        if pos == L:
-            if idx != p2:
-                return
-            key = tuple(ms)
-            prev = amps.get(key)
-            amps[key] = scalar if prev is None else prev + scalar
-            return
-        t = start if pos == 0 else bulk
-        for j in range(1, S + 2):
-            if pos == L - 1 and j != p2:
-                continue
-            walk(pos + 1, j, scalar * t.entry(idx, j), ms + [j - idx])
-
-    walk(0, p1, RadScalar.one(), [])
+    _walk([tensor_g_start(S)] + [tensor_g(S)] * (L - 1), p1, p2, amps)
     return _state_from_radscalars(S, L, amps)
 
 
@@ -211,15 +197,17 @@ def dense_pbc_state(S, L, q0):
 
 
 def dense_pbc_two_point_sz(S, L, q0, r):
-    """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state."""
+    """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state.
+
+    Site 1 is the leading digit, so the joint distribution of sites 1 and r
+    sums the squared amplitudes over the digits after r, then over those
+    between, one column of r at a time to keep numpy's pairwise summation.
+    """
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
     d = 2 * S + 1
     vec = dense_pbc_state(S, L, q0)
-    sq = vec * vec
-    norm = sq.sum()
-    digits_1 = (np.arange(d ** L) // d ** (L - 1)) % d
-    digits_r = (np.arange(d ** L) // d ** (L - r)) % d
-    mz = S - digits_1.astype(float)
-    mr = S - digits_r.astype(float)
-    return float((sq * mz * mr).sum() / norm)
+    rest = (vec * vec).reshape(d, d ** (r - 2), d, d ** (L - r)).sum(axis=3)
+    joint = np.stack([rest[:, :, b].sum(axis=1) for b in range(d)], axis=1)
+    m = S - np.arange(d, dtype=float)
+    return float(m @ joint @ m / joint.sum())

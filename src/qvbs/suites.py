@@ -44,7 +44,7 @@ def suite_spectrum_s2():
     points = []
     passed = True
     for q0 in FIVE_Q:
-        es = transfercorr.eigensystem(transfercorr.transfer_matrix(2, q0))
+        es = transfercorr.spectral_data(2, q0).es
         expected = sorted(
             [(p.eval_float(q0), m) for p, m in printed],
             key=lambda t: (-abs(t[0]), -t[0]),
@@ -365,8 +365,8 @@ def suite_symmetries():
     bar_ok = True
     for S in (1, 2, 3):
         q0 = Fraction(4, 5)
-        e1 = transfercorr.eigensystem(transfercorr.transfer_matrix(S, q0))
-        e2 = transfercorr.eigensystem(transfercorr.transfer_matrix(S, 1 / q0))
+        e1 = transfercorr.spectral_data(S, q0).es
+        e2 = transfercorr.spectral_data(S, 1 / q0).es
         d = float(np.abs(e1.eigenvalues - e2.eigenvalues).max())
         ok = bool(d < 1e-9 * abs(e1.top))
         bar_ok = bar_ok and ok
@@ -390,7 +390,7 @@ def suite_symmetries():
         flip_rows.append({"S": S, "L": L, "exact": ok})
     # exponential decay rate approaches lambda2/lambda1
     q0 = Fraction(9, 10)
-    es = transfercorr.eigensystem(transfercorr.transfer_matrix(2, q0))
+    es = transfercorr.spectral_data(2, q0).es
     lam_ratio = es.groups[1][0] / es.groups[0][0]
     vals = [transfercorr.two_point_thermo("sz", "sz", 2, q0, r)
             for r in range(2, 14)]

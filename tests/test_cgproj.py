@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from qvbs.cgproj import (
     BudgetError,
+    bond_list,
     bond_product,
     check_divisibility,
     divide_by_bond_product,
@@ -218,9 +219,31 @@ def test_hamiltonian_coefficients_and_budget(monkeypatch):
     assert np.abs(H0).max() == 0.0
     with pytest.raises(ValueError):
         hamiltonian(1, 2, Q0, "open", coeffs={2: -1.0})
+    for L, boundary in ((1, "periodic"), (0, "open")):
+        with pytest.raises(ValueError, match="need L >= 2"):
+            hamiltonian(1, L, Q0, boundary)
     monkeypatch.setenv("QVBS_BUDGET_MB", "0")
     with pytest.raises(BudgetError):
         hamiltonian(2, 6, Q0)
+
+
+@pytest.mark.parametrize("boundary", ("periodic", "open"))
+@pytest.mark.parametrize("S, L", ((1, 5), (2, 3), (3, 2)))
+def test_hamiltonian_matches_bondwise_tensordot(S, L, boundary):
+    # the deformed projector is not swap-symmetric, so the wrap bond (L, 1)
+    # must act with site L first
+    d = 2 * S + 1
+    coeffs = {2 * S: 2.5}
+    local = sum(coeffs.get(J, 1.0) * projector(S, J).to_dense(Q0)
+                for J in range(S + 1, 2 * S + 1)).reshape(d, d, d, d)
+    v = np.random.default_rng(5).standard_normal(d ** L)
+    psi = v.reshape((d,) * L)
+    ref = np.zeros_like(psi)
+    for k, l in bond_list(L, boundary):
+        moved = np.tensordot(local, psi, axes=([2, 3], [k - 1, l - 1]))
+        ref += np.moveaxis(moved, (0, 1), (k - 1, l - 1))
+    Hv = hamiltonian(S, L, Q0, boundary, coeffs) @ v
+    assert np.abs(Hv - ref.reshape(-1)).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_divide_once_remainder():

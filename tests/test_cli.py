@@ -188,7 +188,7 @@ def test_far_q_overflow_is_argument_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: %s at q=%s:" % (argv[0], argv[-1]))
 
 
 def test_state_non_finite_amplitude_exits_2(capsys):
