@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .qnum import LaurentQ, RadScalar, RatQ, laurent_gcd, q_integer
 from .weylrep import (
@@ -31,21 +30,16 @@ from .weylrep import (
 )
 
 
-def budget_mb():
-    return float(os.environ.get("QVBS_BUDGET_MB", "1024"))
-
-
 class BudgetError(RuntimeError):
     pass
 
 
 def check_budget(bytes_needed, what):
-    limit = budget_mb() * 1024 * 1024
-    if bytes_needed > limit:
+    limit_mb = float(os.environ.get("QVBS_BUDGET_MB", "1024"))
+    if bytes_needed > limit_mb * 2 ** 20:
         raise BudgetError(
             "%s needs ~%.0f MB, over the QVBS_BUDGET_MB limit of %.0f MB"
-            % (what, bytes_needed / 2 ** 20, budget_mb())
-        )
+            % (what, bytes_needed / 2 ** 20, limit_mb))
 
 
 @dataclass
@@ -329,45 +323,49 @@ def bond_list(L, boundary):
     return bonds
 
 
+@dataclass
+class BondHamiltonian:
+    """Sum over bonds (k, l) of the local h on sites k and l; only H @ v is
+    defined, for v of length d^L or a (d^L, n) block. h acts on each bond's
+    axis pair of the (d,)*L view, so the wrap bond (L, 1) is one more pair."""
+
+    h: np.ndarray  # [a', b', a, b] with a on the bond's first site
+    L: int
+    bonds: list
+
+    def __matmul__(self, v):
+        v = np.asarray(v, dtype=float)
+        d = self.h.shape[0]
+        # held at once: input, accumulator, tensordot's copy and its result
+        check_budget(4 * 8 * v.size, "hamiltonian(S=%d, L=%d)" % (d // 2, self.L))
+        psi = v.reshape((d,) * self.L + v.shape[1:])
+        out = np.zeros_like(psi)
+        for k, l in self.bonds:
+            out += np.moveaxis(
+                np.tensordot(self.h, psi, axes=([2, 3], [k - 1, l - 1])),
+                (0, 1), (k - 1, l - 1))
+        return out.reshape(v.shape)
+
+
 def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
-    """Sum of two-site projector embeddings as a sparse matrix at numeric q0.
+    """Sum of two-site projector embeddings as an operator at numeric q0.
 
     coeffs maps J in (S, 2S] to a nonnegative weight; missing entries get 1.
-    Site 1 is the most significant digit, so bond (k, k+1) is the Kronecker
-    product I (x) h (x) I; the wrap bond (L, 1) is bond (L-1, L) under the
-    digit rotation that moves site 1 to the end.
+    Site 1 is the most significant digit of the basis index.
     """
+    if S < 1:
+        raise ValueError("need S >= 1")
     if L < 2:
         raise ValueError("need L >= 2")
     d = 2 * S + 1
-    dim = d ** L
-    check_budget(dim * d * d * 16, "hamiltonian(S=%d, L=%d)" % (S, L))
     cs = {J: 1.0 for J in range(S + 1, 2 * S + 1)}
-    if coeffs:
-        for J, c in coeffs.items():
-            if c < 0:
-                raise ValueError("projector coefficients must be >= 0")
-            cs[int(J)] = float(c)
-    local = np.zeros((d * d, d * d))
-    for J, c in cs.items():
-        if c:
-            local = local + c * projector(S, J).to_dense(q0)
-    h = scipy.sparse.csr_matrix(local)
-
-    def on_bond(k):
-        return scipy.sparse.kron(
-            scipy.sparse.identity(d ** (k - 1)),
-            scipy.sparse.kron(h, scipy.sparse.identity(d ** (L - k - 1))),
-            format="csr")
-
-    H = scipy.sparse.csr_matrix((dim, dim))
-    for k, l in bond_list(L, boundary):
-        if l == k + 1:
-            H = H + on_bond(k)
-        else:
-            rot = np.arange(dim).reshape(d ** (L - 1), d).T.reshape(-1)
-            H = H + on_bond(L - 1)[rot][:, rot]
-    return H
+    for J, c in (coeffs or {}).items():
+        if c < 0:
+            raise ValueError("projector coefficients must be >= 0")
+        cs[int(J)] = float(c)
+    local = sum((c * projector(S, J).to_dense(q0) for J, c in cs.items() if c),
+                np.zeros((d * d, d * d)))
+    return BondHamiltonian(local.reshape(d, d, d, d), L, bond_list(L, boundary))
 
 
 # -- divisibility of the orbit vectors by the bond product -------------
@@ -436,6 +434,8 @@ def divide_by_bond_product(poly, S, sites=(1, 2)):
 
 def check_divisibility(S, j_max=None):
     """Divisibility report for every orbit vector with j <= min(S, j_max)."""
+    if S < 1:
+        raise ValueError("need S >= 1")
     jm = S if j_max is None else min(S, j_max)
     report = []
     for j in range(0, jm + 1):

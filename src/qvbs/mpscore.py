@@ -23,9 +23,8 @@ class MPSTensor:
     sqrt-factorial normalization of the physical basis.
     """
 
-    def __init__(self, S, kind, scalars):
+    def __init__(self, S, scalars):
         self.S = S
-        self.kind = kind
         self._scalars = scalars  # dict (i, j) -> RadScalar, 1-based
 
     @property
@@ -68,7 +67,7 @@ def tensor_g(S):
             sign = -1 if (S - i + 1) % 2 else 1
             rat = LaurentQ.q_power(e2 // 2, sign)
             scalars[(i, j)] = RadScalar(rat, (q_binomial(S, i - 1), q_binomial(S, j - 1)))
-    return MPSTensor(S, "g", scalars)
+    return MPSTensor(S, scalars)
 
 
 def tensor_g_start(S):
@@ -80,7 +79,7 @@ def tensor_g_start(S):
         for j in range(1, S + 2):
             scalars[(i, j)] = RadScalar(
                 LaurentQ.one(), (q_binomial(S, i - 1), q_binomial(S, j - 1)))
-    return MPSTensor(S, "g_start", scalars)
+    return MPSTensor(S, scalars)
 
 
 def tensor_f(S):
@@ -103,7 +102,7 @@ def tensor_f(S):
             else:
                 rat = LaurentQ.q_power(e2 // 2, sign)
             scalars[(i, j)] = RadScalar(rat, tuple(factors))
-    return MPSTensor(S, "f", scalars)
+    return MPSTensor(S, scalars)
 
 
 def _state_from_radscalars(S, L, rad_amps):
@@ -174,11 +173,12 @@ def contract_open(S, L, p1, p2):
 def dense_pbc_state(S, L, q0):
     """Physical amplitudes of the periodic chain as a dense float vector.
 
-    Contracts the two chain halves separately and joins them, which keeps the
-    peak memory at one (2S+1)^ceil(L/2) square matrix.
+    Contracts the two chain halves separately and joins them with one GEMM
+    over the (S+1)^2 pairs of auxiliary indices where they meet.
     """
-    d = 2 * S + 1
-    check_budget((d ** L) * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
+    if L < 1:
+        raise ValueError("need L >= 1")
+    check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
     W = tensor_g(S).phys_matrices(q0)  # [digit, i, j]
 
     def half(n):
@@ -189,11 +189,10 @@ def dense_pbc_state(S, L, q0):
             acc = acc.reshape(S + 1, S + 1, -1)
         return acc
 
-    la = L // 2
-    A = half(la)
-    B = half(L - la)
-    amp = np.einsum("ijs,jit->st", A, B)
-    return amp.reshape(-1)
+    A = half(L // 2)
+    B = half(L - L // 2)
+    # amp[s, t] = sum over (i, j) of A[i, j, s] B[j, i, t], one GEMM
+    return np.tensordot(A, B, axes=([0, 1], [1, 0])).reshape(-1)
 
 
 def dense_pbc_two_point_sz(S, L, q0, r):

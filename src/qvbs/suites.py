@@ -407,7 +407,7 @@ def suite_symmetries():
     # closed-chain kernel via the numeric route; measured, not asserted
     kernel_rows = []
     for S, L in ((1, 4), (1, 6), (2, 4)):
-        H = cgproj.hamiltonian(S, L, Fraction(4, 5), "periodic").toarray()
+        H = cgproj.hamiltonian(S, L, Fraction(4, 5)) @ np.eye((2 * S + 1) ** L)
         sv = np.linalg.svd(H, compute_uv=False)
         kernel_rows.append({"S": S, "L": L,
                             "kernel_dim": int((sv < 1e-10 * sv.max()).sum())})

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from qvbs.cgproj import (
     BudgetError,
-    bond_list,
     bond_product,
     check_divisibility,
     divide_by_bond_product,
@@ -178,14 +177,14 @@ def test_low_spin_projector_rank():
 
 
 def test_hamiltonian_kernel_dims():
-    H = hamiltonian(1, 2, Q0, "open").toarray()
+    H = hamiltonian(1, 2, Q0, "open") @ np.eye(9)
     sv = np.linalg.svd(H, compute_uv=False)
     assert int((sv < 1e-10 * sv.max()).sum()) == 4
 
 
 def test_hamiltonian_kills_low_spin_blocks():
     # any two-site vector of total spin <= S is in the kernel
-    H = hamiltonian(2, 2, Q0, "open").toarray()
+    H = hamiltonian(2, 2, Q0, "open") @ np.eye(25)
     for j in (0, 1, 2):
         for poly in rep_basis(2, j):
             v = poly_to_spin(poly, 2, (1, 2)).to_dense(Q0)
@@ -193,7 +192,7 @@ def test_hamiltonian_kills_low_spin_blocks():
 
 
 def test_hamiltonian_h2_same_kernel():
-    H = hamiltonian(1, 4, Q0, "periodic").toarray()
+    H = hamiltonian(1, 4, Q0, "periodic") @ np.eye(81)
     s1 = np.linalg.svd(H, compute_uv=False)
     s2 = np.linalg.svd(H @ H, compute_uv=False)
     k1 = int((s1 < 1e-10 * s1.max()).sum())
@@ -202,7 +201,7 @@ def test_hamiltonian_h2_same_kernel():
 
 
 def test_hamiltonian_weight_conserving():
-    H = hamiltonian(2, 3, Q0, "periodic").tocoo()
+    rows, cols = np.nonzero(hamiltonian(2, 3, Q0, "periodic") @ np.eye(125))
 
     def wt(i):
         out = 0
@@ -211,39 +210,54 @@ def test_hamiltonian_weight_conserving():
             i //= 5
         return out
 
-    assert all(wt(i) == wt(j) for i, j in zip(H.row, H.col))
+    assert len(rows) > 125
+    assert all(wt(i) == wt(j) for i, j in zip(rows, cols))
 
 
 def test_hamiltonian_coefficients_and_budget(monkeypatch):
-    H0 = hamiltonian(1, 2, Q0, "open", coeffs={2: 0.0}).toarray()
+    H0 = hamiltonian(1, 2, Q0, "open", coeffs={2: 0.0}) @ np.eye(9)
     assert np.abs(H0).max() == 0.0
     with pytest.raises(ValueError):
         hamiltonian(1, 2, Q0, "open", coeffs={2: -1.0})
     for L, boundary in ((1, "periodic"), (0, "open")):
         with pytest.raises(ValueError, match="need L >= 2"):
             hamiltonian(1, L, Q0, boundary)
+    for S in (0, -1):
+        with pytest.raises(ValueError, match="need S >= 1"):
+            hamiltonian(S, 3, Q0)
     monkeypatch.setenv("QVBS_BUDGET_MB", "0")
+    H = hamiltonian(2, 6, Q0)
     with pytest.raises(BudgetError):
-        hamiltonian(2, 6, Q0)
+        H @ np.zeros(5 ** 6)
 
 
 @pytest.mark.parametrize("boundary", ("periodic", "open"))
 @pytest.mark.parametrize("S, L", ((1, 5), (2, 3), (3, 2)))
 def test_hamiltonian_matches_bondwise_tensordot(S, L, boundary):
-    # the deformed projector is not swap-symmetric, so the wrap bond (L, 1)
-    # must act with site L first
+    # an independent dense build: bond (k, k+1) is I (x) h (x) I with site 1
+    # the leading digit; the deformed projector is not swap-symmetric, so the
+    # wrap bond (L, 1) is bond (L-1, L) under the digit rotation that moves
+    # site 1 to the end, which puts site L first
     d = 2 * S + 1
+    dim = d ** L
     coeffs = {2 * S: 2.5}
     local = sum(coeffs.get(J, 1.0) * projector(S, J).to_dense(Q0)
-                for J in range(S + 1, 2 * S + 1)).reshape(d, d, d, d)
-    v = np.random.default_rng(5).standard_normal(d ** L)
-    psi = v.reshape((d,) * L)
-    ref = np.zeros_like(psi)
-    for k, l in bond_list(L, boundary):
-        moved = np.tensordot(local, psi, axes=([2, 3], [k - 1, l - 1]))
-        ref += np.moveaxis(moved, (0, 1), (k - 1, l - 1))
-    Hv = hamiltonian(S, L, Q0, boundary, coeffs) @ v
-    assert np.abs(Hv - ref.reshape(-1)).max() <= 1e-12 * np.abs(ref).max()
+                for J in range(S + 1, 2 * S + 1))
+
+    def on_bond(k):
+        return np.kron(np.eye(d ** (k - 1)),
+                       np.kron(local, np.eye(d ** (L - k - 1))))
+
+    ref = sum(on_bond(k) for k in range(1, L))
+    if boundary == "periodic":
+        rot = np.arange(dim).reshape(d ** (L - 1), d).T.reshape(-1)
+        ref = ref + on_bond(L - 1)[rot][:, rot]
+    H = hamiltonian(S, L, Q0, boundary, coeffs)
+    v = np.random.default_rng(5).standard_normal(dim)
+    assert np.abs(H @ v - ref @ v).max() <= 1e-12 * np.abs(ref @ v).max()
+    block = H @ np.eye(dim)
+    assert block.shape == (dim, dim)
+    assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_divide_once_remainder():
@@ -259,6 +273,12 @@ def test_divisibility_all_low_spin():
         rep = check_divisibility(S)
         assert len(rep) == (S + 1) ** 2
         assert all(r["remainder_zero"] for r in rep)
+
+
+def test_divisibility_rejects_spin_below_one():
+    for S in (0, -1):
+        with pytest.raises(ValueError, match="need S >= 1"):
+            check_divisibility(S)
 
 
 def test_divisibility_negative_control():

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qvbs
 from qvbs import suites, transfercorr, vbsstate
 from qvbs.cli import main
 
@@ -147,6 +151,14 @@ def test_verify_divisibility_spin(capsys):
     assert {r["remainder_zero"] for r in data["items"]} == {True}
 
 
+@pytest.mark.parametrize("spin", ("-1", "0"))
+def test_verify_divisibility_rejects_spin_below_one(capsys, spin):
+    code, out, err = run(capsys, "verify", "--suite", "divisibility",
+                         "--spin", spin)
+    assert code == 2 and out == ""
+    assert err.startswith("error: need S >= 1")
+
+
 def test_verify_suite_json_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "algebra")
     assert code == 0
@@ -222,3 +234,24 @@ def test_reproduce_paper_writes_report(tmp_path, capsys):
     assert data["passed"] is True
     assert [it["id"] for it in data["items"]] == ["spectrum_s2", "algebra"]
     assert "PASS" in out
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency: importing every module in a fresh
+    # interpreter must not pull in scipy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qvbs.__file__)))
+    code = (
+        "import importlib, pkgutil, sys, qvbs\n"
+        "names = [m.name for m in pkgutil.iter_modules(qvbs.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('qvbs.' + name)\n"
+        "print(' '.join(names))\n"
+        "print(sorted(k for k in sys.modules\n"
+        "             if k == 'scipy' or k.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    names, loaded = proc.stdout.split("\n")[:2]
+    assert {"cgproj", "cli", "mpscore", "suites"} <= set(names.split())
+    assert loaded == "[]"

@@ -105,12 +105,21 @@ def test_open_boundary_errors():
 
 
 def test_dense_state_matches_exact():
-    st = build_pbc(2, 4)
-    v = st.to_dense(Q0)
-    d = dense_pbc_state(2, 4, Q0)
-    i = int(np.argmax(np.abs(v)))
-    ratio = d[i] / v[i]
-    assert np.abs(d - ratio * v).max() < 1e-10 * np.abs(d).max()
+    # odd L joins halves of unequal length
+    for S, L in ((1, 5), (2, 4), (2, 5), (3, 3)):
+        st = build_pbc(S, L)
+        for q0 in (Q0, Fraction(7, 4)):
+            v = st.to_dense(q0)
+            d = dense_pbc_state(S, L, q0)
+            i = int(np.argmax(np.abs(v)))
+            ratio = d[i] / v[i]
+            assert np.abs(d - ratio * v).max() < 1e-10 * np.abs(d).max()
+
+
+def test_dense_state_rejects_short_chains():
+    for L in (0, -2):
+        with pytest.raises(ValueError, match="need L >= 1"):
+            dense_pbc_state(1, L, Q0)
 
 
 def test_dense_two_point_range():
