@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -360,6 +359,9 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
     d = 2 * S + 1
     cs = {J: 1.0 for J in range(S + 1, 2 * S + 1)}
     for J, c in (coeffs or {}).items():
+        if J not in cs:
+            raise ValueError("projector coefficient for J=%s outside (S, 2S] = "
+                             "(%d, %d]" % (J, S, 2 * S))
         if c < 0:
             raise ValueError("projector coefficients must be >= 0")
         cs[int(J)] = float(c)
@@ -382,16 +384,17 @@ def _term_vector(poly, key, sites):
 def divide_once(p, factor, sites):
     """Division with remainder by one bond factor, lex order on `sites`.
 
-    The factor's leading coefficient is a q-power (a unit), so quotient and
-    remainder keep Laurent coefficients.
+    The factor's leading coefficient must be +-q^k, a unit of Z[q, 1/q], so
+    quotient and remainder keep integer Laurent coefficients.
     """
     lead_key = max(factor.terms, key=lambda k: _term_vector(factor, k, sites))
     lead_vec = _term_vector(factor, lead_key, sites)
     lead_coeff = factor.terms[lead_key]
-    if len(lead_coeff.key()) != 1:
-        raise ValueError("divisor leading coefficient must be a q-monomial")
-    exp, c = lead_coeff.key()[0]
-    inv_lead = LaurentQ({-exp: Fraction(1) / c})
+    terms = lead_coeff.key()
+    if len(terms) != 1 or terms[0][1] not in (1, -1):
+        raise ValueError("divisor leading coefficient must be +-q^k")
+    exp, c = terms[0]
+    inv_lead = LaurentQ({-exp: c})
     quot = SitePoly.zero()
     rem = SitePoly.zero()
     work = p

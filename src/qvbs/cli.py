@@ -141,7 +141,9 @@ def cmd_prob(args):
 
 
 def cmd_verify(args):
-    if args.suite == "divisibility" and args.spin is not None:
+    if args.spin is not None:
+        if args.suite != "divisibility":
+            raise ValueError("--spin applies only to --suite divisibility")
         items = cgproj.check_divisibility(args.spin)
         payload = {"suite": "divisibility", "items": items,
                    "passed": all(r["remainder_zero"] for r in items),

@@ -1,31 +1,29 @@
 """Exact arithmetic in the deformation parameter q.
 
-Laurent polynomials in q with rational coefficients, rational functions of
-those, formal radical scalars, and the q-integer / q-factorial / q-binomial
-constructions. Floating point enters only through the eval helpers; every
-other operation is exact, so zero tests are decisive.
+Laurent polynomials in q over the integers, ratios of those, formal radical
+scalars, and the q-integer / q-factorial / q-binomial constructions. A
+Fraction enters only as a value of q or as a rational constant that RatQ
+splits into its integer numerator and denominator; floating point enters
+only through the eval helpers. Every other operation is exact in the
+integers, so zero tests are decisive.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 
-def _norm_coeff(c):
-    # ints stay ints; Fractions with unit denominator collapse back to int
-    if type(c) is not int and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class LaurentQ:
-    """Laurent polynomial in q with exact rational coefficients.
+    """Laurent polynomial in q over the integers, an element of Z[q, 1/q].
 
-    Stored as exponent -> coefficient with no zero entries kept, so equality
-    is coefficient-wise and instances hash stably. Immutable by convention:
-    no method mutates self after construction.
+    Stored as exponent -> int coefficient with no zero entries kept, so
+    equality is coefficient-wise and instances hash stably. The constructor
+    takes int coefficients only (a Fraction or float raises TypeError);
+    rational constants belong in RatQ. Immutable by convention: no method
+    mutates self after construction.
     """
 
     __slots__ = ("_c", "_key")
@@ -34,7 +32,7 @@ class LaurentQ:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _norm_coeff(v if isinstance(v, (int, Fraction)) else Fraction(v))
+                v = operator.index(v)
                 if v:
                     c[int(e)] = v
         self._c = c
@@ -95,7 +93,7 @@ class LaurentQ:
     def _coerce(self, other):
         if isinstance(other, LaurentQ):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentQ.const(other)
         return None
 
@@ -107,7 +105,7 @@ class LaurentQ:
         for e, v in o._c.items():
             s = c.get(e, 0) + v
             if s:
-                c[e] = _norm_coeff(s)
+                c[e] = s
             else:
                 c.pop(e, None)
         out = LaurentQ.__new__(LaurentQ)
@@ -154,7 +152,7 @@ class LaurentQ:
                 else:
                     c.pop(e, None)
         out = LaurentQ.__new__(LaurentQ)
-        out._c = {e: _norm_coeff(v) for e, v in c.items() if v}
+        out._c = c
         out._key = None
         return out
 
@@ -198,13 +196,13 @@ class LaurentQ:
     # -- division -----------------------------------------------------
 
     def divmod_by(self, other):
-        """Long division: self = quot * other + rem, rem lower-degree.
+        """Long division over the integers: self == quot * other + rem.
 
-        Works on the ordinary-polynomial images (exponents shifted to 0),
-        so the remainder is only canonical up to the q-power bookkeeping;
-        exactness (rem == 0) is what callers rely on. Coefficients stay
-        ints while the divisor's leading coefficient divides them; a
-        Fraction appears only where it does not.
+        Works on the ordinary-polynomial images (exponents shifted to 0) and
+        stops at the first leading coefficient that the divisor's leading
+        coefficient does not divide, or when rem is of lower degree than the
+        divisor. So rem is zero exactly when other divides self in
+        Z[q, 1/q]; that zero test is what callers rely on.
         """
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -220,17 +218,15 @@ class LaurentQ:
             nd = max(num)
             if nd < dd:
                 break
-            c = num[nd]
-            if type(c) is int and type(dl) is int and not c % dl:
-                f = c // dl
-            else:
-                f = _norm_coeff(Fraction(c) / dl)
+            f, r = divmod(num[nd], dl)
+            if r:
+                break
             quot[nd - dd] = f
             for e, v in den.items():
                 ne = nd - dd + e
                 s = num.get(ne, 0) - f * v
                 if s:
-                    num[ne] = _norm_coeff(s)
+                    num[ne] = s
                 else:
                     num.pop(ne, None)
         qpoly = LaurentQ({e + sh_s - sh_o: v for e, v in quot.items()})
@@ -253,8 +249,7 @@ class LaurentQ:
         if not self._c:
             return Fraction(0)
         # q0^e = n^(e-lo) d^(hi-e) * n^lo / d^hi with q0 = n/d: the sum runs
-        # in integers (Fractions only for rational coefficients) and is
-        # reduced once at the end, not once per term
+        # in integers and is reduced once at the end, not once per term
         n, d = q0.numerator, q0.denominator
         lo, hi = min(self._c), max(self._c)
         acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in self._c.items())
@@ -266,28 +261,24 @@ class LaurentQ:
     # -- misc ---------------------------------------------------------
 
     def primitive(self):
-        """The integer polynomial with coprime coefficients and a positive
-        leading (max exponent) coefficient that is a rational multiple of
-        self: denominators cleared, integer content divided out."""
+        """self over its integer content, signed so that the leading (max
+        exponent) coefficient is positive: coprime coefficients."""
         if not self._c:
             return self
-        scale = math.lcm(*(v.denominator for v in self._c.values()))
-        ints = {e: v.numerator * (scale // v.denominator)
-                for e, v in self._c.items()}
-        g = math.gcd(*ints.values())
-        if ints[max(ints)] < 0:
+        g = math.gcd(*self._c.values())
+        if self._c[max(self._c)] < 0:
             g = -g
         out = LaurentQ.__new__(LaurentQ)
-        out._c = {e: v // g for e, v in ints.items()}
+        out._c = {e: v // g for e, v in self._c.items()}
         out._key = None
         return out
 
     def to_json_obj(self):
-        return {str(e): str(Fraction(v)) for e, v in sorted(self._c.items())}
+        return {str(e): str(v) for e, v in sorted(self._c.items())}
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls({int(e): Fraction(v) for e, v in obj.items()})
+        return cls({int(e): int(v) for e, v in obj.items()})
 
     def __str__(self):
         if not self._c:
@@ -307,47 +298,55 @@ class LaurentQ:
 
 
 def laurent_gcd(a, b):
-    """Monic gcd of two Laurent polynomials (min exponent normalized to 0).
+    """Primitive gcd of two Laurent polynomials over the integers.
 
-    Euclid on divmod_by remainders, each made primitive (Knuth, TAOCP
-    vol. 2, 4.6.1), so the sequence stays in integers and only the final
-    monic scaling brings in rationals.
+    The result has coprime coefficients, a positive leading coefficient and
+    min exponent 0. Euclid on pseudo-remainders: a times lc(b) to the power
+    span(a) - span(b) + 1 always divides by b in the integers, and each
+    remainder is made primitive (the primitive remainder sequence, Knuth,
+    TAOCP vol. 2, 4.6.1).
     """
     a, b = a.primitive(), b.primitive()
-    while not b.is_zero:
-        a, b = b, a.divmod_by(b)[1].primitive()
     if a.is_zero:
-        return a
-    a = a.shift(-a.min_exp())
-    return a * Fraction(1, a.coeff(a.max_exp()))
+        a, b = b, a
+    while not b.is_zero:
+        k = a.max_exp() - a.min_exp() - b.max_exp() + b.min_exp() + 1
+        lead = b.coeff(b.max_exp()) ** max(k, 0)
+        a, b = b, (a * lead).divmod_by(b)[1].primitive()
+    return a.shift(-a.min_exp()) if not a.is_zero else a
 
 
 class RatQ:
-    """Ratio of two Laurent polynomials in q; the denominator is never zero."""
+    """Ratio of two Laurent polynomials over the integers; the denominator is
+    never zero. A rational constant num is split into integer parts.
+
+    Normal form: num and den are coprime in Z[q, 1/q] with no common integer
+    content, den has a positive leading coefficient and min exponent 0, and
+    den = 1 when num is zero. reduce=False is for operands already there.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=1, reduce=True):
+        if isinstance(num, Fraction):
+            num, den = num.numerator, num.denominator * den
         if not isinstance(num, LaurentQ):
             num = LaurentQ.const(num)
-        if den is None:
-            den = LaurentQ.one()
-        elif not isinstance(den, LaurentQ):
+        if not isinstance(den, LaurentQ):
             den = LaurentQ.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero:
-            g = laurent_gcd(num, den)
-            if not (g.max_exp() == 0 and g.coeff(0) == 1 and len(g.key()) == 1):
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
-        if len(den.key()) == 1:
-            # monomial denominator: fold it into the numerator
-            e, c = den.key()[0]
-            num = num.shift(-e) * (Fraction(1) / c)
+        if reduce and num.is_zero:
             den = LaurentQ.one()
-        if num.is_zero:
-            den = LaurentQ.one()
+        elif reduce:
+            # the primitive gcd times the integer content and the sign and
+            # q-power that normalize den
+            g = laurent_gcd(num, den).shift(den.min_exp()) * math.gcd(
+                *num._c.values(), *den._c.values())
+            if den.coeff(den.max_exp()) < 0:
+                g = -g
+            if g != 1:
+                num, den = num.divide_exact(g), den.divide_exact(g)
         self.num = num
         self.den = den
 
@@ -359,7 +358,7 @@ class RatQ:
         if isinstance(other, RatQ):
             return other
         if isinstance(other, (int, Fraction, LaurentQ)):
-            return RatQ(other, None, reduce=False)
+            return RatQ(other, reduce=False)
         return None
 
     def __add__(self, other):
@@ -521,7 +520,7 @@ class RadScalar:
     def __mul__(self, other):
         if isinstance(other, RadScalar):
             return RadScalar(self.rat * other.rat, self.factors + other.factors)
-        if isinstance(other, (int, Fraction, LaurentQ, RatQ)):
+        if isinstance(other, (int, LaurentQ, RatQ)):
             return RadScalar(self.rat * other, self.factors)
         return NotImplemented
 

@@ -220,8 +220,7 @@ def conjectured_eigenvalue(S, l):
         raise ValueError("need 0 <= l <= S")
     num = q_factorial(2 * S + 1) * q_binomial(S, l)
     den = q_integer(S + 1) * q_binomial(S + l + 1, l)
-    val = RatQ(num if l % 2 == 0 else -num, den)
-    return val
+    return RatQ(num if l % 2 == 0 else -num, den)
 
 
 def conjectured_eigenvalue_float(S, l, q0):
@@ -514,13 +513,9 @@ def conjecture_exact_certificate(S):
     pin the multiplicities 2l+1 through an invertible Vandermonde system
     wherever the values are distinct. Both are identities in q.
     """
-    roots = []
     # descending l: the block delta holds the levels l >= |delta|, so its
     # product vanishes after S+1-|delta| factors
-    for l in range(S, -1, -1):
-        lam = conjectured_eigenvalue(S, l)
-        roots.append(lam.num.divide_exact(lam.den)
-                     if lam.den != LaurentQ.one() else lam.num)
+    roots = [conjectured_eigenvalue(S, l).to_laurent() for l in range(S, -1, -1)]
     annihilates = all(_factors_annihilate(block, roots)
                       for block in _rational_similar_core(S))
     moments = all(conjecture_moment_identity(S, k) for k in range(1, S + 2))

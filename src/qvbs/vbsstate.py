@@ -23,7 +23,11 @@ class BoundaryVector:
     side: str  # "left" or "right"
 
 
-def _check_state_budget(S, L):
+def _check_state_args(S, L):
+    if S < 1:
+        raise ValueError("need S >= 1")
+    if L < 2:
+        raise ValueError("need L >= 2")
     dim = (2 * S + 1) ** L
     # rough per-amplitude bookkeeping cost of the exact representation
     check_budget(dim * 256, "state(S=%d, L=%d)" % (S, L))
@@ -31,9 +35,7 @@ def _check_state_budget(S, L):
 
 def build_pbc(S, L):
     """Periodic chain ground state: the product of S bond factors per link."""
-    if L < 2:
-        raise ValueError("need L >= 2")
-    _check_state_budget(S, L)
+    _check_state_args(S, L)
     poly = SitePoly.one()
     for k in range(1, L + 1):
         nxt = 1 if k == L else k + 1
@@ -44,11 +46,9 @@ def build_pbc(S, L):
 
 def build_open(S, L, p1, p2):
     """Open chain state with boundary monomials selected by (p1, p2)."""
+    _check_state_args(S, L)
     if not (1 <= p1 <= S + 1 and 1 <= p2 <= S + 1):
         raise ValueError("boundary labels must lie in 1..S+1")
-    if L < 2:
-        raise ValueError("need L >= 2")
-    _check_state_budget(S, L)
     poly = SitePoly.monomial({1: (S - p1 + 1, p1 - 1)})
     for k in range(1, L):
         for m in range(1, S + 1):

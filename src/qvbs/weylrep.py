@@ -101,7 +101,7 @@ class SitePoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentQ)):
+        if isinstance(other, (int, LaurentQ)):
             return self.scale(other)
         if not isinstance(other, SitePoly):
             return NotImplemented

@@ -219,6 +219,10 @@ def test_hamiltonian_coefficients_and_budget(monkeypatch):
     assert np.abs(H0).max() == 0.0
     with pytest.raises(ValueError):
         hamiltonian(1, 2, Q0, "open", coeffs={2: -1.0})
+    # J = 0 once gave a wrong operator with no error
+    for J in (0, 1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            hamiltonian(1, 4, Q0, coeffs={J: 1.0})
     for L, boundary in ((1, "periodic"), (0, "open")):
         with pytest.raises(ValueError, match="need L >= 2"):
             hamiltonian(1, L, Q0, boundary)
@@ -266,6 +270,9 @@ def test_divide_once_remainder():
     quot, rem = divide_once(p, f, (1, 2))
     assert quot == SitePoly.var(1, "x")
     assert rem == SitePoly.var(2, "y")
+    # a leading coefficient 2 q^k is no unit of Z[q, 1/q]
+    with pytest.raises(ValueError, match="q\\^k"):
+        divide_once(p, f * 2, (1, 2))
 
 
 def test_divisibility_all_low_spin():

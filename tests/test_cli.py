@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -59,6 +60,16 @@ def test_state_csv_matches_exact_amplitudes(capsys, argv, state):
         assert abs(float(value) - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("spin", ("-1", "0"))
+def test_state_rejects_spin_below_one(capsys, spin):
+    # S = 0 printed an empty-bond state and S = -1 a degree error
+    for extra in ([], ["--exact"], ["--bc", "open"]):
+        code, out, err = run(capsys, "state", "--spin", spin, "--length", "3",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err == "error: need S >= 1\n"
+
+
 def test_state_determinism(capsys):
     a = run(capsys, "state", "--spin", "2", "--length", "3", "--q", "0.8")
     b = run(capsys, "state", "--spin", "2", "--length", "3", "--q", "4/5")
@@ -80,6 +91,40 @@ def test_eigenvalues_exact_serialization(capsys):
     data = json.loads(out)
     assert data["exact_closed_form"][0]["num"] == {"2": "1", "0": "1", "-2": "1"}
     assert data["exact_closed_form"][1]["num"] == {"0": "-1"}
+
+
+# sha256 of json.dumps(..., sort_keys=True) of the exact outputs; the float
+# fields are left out because their last digits depend on the LAPACK build
+EXACT_DIGESTS = {
+    ("eigenvalues", 1): "6dfa3efcf3995b73715967496eb7fffee12915c5cab1ff42acc8951f8d2b6bce",
+    ("eigenvalues", 2): "78ee021652da653e4bc9ddd6f42ad8f070b7e6bf3b6a15f69bdf46b013e87583",
+    ("eigenvalues", 3): "0109f5f55a1c8becd30210f0d3eb804c56adb6056d7646f32b89c56af3275936",
+    ("eigenvalues", 4): "84b503dd4344c59fca5b2cc723d9bf5bad57f950f3d1d9834b2e50aee0757360",
+    ("eigenvalues", 5): "8f235ef7107317a5c924231e92ce422920364e6f2469da56634ed0178efae379",
+    ("eigenvalues", 6): "efe3342c8e0f49ef1b0837447aa6f4ccb736d9beabe83a6fac277072c798358e",
+    ("state", "pbc"): "23eff0296695d97ac3e0cff00fe509cee46bb14dc7733c250c40bb8956b2d6b5",
+    ("state", "open"): "f96b1656c191503e6a8387107faa22e2227d13a272470291c553ba5ca614bd06",
+}
+
+
+def test_exact_serializations_are_pinned(capsys):
+    def digest(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return json.loads(out)
+
+    got = {}
+    for S in range(1, 7):
+        data = digest("eigenvalues", "--spin", str(S), "--q", "4/5", "--exact")
+        got[("eigenvalues", S)] = data["exact_closed_form"]
+    got[("state", "pbc")] = digest("state", "--spin", "1", "--length", "6",
+                                   "--exact")
+    got[("state", "open")] = digest("state", "--spin", "2", "--length", "4",
+                                    "--bc", "open", "--p1", "2", "--p2", "3",
+                                    "--exact")
+    got = {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
+           for k, v in got.items()}
+    assert got == EXACT_DIGESTS
 
 
 def test_correlator_csv_with_closed_form(capsys):
@@ -173,6 +218,13 @@ def test_verify_symmetries_serializes(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert all(row["match"] is True for row in data["details"]["bar_symmetry"])
+
+
+def test_verify_spin_only_for_divisibility(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "groundstate",
+                         "--spin", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --spin applies only to --suite divisibility\n"
 
 
 def test_verify_unknown_suite(capsys):

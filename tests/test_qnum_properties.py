@@ -1,8 +1,6 @@
 """Property tests of the Laurent kernel against sympy as an independent
 oracle; the module skips when hypothesis or sympy is not installed."""
 
-from fractions import Fraction
-
 import pytest
 
 from qvbs.qnum import LaurentQ, laurent_gcd
@@ -21,8 +19,15 @@ def _laurent(coeffs, low):
 def _sympy_poly(p):
     """The ordinary polynomial q^(-min exponent) p as a sympy Poly."""
     low = p.min_exp()
-    return sympy.Poly(sum(sympy.Rational(str(Fraction(v))) * _X ** (e - low)
-                          for e, v in p.items()), _X, domain="QQ")
+    return sympy.Poly(sum(v * _X ** (e - low) for e, v in p.items()), _X,
+                      domain="ZZ")
+
+
+def _divides_over_zz(pa, pb):
+    if pa.is_zero:
+        return True
+    quot, rem = _sympy_poly(pa).div(_sympy_poly(pb))
+    return rem.is_zero and all(c.is_integer for c in quot.coeffs())
 
 
 _coeff_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=7)
@@ -30,15 +35,16 @@ _nonzero = _coeff_lists.filter(any)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_coeff_lists, _nonzero, st.integers(-4, 4), st.integers(-4, 4),
-       st.integers(1, 5))
-def test_divmod_identity_property(a, b, la, lb, den):
-    pa = _laurent([Fraction(c, den) for c in a], la)
+@given(_coeff_lists, _nonzero, _nonzero, st.booleans(), st.integers(-4, 4),
+       st.integers(-4, 4))
+def test_divmod_identity_property(a, b, c, multiple, la, lb):
+    # half the dividends are multiples of the divisor, so both outcomes of
+    # the zero test are exercised
     pb = _laurent(b, lb)
+    pa = _laurent(a, la) * (pb if multiple else _laurent(c, 0))
     quot, rem = pa.divmod_by(pb)
     assert quot * pb + rem == pa
-    if not rem.is_zero:
-        assert rem.max_exp() - rem.min_exp() < pb.max_exp() - pb.min_exp()
+    assert rem.is_zero == _divides_over_zz(pa, pb)
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,7 +53,9 @@ def test_laurent_gcd_matches_sympy(a, b, common, la, lb):
     pc = _laurent(common, 0)
     pa, pb = _laurent(a, la) * pc, _laurent(b, lb) * pc
     g = laurent_gcd(pa, pb)
-    ref = sympy.gcd(_sympy_poly(pa), _sympy_poly(pb)).monic()
+    ref = sympy.gcd(_sympy_poly(pa), _sympy_poly(pb)).primitive()[1]
+    if ref.LC() < 0:
+        ref = -ref
     assert g.min_exp() == 0
     assert _sympy_poly(g) == ref
 
