@@ -141,13 +141,19 @@ def cmd_prob(args):
 
 
 def cmd_verify(args):
-    if args.spin is not None:
-        if args.suite != "divisibility":
-            raise ValueError("--spin applies only to --suite divisibility")
+    if args.spin is not None and args.suite == "divisibility":
         items = cgproj.check_divisibility(args.spin)
         payload = {"suite": "divisibility", "items": items,
                    "passed": all(r["remainder_zero"] for r in items),
                    "source": "bond_product_divisibility"}
+    elif args.spin is not None and args.suite == "certificates":
+        cert = transfercorr.conjecture_exact_certificate(args.spin)
+        payload = {"suite": "certificates", "items": [cert],
+                   "passed": cert["proved"],
+                   "source": "modular_spectrum_certificate"}
+    elif args.spin is not None:
+        raise ValueError(
+            "--spin applies only to --suite divisibility or certificates")
     else:
         fn = suites.SUITE_BY_NAME.get(args.suite)
         if fn is None:
@@ -222,8 +228,11 @@ def build_parser():
 
     sv = sub.add_parser("verify", help="run one verification suite")
     sv.add_argument("--suite", required=True)
-    sv.add_argument("--spin", type=int)
-    sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--spin", type=int,
+                    help="check one spin S alone (divisibility, certificates)")
+    sv.add_argument("--seed", type=int, default=0,
+                    help="seed of the randomized negative controls; only "
+                         "--suite groundstate reads it")
     sv.add_argument("--output")
     sv.set_defaults(func=cmd_verify)
 

@@ -5,7 +5,9 @@ scalars, and the q-integer / q-factorial / q-binomial constructions. A
 Fraction enters only as a value of q or as a rational constant that RatQ
 splits into its integer numerator and denominator; floating point enters
 only through the eval helpers. Every other operation is exact in the
-integers, so zero tests are decisive.
+integers, so zero tests are decisive; eval_mod maps a batch of Laurent
+polynomials to their residues at points of GF(p), for zero tests by
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 class LaurentQ:
@@ -650,3 +654,39 @@ def eval_at(p, q0):
     if isinstance(p, (LaurentQ, RatQ)):
         return p.eval_float(q0)
     return float(p)
+
+
+def eval_mod(polys, points, p):
+    """Values of Laurent polynomials at points of GF(p), modulo the prime p.
+
+    Returns an int64 array of shape (len(polys), len(points)) with entries
+    in [0, p). p must be below 2**31 and no point divisible by p, since
+    negative exponents need the inverse. The coefficients, reduced mod p,
+    fill a matrix C over the batch's exponent range and the points a power
+    table X, so the values are C @ X mod p, computed exactly in int64 with X
+    split into 16-bit limbs.
+    """
+    x = np.asarray(points, dtype=np.int64) % p
+    live = [f for f in polys if not f.is_zero]
+    if not live:
+        return np.zeros((len(polys), len(x)), dtype=np.int64)
+    lo = min(f.min_exp() for f in live)
+    width = max(f.max_exp() for f in live) - lo + 1
+    if width > 2 ** 16:
+        raise ValueError("exponent range %d too wide for int64 sums" % width)
+    rows, cols, coeffs = [], [], []
+    for i, f in enumerate(polys):
+        rows += [i] * len(f._c)
+        cols += f._c.keys()
+        coeffs += f._c.values()
+    C = np.zeros((len(polys), width), dtype=np.int64)
+    C[rows, np.array(cols, dtype=np.int64) - lo] = (
+        np.array(coeffs, dtype=object) % p).astype(np.int64)
+    # a residue times a limb is below 2**47, and a row of at most 2**16 such
+    # products sums below 2**63
+    x1, x0 = np.empty((2, width, len(x)), dtype=np.int64)
+    power = np.array([pow(int(v), lo, p) for v in x], dtype=np.int64)
+    for k in range(width):
+        x1[k], x0[k] = np.divmod(power, 1 << 16)
+        power = power * x % p
+    return (C @ x1 % p * (1 << 16) + C @ x0 % p) % p

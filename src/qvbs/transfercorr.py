@@ -12,6 +12,7 @@ v_a = q^a, proved by exact matrix products, so no elimination is needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cgproj import check_budget
 from .mpscore import tensor_f
-from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
+from .qnum import LaurentQ, RatQ, eval_mod, q_binomial, q_factorial, q_integer
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -504,26 +506,217 @@ def _factors_annihilate(block, roots):
     return False
 
 
+# -- modular certificate ------------------------------------------------
+#
+# Each identity the certificate checks says that a Laurent polynomial with
+# integer coefficients is zero. If its exponents span at most D and its
+# coefficients are at most H in absolute value, it is zero exactly when it
+# vanishes at D+1 nonzero points of GF(p) for each of a set of primes whose
+# product exceeds 2H (Brown 1971, J. ACM 18, 478; von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 5-6). D and H come from exponent
+# ranges and l1 norms carried through the same block products in Python
+# ints, so every zero test is a proof, not sampling. The dict path above
+# stays as the oracle.
+
+# The 32 largest primes below 2**31. Residues stay below 2**31, so a
+# product of two is below 2**62 and adding a residue stays inside int64.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921)
+
+
+# points per evaluation; bounds the arrays a certificate holds at once
+_CHUNK = 128
+
+
+def _span(f):
+    """(min exponent, max exponent, l1 norm) of f; the zero polynomial gets
+    the range [0, 0], which only widens the ranges it enters."""
+    if f.is_zero:
+        return 0, 0, 0
+    return f.min_exp(), f.max_exp(), sum(abs(v) for _, v in f.items())
+
+
+def _block_spans(block):
+    n = len(block)
+    lo, hi, l1 = zip(*(_span(e) for row in block for e in row))
+    return (np.array(lo).reshape(n, n), np.array(hi).reshape(n, n),
+            np.array(l1, dtype=object).reshape(n, n))
+
+
+def _spans_mul(A, B):
+    """Spans of a matrix product: each entry's exponents lie in the union of
+    the summed ranges, and its l1 norm is at most the sum of the products."""
+    return ((A[0][:, :, None] + B[0][None]).min(axis=1),
+            (A[1][:, :, None] + B[1][None]).max(axis=1),
+            A[2] @ B[2])
+
+
+def _certificate_bounds(blocks, roots, lams):
+    """Degree bound D and height bound H of every polynomial the modular
+    checks form: each running product of the annihilation factors, each
+    block power, and each moment identity (see _moments_vanish_mod)."""
+    D = H = 0
+
+    def see(lo, hi, l1):
+        nonlocal D, H
+        D, H = max(D, int(np.max(hi - lo))), max(H, int(np.max(l1)))
+
+    S = len(lams) - 1
+    traces = [[] for _ in range(S + 1)]
+    for block in blocks:
+        N = _block_spans(block)
+        diag = np.arange(len(block))
+        work = None
+        for r_lo, r_hi, r_l1 in map(_span, roots):
+            factor = tuple(a.copy() for a in N)
+            factor[0][diag, diag] = np.minimum(factor[0][diag, diag], r_lo)
+            factor[1][diag, diag] = np.maximum(factor[1][diag, diag], r_hi)
+            factor[2][diag, diag] += r_l1
+            work = factor if work is None else _spans_mul(work, factor)
+            see(*work)
+        power = N
+        for k in range(S + 1):
+            if k:
+                power = _spans_mul(power, N)
+            see(*power)
+            traces[k].append(tuple(a.diagonal() for a in power))
+    nums = [_span(lam.num) for lam in lams]
+    dens = [_span(lam.den) for lam in lams]
+    d_lo, d_hi = sum(d[0] for d in dens), sum(d[1] for d in dens)
+    d_l1 = math.prod(d[2] for d in dens)
+    for k, parts in enumerate(traces, start=1):
+        t_lo = min(int(lo.min()) for lo, _, _ in parts)
+        t_hi = max(int(hi.max()) for _, hi, _ in parts)
+        t_l1 = sum(sum(l1) for _, _, l1 in parts)
+        terms = [(k * d_lo + t_lo, k * d_hi + t_hi, d_l1 ** k * t_l1)]
+        for l, (n_lo, n_hi, n_l1) in enumerate(nums):
+            terms.append((k * (n_lo + d_lo - dens[l][0]),
+                          k * (n_hi + d_hi - dens[l][1]),
+                          (2 * l + 1) * (n_l1 * d_l1 // dens[l][2]) ** k))
+        see(min(t[0] for t in terms), max(t[1] for t in terms),
+            sum(t[2] for t in terms))
+    return D, H
+
+
+def _mat_mul_mod(A, B, p):
+    """Product of (n, k, P) and (k, m, P) stacks of matrices over GF(p), one
+    matrix per point; each partial sum is reduced at once, so no entry
+    exceeds 2**62 + p."""
+    out = np.zeros((A.shape[0], B.shape[1], A.shape[2]), dtype=np.int64)
+    for k in range(A.shape[1]):
+        out += A[:, k, None] * B[None, k]
+        out %= p
+    return out
+
+
+def _annihilated_mod(N, roots, p):
+    """prod_r (N - r I) vanishes at every point mod p; like the dict path,
+    the running product stops at its first zero."""
+    diag = np.arange(len(N))
+    work = None
+    for r in roots:
+        factor = N.copy()
+        factor[diag, diag] = (factor[diag, diag] - r) % p
+        work = factor if work is None else _mat_mul_mod(work, factor, p)
+        if not work.any():
+            return True
+    return False
+
+
+def _moments_vanish_mod(blocks, nums, dens, p):
+    """The first S+1 moment sum rules vanish at every point mod p.
+
+    With lambda_l = a_l / b_l, the rule sum_l (2l+1) lambda_l^k = Tr N^k is
+    cross-multiplied into the Laurent identity
+    prod_l b_l^k Tr N^k - sum_l (2l+1) a_l^k prod_(l' != l) b_l'^k = 0,
+    so no point is a pole and none needs skipping.
+    """
+    traces = np.zeros_like(nums)
+    for N in blocks:
+        power = N
+        for k in range(len(nums)):
+            if k:
+                power = _mat_mul_mod(power, N, p)
+            traces[k] = (traces[k] + power.trace()) % p
+    a_pow, b_pow = np.ones_like(nums), np.ones_like(dens)
+    for k, trace in enumerate(traces):
+        a_pow, b_pow = a_pow * nums % p, b_pow * dens % p
+        lhs = trace
+        for b in b_pow:
+            lhs = lhs * b % p
+        for l, a in enumerate(a_pow):
+            term = a * (2 * l + 1) % p
+            for other, b in enumerate(b_pow):
+                if other != l:
+                    term = term * b % p
+            lhs = (lhs - term) % p
+        if lhs.any():
+            return False
+    return True
+
+
 def conjecture_exact_certificate(S):
     """Exact proof of the closed-form spectrum at one S.
 
     Checks (i) the conjectured characteristic factors annihilate the rational
     similar core, block by block, so every eigenvalue of G is one of the
-    closed-form values, and (ii) the first S+1 exact moment identities, which
+    closed-form values, and (ii) the first S+1 moment identities, which
     pin the multiplicities 2l+1 through an invertible Vandermonde system
-    wherever the values are distinct. Both are identities in q.
+    wherever the values are distinct. Both are identities in q, proved as
+    zero tests at D+1 points modulo enough fixed primes that their product
+    exceeds twice the height bound H; the report carries D, the bit length
+    of H, the prime count and the point count.
     """
+    if S < 1:
+        raise ValueError("need S >= 1")
+    blocks = _rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
     # descending l: the block delta holds the levels l >= |delta|, so its
     # product vanishes after S+1-|delta| factors
-    roots = [conjectured_eigenvalue(S, l).to_laurent() for l in range(S, -1, -1)]
-    annihilates = all(_factors_annihilate(block, roots)
-                      for block in _rational_similar_core(S))
-    moments = all(conjecture_moment_identity(S, k) for k in range(1, S + 2))
+    roots = [lam.to_laurent() for lam in reversed(lams)]
+    D, H = _certificate_bounds(blocks, roots, lams)
+    n_primes = next((n for n in range(1, len(_PRIMES) + 1)
+                     if math.prod(_PRIMES[:n]) > 2 * H), None)
+    if n_primes is None:
+        raise ValueError("height bound of %d bits at S=%d needs more than the "
+                         "%d fixed primes" % (H.bit_length(), S, len(_PRIMES)))
+    polys = ([e for block in blocks for row in block for e in row] + roots
+             + [lam.num for lam in lams] + [lam.den for lam in lams])
+    spans = [_span(f) for f in polys]
+    width = max(s[1] for s in spans) - min(s[0] for s in spans) + 1
+    # per chunk of points: at most eight len(polys) x chunk arrays (the
+    # values, the limb products and the block products) and three
+    # width x chunk ones (the power table's limbs)
+    check_budget(8 * _CHUNK * (8 * len(polys) + 3 * width),
+                 "conjecture_exact_certificate(S=%d)" % S)
+    offsets = np.cumsum([len(block) ** 2 for block in blocks] + [S + 1, S + 1])
+    annihilates = moments = True
+    # every check is pointwise, so the D+1 points run in chunks
+    chunks = range(1, D + 2, _CHUNK)
+    for p, start in itertools.product(_PRIMES[:n_primes], chunks):
+        points = np.arange(start, min(start + _CHUNK, D + 2))
+        values = eval_mod(polys, points, p)
+        *core, root_v, num_v, den_v = np.split(values, offsets)
+        core = [v.reshape(len(b), len(b), -1) for v, b in zip(core, blocks)]
+        annihilates = annihilates and all(
+            _annihilated_mod(N, root_v, p) for N in core)
+        moments = moments and _moments_vanish_mod(core, num_v, den_v, p)
+        if not (annihilates or moments):
+            break
     return {
         "S": S,
         "characteristic_factors_annihilate": annihilates,
         "moment_identities": moments,
         "proved": annihilates and moments,
+        "degree_bound": D,
+        "height_bits": H.bit_length(),
+        "primes": n_primes,
+        "points": D + 1,
     }
 
 

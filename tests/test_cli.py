@@ -224,7 +224,42 @@ def test_verify_spin_only_for_divisibility(capsys):
     code, out, err = run(capsys, "verify", "--suite", "groundstate",
                          "--spin", "3")
     assert code == 2 and out == ""
-    assert err == "error: --spin applies only to --suite divisibility\n"
+    assert err == ("error: --spin applies only to --suite divisibility "
+                   "or certificates\n")
+
+
+def test_verify_certificates_spin(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "certificates",
+                       "--spin", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    [cert] = data["items"]
+    assert cert["S"] == 5 and cert["proved"] is True
+    assert {k: cert[k] for k in ("degree_bound", "height_bits", "primes",
+                                 "points")} == {
+        "degree_bound": 602, "height_bits": 140, "primes": 5, "points": 603}
+
+
+@pytest.mark.parametrize("spin", ("-1", "0"))
+def test_verify_certificates_rejects_spin_below_one(capsys, spin):
+    code, out, err = run(capsys, "verify", "--suite", "certificates",
+                         "--spin", spin)
+    assert code == 2 and out == ""
+    assert err == "error: need S >= 1\n"
+
+
+def test_verify_certificates_spin_exit_codes(capsys, monkeypatch):
+    monkeypatch.setattr(transfercorr, "conjecture_exact_certificate",
+                        lambda S: {"S": S, "proved": False})
+    code, out, _ = run(capsys, "verify", "--suite", "certificates",
+                       "--spin", "2")
+    assert code == 1 and json.loads(out)["passed"] is False
+    monkeypatch.undo()
+    monkeypatch.setenv("QVBS_BUDGET_MB", "0.1")
+    code, out, err = run(capsys, "verify", "--suite", "certificates",
+                         "--spin", "3")
+    assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
 
 
 def test_verify_unknown_suite(capsys):

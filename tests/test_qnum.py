@@ -9,6 +9,7 @@ from qvbs.qnum import (
     RadScalar,
     RatQ,
     eval_at,
+    eval_mod,
     laurent_gcd,
     parse_q,
     q_binomial,
@@ -253,3 +254,20 @@ def test_laurent_gcd_is_monic_with_min_exponent_zero():
     assert laurent_gcd(LaurentQ.zero(), LaurentQ({1: 3, 0: 6})) == LaurentQ({1: 1, 0: 2})
     assert laurent_gcd(LaurentQ.zero(), LaurentQ.zero()).is_zero
 
+
+
+def test_eval_mod_matches_termwise_residues():
+    # big coefficients, negative exponents, the zero polynomial, and points
+    # at and beyond p - 1, against Python's modular pow term by term
+    rng = random.Random(3)
+    p = 2147483629
+    polys = [LaurentQ({rng.randint(-40, 40): rng.randint(-10 ** 40, 10 ** 40)
+                       for _ in range(12)}) for _ in range(20)]
+    polys.append(LaurentQ.zero())
+    points = [1, 2, 3, 977, p - 1, p + 2]
+    got = eval_mod(polys, points, p)
+    assert got.shape == (len(polys), len(points)) and str(got.dtype) == "int64"
+    for f, row in zip(polys, got):
+        assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
+                             for x in points]
+    assert not eval_mod([LaurentQ.zero()], points, p).any()

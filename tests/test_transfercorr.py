@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from qvbs import transfercorr
+from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz
 from qvbs.qnum import LaurentQ, RatQ, q_integer
@@ -324,12 +328,123 @@ def test_conjecture_moment_identities_exact():
 
 def test_conjecture_exact_certificates():
     # identity-level proof of the closed-form spectrum with multiplicities;
-    # S=4 runs in the certificates suite, S=5 passes too in several seconds
-    for S in (1, 2, 3):
+    # S=4 runs in the certificates suite, S=5 here, larger S through
+    # `qvbs verify --suite certificates --spin S`
+    for S in (1, 2, 3, 5):
         rep = conjecture_exact_certificate(S)
         assert rep["characteristic_factors_annihilate"]
         assert rep["moment_identities"]
         assert rep["proved"]
+        assert rep["points"] == rep["degree_bound"] + 1
+        assert math.prod(transfercorr._PRIMES[:rep["primes"]]).bit_length() \
+            > rep["height_bits"] + 1
+
+
+@pytest.mark.parametrize("S", (0, -1))
+def test_conjecture_exact_certificate_rejects_spin_below_one(S):
+    # with no level to check, the certificate used to report proved: True
+    with pytest.raises(ValueError, match="need S >= 1"):
+        conjecture_exact_certificate(S)
+
+
+def test_certificate_moduli_are_prime():
+    assert len(set(transfercorr._PRIMES)) == len(transfercorr._PRIMES)
+    for p in transfercorr._PRIMES:
+        assert 2 ** 30 < p < 2 ** 31
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _coefficient_span(f):
+    if f.is_zero:
+        return 0, 0
+    return f.max_exp() - f.min_exp(), max(abs(v) for _, v in f.items())
+
+
+@pytest.mark.parametrize("S", (1, 2, 3))
+def test_certificate_bounds_cover_dict_products(S):
+    # every product the dict oracle forms: the running annihilation
+    # products, the block powers, the traces and the moment identities
+    blocks = transfercorr._rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
+    roots = [lam.to_laurent() for lam in reversed(lams)]
+    D, H = transfercorr._certificate_bounds(blocks, roots, lams)
+    rep = conjecture_exact_certificate(S)
+    assert (rep["degree_bound"], rep["height_bits"]) == (D, H.bit_length())
+    seen = []
+    for block in blocks:
+        work = None
+        for r in roots:
+            factor = [[e - r if i == j else e for j, e in enumerate(row)]
+                      for i, row in enumerate(block)]
+            work = (factor if work is None
+                    else transfercorr._mat_mul(work, factor))
+            seen.extend(e for row in work for e in row)
+    for k in range(1, S + 2):
+        seen.extend(e for P in transfercorr._core_block_powers(S, k)
+                    for row in P for e in row)
+        trace = exact_trace_power(S, k)
+        seen.append(trace)
+        for l, lam in enumerate(lams):
+            # every closed-form eigenvalue is a Laurent polynomial here, so
+            # the identity is Tr N^k minus the terms (2l+1) a_l^k
+            assert lam.den == 1
+            term = (2 * l + 1) * lam.num ** k
+            trace = trace - term
+            seen += [term, trace]
+    for f in seen:
+        span, height = _coefficient_span(f)
+        assert span <= D and height <= H
+
+
+@pytest.fixture
+def patched_inputs(monkeypatch):
+    """Run the certificate and its dict oracles on given core blocks and
+    eigenvalues, through the module functions both paths read."""
+    def verdicts(S, blocks, lams):
+        monkeypatch.setattr(transfercorr, "_rational_similar_core",
+                            lambda S: blocks)
+        monkeypatch.setattr(transfercorr, "conjectured_eigenvalue",
+                            lambda S, l: lams[l])
+        transfercorr._core_block_powers.cache_clear()
+        rep = conjecture_exact_certificate(S)
+        roots = [lam.to_laurent() for lam in reversed(lams)]
+        annihilate = transfercorr._factors_annihilate
+        oracle = (all(annihilate(b, roots) for b in blocks),
+                  all(conjecture_moment_identity(S, k) for k in range(1, S + 2)))
+        return (rep["characteristic_factors_annihilate"],
+                rep["moment_identities"]), oracle
+    yield verdicts
+    transfercorr._core_block_powers.cache_clear()
+
+
+@pytest.mark.parametrize("S", (1, 2, 3, 4))
+def test_modular_and_dict_verdicts_agree(patched_inputs, S):
+    rng = random.Random(S)
+    blocks = transfercorr._rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
+    modular, oracle = patched_inputs(S, blocks, lams)
+    assert modular == oracle == (True, True)
+
+    def bump(l, poly):
+        return [lam + poly if i == l else lam for i, lam in enumerate(lams)]
+
+    modular, oracle = patched_inputs(S, blocks, bump(rng.randrange(S + 1), 1))
+    assert modular == oracle and not any(modular)
+    modular, oracle = patched_inputs(
+        S, blocks, bump(rng.randrange(S + 1), LaurentQ.q_power(3)))
+    assert modular == oracle and modular[1] is False
+    d = rng.randrange(len(blocks))
+    i, j = rng.randrange(len(blocks[d])), rng.randrange(len(blocks[d]))
+    mutant = [[list(row) for row in b] for b in blocks]
+    mutant[d][i][j] = mutant[d][i][j] + LaurentQ.q_power(2)
+    modular, oracle = patched_inputs(S, mutant, lams)
+    assert modular == oracle and not all(modular)
+
+
+def test_certificate_counts_its_arrays_against_the_budget(monkeypatch):
+    monkeypatch.setenv("QVBS_BUDGET_MB", "0.1")
+    with pytest.raises(BudgetError, match="conjecture_exact_certificate"):
+        conjecture_exact_certificate(3)
 
 
 def test_characteristic_factors_need_every_level():
