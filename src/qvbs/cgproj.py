@@ -11,6 +11,7 @@ orthogonal for real q, so each block is inverted by its weighted transpose
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +35,16 @@ class BudgetError(RuntimeError):
 
 
 def check_budget(bytes_needed, what):
-    limit_mb = float(os.environ.get("QVBS_BUDGET_MB", "1024"))
+    raw = os.environ.get("QVBS_BUDGET_MB", "1024")
+    try:
+        limit_mb = float(raw)
+    except ValueError:
+        limit_mb = math.nan
+    # nan would compare false against every need and inf would pass them
+    # all, so either would lift the cap without a word
+    if not 0 <= limit_mb < math.inf:
+        raise ValueError("QVBS_BUDGET_MB must be a finite number of MB >= 0, "
+                         "not %r" % raw)
     if bytes_needed > limit_mb * 2 ** 20:
         raise BudgetError(
             "%s needs ~%.0f MB, over the QVBS_BUDGET_MB limit of %.0f MB"
@@ -137,7 +147,8 @@ def _pair_weight(S, pair):
     return weight_radicand(S, pair[0]) * weight_radicand(S, pair[1])
 
 
-def _dot(row, vec):
+def exact_dot(row, vec):
+    """sum_i row_i vec_i over Laurent entries, skipping the zero terms."""
     acc = LaurentQ.zero()
     for d, v in zip(row, vec):
         if not (d.is_zero or v.is_zero):
@@ -205,7 +216,7 @@ def sector_system(S):
         # so the upper triangle decides the zero pattern
         for j, dual in enumerate(duals):
             for k in range(j, len(cols)):
-                g = _dot(dual, cols[k])
+                g = exact_dot(dual, cols[k])
                 if g.is_zero == (j == k):
                     raise AssertionError(
                         "sector w=%d: orbit vectors J=%d, K=%d are not "
@@ -258,7 +269,7 @@ class Projector:
         if core is None:
             return {}, LaurentQ.one()
         pairs, col, dual, norm = core
-        s = _dot(dual, [amps.get(p, LaurentQ.zero()) for p in pairs])
+        s = exact_dot(dual, [amps.get(p, LaurentQ.zero()) for p in pairs])
         out = {}
         if not s.is_zero:
             for p, c in zip(pairs, col):

@@ -31,9 +31,6 @@ class MPSTensor:
     def dim(self):
         return self.S + 1
 
-    def physical_m(self, i, j):
-        return j - i
-
     def entry(self, i, j):
         return self._scalars[(i, j)]
 

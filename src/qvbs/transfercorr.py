@@ -33,22 +33,12 @@ def sz_operator(S):
     return np.diag([float(S - p) for p in range(2 * S + 1)])
 
 
-def sz_projector(S, m):
-    """Projector onto S^z = m."""
-    if not -S <= m <= S:
-        raise ValueError("m out of range")
-    d = np.zeros(2 * S + 1)
-    d[S - m] = 1.0
-    return np.diag(d)
-
-
-def identity_operator(S):
-    return np.eye(2 * S + 1)
-
-
 def _site_op(S, A):
-    if A is None or (isinstance(A, str) and A == "id"):
-        return None
+    """The one operator vocabulary, as a (2S+1) x (2S+1) array in the |S,m>
+    basis, m descending: None (no insertion, the identity), the tag "sz", or
+    such an array itself."""
+    if A is None:
+        return np.eye(2 * S + 1)
     if isinstance(A, str):
         if A == "sz":
             return sz_operator(S)
@@ -59,14 +49,6 @@ def _site_op(S, A):
     return A
 
 
-@dataclass
-class TransferMatrix:
-    S: int
-    dim: int
-    matrix: np.ndarray
-    op_name: str
-
-
 # Bound of every q-keyed cache: a constant well above the (S, q) pairs one
 # session revisits (six spins on a sixteen-point q grid make 96), so that
 # sweeping q cannot grow memory without limit.
@@ -75,11 +57,9 @@ Q_CACHE_SIZE = 256
 
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _f_spin_scalars(S, q0):
-    f = tensor_f(S)
-    s = np.zeros((S + 1, S + 1))
-    for i in range(1, S + 2):
-        for j in range(1, S + 2):
-            s[i - 1, j - 1] = f.spin_scalar(i, j).eval_float(q0)
+    """s[i, j]: the spin-gauge scalar of entry (i+1, j+1) of the site tensor
+    f; each entry sits in one m slot of phys_matrices, so the m sum picks it."""
+    s = tensor_f(S).phys_matrices(q0).sum(axis=0)
     s.flags.writeable = False
     return s
 
@@ -91,27 +71,16 @@ def _q_floats(S, q0):
     return fact, binom
 
 
-def _transfer_generic(S, q0, A):
+def _transfer_generic(S, q0, op):
+    """G^A[a, b, c, d] = s_ac op[m, m'] s_bd in one broadcast; row[a, c] =
+    S + a - c is the op index of m = c - a. Adding 0.0 turns the -0.0 of a
+    negative scalar times a zero into 0.0."""
     s = _f_spin_scalars(S, q0)
-    d = S + 1
-    G = np.zeros((d * d, d * d))
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            row = (a - 1) * d + (b - 1)
-            for c in range(1, d + 1):
-                for dd in range(1, d + 1):
-                    m1, m2 = c - a, dd - b
-                    if A is None:
-                        if m1 != m2:
-                            continue
-                        amp = 1.0
-                    else:
-                        amp = A[S - m1, S - m2]
-                        if amp == 0.0:
-                            continue
-                    G[row, (c - 1) * d + (dd - 1)] = (
-                        s[a - 1, c - 1] * amp * s[b - 1, dd - 1])
-    return G
+    n = np.arange(S + 1)
+    row = S + n[:, None] - n[None, :]
+    G = (s[:, None, :, None] * op[row[:, None, :, None], row[None, :, None, :]]
+         * s[None, :, None, :]) + 0.0
+    return G.reshape((S + 1) ** 2, (S + 1) ** 2)
 
 
 def _transfer_explicit(S, q0, with_sz):
@@ -141,7 +110,10 @@ def _transfer_explicit(S, q0, with_sz):
 
 
 def transfer_matrix(S, q0, A=None):
-    """Double-layer transfer matrix with an optional sandwiched site operator.
+    """Double-layer transfer matrix G^A[(a,b),(c,d)] = s_ac A[m, m'] s_bd as
+    a (S+1)^2 x (S+1)^2 array, with s the site tensor's spin scalars,
+    m = c - a, m' = d - b, and A a site operator as _site_op reads it (None
+    gives the plain G).
 
     Built generically from the site tensor; when a printed closed form exists
     (plain G and the S^z insertion) the two constructions are compared and a
@@ -150,11 +122,9 @@ def transfer_matrix(S, q0, A=None):
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q must be positive")
-    op = _site_op(S, A)
-    name = "id" if A is None else (A if isinstance(A, str) else "custom")
-    G = _transfer_generic(S, q0, op)
-    if A is None or name == "sz":
-        ref = _transfer_explicit(S, q0, with_sz=(name == "sz"))
+    G = _transfer_generic(S, q0, _site_op(S, A))
+    if A is None or isinstance(A, str):
+        ref = _transfer_explicit(S, q0, with_sz=A is not None)
         scale = max(np.abs(ref).max(), 1e-300)
         if np.abs(G - ref).max() > _CROSS_TOL * scale:
             raise AssertionError(
@@ -162,7 +132,7 @@ def transfer_matrix(S, q0, A=None):
     if A is None:
         if np.abs(G - G.T).max() > _CROSS_TOL * max(np.abs(G).max(), 1e-300):
             raise AssertionError("transfer matrix is not symmetric")
-    return TransferMatrix(S, (S + 1) ** 2, G, name)
+    return G
 
 
 @dataclass
@@ -187,14 +157,13 @@ def _require_gap(es):
         raise SpectralGapError("no spectral gap: top eigenvalue not isolated")
 
 
-def eigensystem(tm, require_gap=True):
-    """Orthonormal eigensystem of the symmetric transfer matrix.
+def eigensystem(G, require_gap=True):
+    """Orthonormal eigensystem of a symmetric transfer matrix G, an array.
 
     Eigenvalues are sorted by descending magnitude and grouped at relative
     tolerance 1e-9; a degenerate or unseparated top eigenvalue raises, since
     the thermodynamic formulas assume a spectral gap.
     """
-    G = tm.matrix
     if np.abs(G - G.T).max() > _CROSS_TOL * max(np.abs(G).max(), 1e-300):
         raise ValueError("eigensystem expects a symmetric matrix")
     w, v = np.linalg.eigh(G)
@@ -277,7 +246,7 @@ def _spectral(S, q0):
     es = eigensystem(transfer_matrix(S, q0), require_gap=False)
     V = es.vectors
     data = Spectral(es, es.eigenvalues / es.top,
-                    V.T @ transfer_matrix(S, q0, "sz").matrix @ V / es.top)
+                    V.T @ transfer_matrix(S, q0, "sz") @ V / es.top)
     for arr in (es.eigenvalues, es.vectors, data.w, data.sz):
         arr.flags.writeable = False
     return data
@@ -294,12 +263,12 @@ def spectral_data(S, q0, require_gap=True):
 
 def _image(data, S, q0, A):
     """The site operator A in the eigenbasis, V^T G^A V / lambda_1."""
-    if A is None or (isinstance(A, str) and A == "id"):
+    if A is None:
         return np.diag(data.w)
     if isinstance(A, str) and A == "sz":
         return data.sz
     V = data.es.vectors
-    return V.T @ transfer_matrix(S, q0, A).matrix @ V / data.es.top
+    return V.T @ transfer_matrix(S, q0, A) @ V / data.es.top
 
 
 def _finite(value, what, S, q0):
@@ -307,18 +276,6 @@ def _finite(value, what, S, q0):
     if not math.isfinite(value):
         raise ValueError("%s is not finite at S=%d, q=%s" % (what, S, q0))
     return value
-
-
-def one_point_finite(A, S, q0, L):
-    """Translation-invariant one-point function on the closed chain of L
-    sites, sum_n a_nn w_n^(L-1) / sum_n w_n^L."""
-    if L < 1:
-        raise ValueError("need L >= 1")
-    q0 = Fraction(q0)
-    data = spectral_data(S, q0, require_gap=False)
-    w = data.w
-    num = np.diagonal(_image(data, S, q0, A)) @ w ** (L - 1)
-    return _finite(num / np.sum(w ** L), "one-point function", S, q0)
 
 
 def two_point_finite(A, B, S, q0, L, r):
@@ -342,13 +299,6 @@ def _thermo_terms(A, B, S, q0, r):
     data = spectral_data(S, q0)
     a, b = _image(data, S, q0, A), _image(data, S, q0, B)
     return a[0], data.w ** (r - 2) * b[:, 0]
-
-
-def one_point_thermo(A, S, q0):
-    """Infinite-chain one-point function from the top eigenvector, a_11."""
-    q0 = Fraction(q0)
-    a = _image(spectral_data(S, q0), S, q0, A)
-    return _finite(a[0, 0], "one-point function", S, q0)
 
 
 def two_point_thermo(A, B, S, q0, r):

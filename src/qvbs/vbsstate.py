@@ -7,20 +7,12 @@ Exact mode is the default at desk scale, floats only enter downstream.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
 
-from .cgproj import bond_list, check_budget, upper_dual_rows
+from .cgproj import bond_list, check_budget, exact_dot, upper_dual_rows
 from .qnum import LaurentQ, RadScalar, q_binomial
 from .weylrep import SitePoly, StateVector, bond_factor, poly_to_spin
-
-
-@dataclass(frozen=True)
-class BoundaryVector:
-    """Boundary label for an open chain: p in 1..S+1 on the given side."""
-
-    p: int
-    side: str  # "left" or "right"
 
 
 def _check_state_args(S, L):
@@ -63,20 +55,15 @@ def random_weight_zero_state(S, L, seed=0):
     """Seeded random total-weight-zero state; the negative control."""
     rng = random.Random(seed)
     amps = {}
-    count = 0
-    for idx in range((2 * S + 1) ** L):
-        mvec = []
-        r = idx
-        for _ in range(L):
-            mvec.append(S - r % (2 * S + 1))
-            r //= 2 * S + 1
+    # the first site is the fastest digit
+    for digits in itertools.product(range(2 * S + 1), repeat=L):
+        mvec = tuple(S - k for k in reversed(digits))
         if sum(mvec) != 0:
             continue
         c = rng.randint(-9, 9)
         if c:
-            amps[tuple(mvec)] = LaurentQ.const(c)
-            count += 1
-    if not count:
+            amps[mvec] = LaurentQ.const(c)
+    if not amps:
         raise AssertionError("empty control state; change the seed")
     return StateVector(S, L, amps)
 
@@ -108,11 +95,7 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
                 pairs, rows = duals[w]
                 vec = [amps_w.get(p, LaurentQ.zero()) for p in pairs]
                 for J, row in rows:
-                    acc = LaurentQ.zero()
-                    for d, v in zip(row, vec):
-                        if not (d.is_zero or v.is_zero):
-                            acc = acc + d * v
-                    if not acc.is_zero:
+                    if not exact_dot(row, vec).is_zero:
                         residual[J] = residual.get(J, 0) + 1
         zero = {J: residual.get(J, 0) == 0 for J in range(S + 1, 2 * S + 1)}
         report["bonds"]["%d-%d" % (k, l)] = {

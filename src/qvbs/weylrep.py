@@ -476,20 +476,6 @@ def poly_to_spin(p, S, sites):
     return StateVector(S, len(sites), amps)
 
 
-def spin_to_poly(state, sites):
-    """Inverse of poly_to_spin on the polynomial part (prefactor must be 1)."""
-    sites = list(sites)
-    if len(sites) != state.L:
-        raise ValueError("need one site label per chain position")
-    if not state.prefactor.value_eq(RadScalar.one()):
-        raise ValueError("state carries a nontrivial prefactor")
-    out = SitePoly.zero()
-    for mvec, coeff in state.amps.items():
-        expo = {s: (state.S + m, state.S - m) for s, m in zip(sites, mvec)}
-        out = out + SitePoly.monomial(expo, coeff)
-    return out
-
-
 def bond_factor(m, site_a, site_b):
     """The elementary bond polynomial q^m x_a y_b - q^-m y_a x_b."""
     t1 = SitePoly.monomial({site_a: (1, 0), site_b: (0, 1)}, LaurentQ.q_power(m))

@@ -262,6 +262,14 @@ def test_verify_certificates_spin_exit_codes(capsys, monkeypatch):
     assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-1", "abc", ""))
+def test_budget_variable_must_be_a_finite_number(capsys, monkeypatch, value):
+    # nan and inf used to lift every memory cap without a word
+    monkeypatch.setenv("QVBS_BUDGET_MB", value)
+    code, out, err = run(capsys, "state", "--spin", "1", "--length", "4")
+    assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2 and "unknown suite" in err

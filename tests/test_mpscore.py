@@ -19,10 +19,6 @@ Q0 = Fraction(4, 5)
 
 def test_g_spin1_structure():
     g = tensor_g(1)
-    # entry (1,2) carries m=1, (2,1) carries m=-1, diagonal carries m=0
-    assert g.physical_m(1, 2) == 1
-    assert g.physical_m(2, 1) == -1
-    assert g.physical_m(1, 1) == 0
     assert g.entry(1, 1).value_eq(RadScalar(LaurentQ.q_power(-1, -1)))
     assert g.entry(1, 2).value_eq(RadScalar(LaurentQ.q_power(-1, -1)))
     assert g.entry(2, 2).value_eq(RadScalar(LaurentQ.q_power(1)))

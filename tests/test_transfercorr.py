@@ -8,7 +8,7 @@ import pytest
 from qvbs import transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
-from qvbs.mpscore import dense_pbc_two_point_sz
+from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
 from qvbs.qnum import LaurentQ, RatQ, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
@@ -18,21 +18,16 @@ from qvbs.transfercorr import (
     conjecture_exact_certificate,
     conjecture_moment_identity,
     exact_trace_power,
-    TransferMatrix,
     closed_form_szsz,
     conjecture_check,
     conjectured_eigenvalue,
     conjectured_eigenvalue_float,
     eigensystem,
-    identity_operator,
     isotropic_szsz_limit,
-    one_point_finite,
-    one_point_thermo,
     sz_distribution,
     sz_distribution_exact,
     sz_operator,
     sz_probabilities_reference_spin2,
-    sz_projector,
     top_eigenvector_exact,
     transfer_diag_block_exact,
     transfer_matrix,
@@ -57,7 +52,7 @@ def test_spectrum_s1():
 
 def test_transfer_selection_rule_and_symmetry():
     for S in (1, 2, 3, 4, 5):
-        G = transfer_matrix(S, Fraction(4, 5)).matrix
+        G = transfer_matrix(S, Fraction(4, 5))
         d = S + 1
         assert np.abs(G - G.T).max() < 1e-12 * np.abs(G).max()
         for a in range(d):
@@ -71,7 +66,7 @@ def test_transfer_selection_rule_and_symmetry():
 def test_transfer_sz_factor():
     # the sz-sandwiched matrix vanishes on entries with d == b
     S = 2
-    G = transfer_matrix(S, Fraction(4, 5), "sz").matrix
+    G = transfer_matrix(S, Fraction(4, 5), "sz")
     d = S + 1
     for a in range(d):
         for b in range(d):
@@ -82,9 +77,23 @@ def test_transfer_sz_factor():
 
 def test_transfer_custom_operator_matches_tagged():
     S = 2
-    a = transfer_matrix(S, Fraction(4, 5), "sz").matrix
-    b = transfer_matrix(S, Fraction(4, 5), sz_operator(S)).matrix
+    a = transfer_matrix(S, Fraction(4, 5), "sz")
+    b = transfer_matrix(S, Fraction(4, 5), sz_operator(S))
     assert np.abs(a - b).max() == 0.0
+    with pytest.raises(ValueError, match="unknown operator tag"):
+        transfer_matrix(S, Fraction(4, 5), "id")
+
+
+@pytest.mark.parametrize("S", (1, 2, 3, 4, 5))
+def test_transfer_non_diagonal_operator_matches_einsum(S):
+    # independent route: contract the physical index of both layers through A
+    q0 = Fraction(4, 5)
+    A = np.random.default_rng(S).standard_normal((2 * S + 1, 2 * S + 1))
+    F = tensor_f(S).phys_matrices(q0)
+    d = (S + 1) ** 2
+    ref = np.einsum("mac,mn,nbd->abcd", F, A, F).reshape(d, d)
+    G = transfer_matrix(S, q0, A)
+    assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_transfer_rejects_nonpositive_q():
@@ -93,20 +102,20 @@ def test_transfer_rejects_nonpositive_q():
 
 
 def test_eigensystem_properties():
-    tm = transfer_matrix(2, Fraction(4, 5))
-    es = eigensystem(tm)
+    G = transfer_matrix(2, Fraction(4, 5))
+    es = eigensystem(G)
     E = es.vectors
     assert np.abs(E.T @ E - np.eye(9)).max() < 1e-12
     recon = E @ np.diag(es.eigenvalues) @ E.T
-    assert np.abs(recon - tm.matrix).max() < 1e-10 * np.abs(tm.matrix).max()
+    assert np.abs(recon - G).max() < 1e-10 * np.abs(G).max()
     assert sum(m for _, m in es.groups) == 9
 
 
 def test_eigensystem_gap_error():
-    fake = TransferMatrix(1, 4, np.diag([2.0, 2.0, 1.0, 0.5]), "id")
+    fake = np.diag([2.0, 2.0, 1.0, 0.5])
     with pytest.raises(SpectralGapError):
         eigensystem(fake)
-    fake2 = TransferMatrix(1, 4, np.diag([2.0, -2.0, 1.0, 0.5]), "id")
+    fake2 = np.diag([2.0, -2.0, 1.0, 0.5])
     with pytest.raises(SpectralGapError):
         eigensystem(fake2)
 
@@ -132,16 +141,6 @@ def test_conjecture_against_diagonalization(S):
 def test_conjectured_eigenvalue_range():
     with pytest.raises(ValueError):
         conjectured_eigenvalue(2, 3)
-
-
-def test_one_point_identity_and_sz():
-    for S in (1, 2, 3):
-        for q0 in (Fraction(4, 5), Fraction(1)):
-            assert one_point_thermo(None, S, q0) == pytest.approx(1.0, abs=1e-12)
-            assert one_point_thermo("sz", S, q0) == pytest.approx(0.0, abs=1e-12)
-            assert one_point_finite("sz", S, q0, 8) == pytest.approx(0.0, abs=1e-12)
-            assert one_point_finite(identity_operator(S), S, q0, 8) == \
-                pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_point_finite_matches_dense():
@@ -310,7 +309,7 @@ def test_exact_trace_matches_numeric():
     # error scale is sum |lambda|^k, since odd moments cancel between signs
     for S in (1, 2, 3, 4):
         for q0 in (Fraction(4, 5), Fraction(7, 4)):
-            G = transfer_matrix(S, q0).matrix
+            G = transfer_matrix(S, q0)
             ev = np.abs(np.linalg.eigvalsh(G))
             for k in range(1, S + 2):
                 t = exact_trace_power(S, k).eval_float(q0)
@@ -482,7 +481,6 @@ def test_finite_large_length_matches_thermo(S, L):
         th = two_point_thermo("sz", "sz", S, Q_NEAR, r)
         assert np.isfinite(fin)
         assert abs(fin - th) <= 1e-12 * max(1.0, abs(th))
-    assert one_point_finite("sz", S, Q_NEAR, L) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_thermo_matches_closed_form_at_long_range():
@@ -494,17 +492,15 @@ def test_thermo_matches_closed_form_at_long_range():
 def test_finite_eigenbasis_sum_matches_matrix_powers():
     # independent route: the trace of matrix powers, scaled by lambda_1
     S, q0, L = 2, Fraction(4, 5), 30
-    tm = transfer_matrix(S, q0)
-    lam1 = eigensystem(tm).top
-    Gs = tm.matrix / lam1
-    Gz = transfer_matrix(S, q0, "sz").matrix / lam1
+    G = transfer_matrix(S, q0)
+    lam1 = eigensystem(G).top
+    Gs = G / lam1
+    Gz = transfer_matrix(S, q0, "sz") / lam1
     den = np.trace(np.linalg.matrix_power(Gs, L))
     for r in (2, 7, 16, 30):
         num = np.trace(Gz @ np.linalg.matrix_power(Gs, r - 2)
                        @ Gz @ np.linalg.matrix_power(Gs, L - r))
         assert abs(two_point_finite("sz", "sz", S, q0, L, r) - num / den) < 1e-13
-    num = np.trace(Gz @ np.linalg.matrix_power(Gs, L - 1))
-    assert abs(one_point_finite("sz", S, q0, L) - num / den) < 1e-13
 
 
 def test_non_finite_results_raise():
@@ -513,10 +509,6 @@ def test_non_finite_results_raise():
         two_point_finite(bad, "sz", 1, Q_NEAR, 10, 3)
     with pytest.raises(ValueError, match="not finite"):
         two_point_thermo("sz", bad, 1, Q_NEAR, 3)
-    with pytest.raises(ValueError, match="not finite"):
-        one_point_thermo(bad, 1, Q_NEAR)
-    with pytest.raises(ValueError, match="not finite"):
-        one_point_finite(bad, 1, Q_NEAR, 4)
 
 
 def test_thermo_requires_gap(monkeypatch):
@@ -549,8 +541,6 @@ def test_two_transfer_matrices_per_spin_and_q(monkeypatch):
         two_point_thermo("sz", "sz", 3, q0, r)
         two_point_thermo_printed_form("sz", "sz", 3, q0, r)
         two_point_finite("sz", "sz", 3, q0, 50, r)
-    one_point_finite("sz", 3, q0, 50)
-    one_point_thermo("sz", 3, q0)
     sz_distribution(3, q0)
     conjecture_check(3, q0)
     assert len(built) == 2
@@ -572,12 +562,17 @@ def test_q_keyed_caches_are_bounded():
 
 
 def test_sz_distribution_matches_projector_route():
-    # the former route: one generic transfer matrix per projector
+    # independent route: p_m = v G^(P_m) v / lambda_1, one generic transfer
+    # matrix per one-hot projector P_m, v the top eigenvector of G
     for S in range(1, 7):
         for q0 in (Fraction(1, 2), Fraction(4, 5), Fraction(2)):
+            es = eigensystem(transfer_matrix(S, q0))
+            v = es.vectors[:, 0]
             probs = sz_distribution(S, q0)
             for m, p in zip(range(-S, S + 1), probs):
-                assert abs(one_point_thermo(sz_projector(S, m), S, q0) - p) < 1e-13
+                P = np.zeros((2 * S + 1, 2 * S + 1))
+                P[S - m, S - m] = 1.0
+                assert abs(v @ transfer_matrix(S, q0, P) @ v / es.top - p) < 1e-13
 
 
 def test_conjecture_check_resolves_spin6_far_from_isotropic():

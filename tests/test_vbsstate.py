@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,7 +7,6 @@ from fractions import Fraction
 from qvbs.cgproj import BudgetError
 from qvbs.qnum import LaurentQ
 from qvbs.vbsstate import (
-    BoundaryVector,
     verify_two_site_lemma,
     build_open,
     build_pbc,
@@ -128,9 +129,15 @@ def test_budget_guard(monkeypatch):
         build_pbc(2, 8)
 
 
-def test_boundary_vector_dataclass():
-    bv = BoundaryVector(2, "left")
-    assert bv.p == 2 and bv.side == "left"
+@pytest.mark.parametrize("S,L,seed,digest", (
+    (2, 4, 1, "dd420a40875086bdecc2f2fd1995ac762d74c0f8566bc4c550dbe37e6485e77d"),
+    (3, 4, 7, "9feb4a044a77884e50206983441c9530ae49c79e13f824463f5ab1445dcade53"),
+))
+def test_negative_control_amplitudes_pinned(S, L, seed, digest):
+    # the benchmark draws these controls, so their amplitudes must not move
+    amps = random_weight_zero_state(S, L, seed=seed).amps
+    text = repr(sorted((k, sorted(v.items())) for k, v in amps.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_spin_flip_inversion_symmetries_exact():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from qvbs.weylrep import (
     bond_factor,
     coproduct_apply,
     poly_to_spin,
-    spin_to_poly,
     weight_radicand,
 )
 
@@ -109,19 +107,6 @@ def test_poly_to_spin_zero_and_errors():
         poly_to_spin(SitePoly.var(1, "x", 3), 2, (1,))  # inhomogeneous
     with pytest.raises(ValueError):
         poly_to_spin(SitePoly.var(3, "x", 4), 2, (1, 2))  # stray site
-
-
-def test_round_trip_random_two_site():
-    rng = random.Random(11)
-    amps = {}
-    for m1 in range(-2, 3):
-        for m2 in range(-2, 3):
-            c = rng.randint(-6, 6)
-            if c:
-                amps[(m1, m2)] = LaurentQ({rng.randint(-2, 2): c})
-    st = StateVector(2, 2, amps)
-    back = poly_to_spin(spin_to_poly(st, (1, 2)), 2, (1, 2))
-    assert back.amps == st.amps
 
 
 def test_statevector_dense_ordering():
