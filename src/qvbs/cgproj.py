@@ -429,6 +429,7 @@ def divide_once(p, factor, sites):
 
 
 def bond_product(S, site_a=1, site_b=2):
+    """The bond product prod_{m=1..S} (q^m x_a y_b - q^-m y_a x_b)."""
     p = SitePoly.one()
     for m in range(1, S + 1):
         p = p * bond_factor(m, site_a, site_b)
@@ -446,13 +447,12 @@ def divide_by_bond_product(poly, S, sites=(1, 2)):
     return work, True
 
 
-def check_divisibility(S, j_max=None):
-    """Divisibility report for every orbit vector with j <= min(S, j_max)."""
+def check_divisibility(S):
+    """Divisibility report for every orbit vector with j <= S."""
     if S < 1:
         raise ValueError("need S >= 1")
-    jm = S if j_max is None else min(S, j_max)
     report = []
-    for j in range(0, jm + 1):
+    for j in range(0, S + 1):
         for t, poly in enumerate(rep_basis(S, j)):
             quot, ok = divide_by_bond_product(poly, S)
             report.append({"S": S, "j": j, "t": t, "remainder_zero": bool(ok)})

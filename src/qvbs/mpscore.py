@@ -51,55 +51,40 @@ class MPSTensor:
         return out
 
 
-def tensor_g(S):
-    """Site tensor with the q-power carried on the row index."""
-    if S < 1:
-        raise ValueError("need S >= 1")
-    scalars = {}
-    for i in range(1, S + 2):
-        for j in range(1, S + 2):
-            e2 = (2 * i - 2 - S) * (S + 1)
-            if e2 % 2:
-                raise AssertionError("unexpected half-integer power in g")
-            sign = -1 if (S - i + 1) % 2 else 1
-            rat = LaurentQ.q_power(e2 // 2, sign)
-            scalars[(i, j)] = RadScalar(rat, (q_binomial(S, i - 1), q_binomial(S, j - 1)))
-    return MPSTensor(S, scalars)
+def _site_tensor(S, e2, signed):
+    """Site tensor with entry sign * q^(e2/2) * sqrt([S, i-1] [S, j-1]).
 
-
-def tensor_g_start(S):
-    """Boundary tensor: no sign, no q-power, same radicals as g."""
-    if S < 1:
-        raise ValueError("need S >= 1")
-    scalars = {}
-    for i in range(1, S + 2):
-        for j in range(1, S + 2):
-            scalars[(i, j)] = RadScalar(
-                LaurentQ.one(), (q_binomial(S, i - 1), q_binomial(S, j - 1)))
-    return MPSTensor(S, scalars)
-
-
-def tensor_f(S):
-    """Gauge-rotated site tensor with the q-power split over both indices.
-
-    Half-integer powers of q are kept under the radical as a factor of q, so
-    scalars stay exact; they pair away in any closed contraction.
+    e2(i, j) is twice the q exponent; when it is odd, one factor q stays under
+    the radical, so scalars stay exact (such factors pair away in any closed
+    contraction). The sign is (-1)^(S-i+1) when `signed`, else +1.
     """
     if S < 1:
         raise ValueError("need S >= 1")
     scalars = {}
     for i in range(1, S + 2):
         for j in range(1, S + 2):
-            e2 = (i + j - 2 - S) * (S + 1)
-            sign = -1 if (S - i + 1) % 2 else 1
-            factors = [q_binomial(S, i - 1), q_binomial(S, j - 1)]
-            if e2 % 2:
-                rat = LaurentQ.q_power((e2 - 1) // 2, sign)
-                factors.append(LaurentQ.q_power(1))
-            else:
-                rat = LaurentQ.q_power(e2 // 2, sign)
-            scalars[(i, j)] = RadScalar(rat, tuple(factors))
+            e = e2(i, j)
+            sign = -1 if signed and (S - i + 1) % 2 else 1
+            factors = (q_binomial(S, i - 1), q_binomial(S, j - 1))
+            if e % 2:
+                factors += (LaurentQ.q_power(1),)
+            scalars[(i, j)] = RadScalar(LaurentQ.q_power(e // 2, sign), factors)
     return MPSTensor(S, scalars)
+
+
+def tensor_g(S):
+    """Site tensor with the q-power carried on the row index."""
+    return _site_tensor(S, lambda i, j: (2 * i - 2 - S) * (S + 1), True)
+
+
+def tensor_g_start(S):
+    """Boundary tensor: no sign, no q-power, same radicals as g."""
+    return _site_tensor(S, lambda i, j: 0, False)
+
+
+def tensor_f(S):
+    """Gauge-rotated site tensor with the q-power split over both indices."""
+    return _site_tensor(S, lambda i, j: (i + j - 2 - S) * (S + 1), True)
 
 
 def _state_from_radscalars(S, L, rad_amps):

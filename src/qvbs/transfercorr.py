@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -744,7 +745,14 @@ def sz_probabilities_reference_spin2():
 
 
 def closed_form_szsz(S, q0, r):
-    """Printed closed-form <S^z_1 S^z_r> on the infinite chain, S in {2, 3}."""
+    """Printed closed-form <S^z_1 S^z_r> on the infinite chain, S in {2, 3}.
+
+    The prefactor's r-th power is folded into each term c * b^r, so every
+    base has |b| < 1 for q > 0 and large r underflows instead of overflowing.
+    A non-finite value raises OverflowError, and a term that matters to the
+    value but went through a power below the normal float range raises
+    FloatingPointError.
+    """
     if r < 2:
         raise ValueError("closed forms are used for separations r >= 2 only")
     q0 = Fraction(q0)
@@ -754,23 +762,36 @@ def closed_form_szsz(S, q0, r):
         return float(q_integer(n).eval_fraction(q0))
 
     if S == 2:
-        pref = -(qi(2) * qi(3) / qi(4)) * (qi(2) / (qi(5) * qi(4))) ** r
-        brace = ((qv - 1 / qv) * (qv ** 3 - qv ** -3)
-                 * qi(6) ** 2 / (qi(3) ** 2 * qi(2) ** 2)
-                 + qi(2) ** 2 * (-qi(5)) ** r)
-        return pref * brace
-    if S == 3:
-        pref = -(qi(2) / (qi(6) * qi(5) * qi(3))) \
-            * (qi(3) / (qi(7) * qi(6) * qi(5))) ** r
-        t1 = ((qv - 1 / qv) ** 2 * (qv ** 3 - qv ** -3) ** 2
-              * (qi(9) - (qv ** 2 - qv ** -2) ** 2) ** 2
-              * qi(4) ** 2 / qi(2) ** 2 * (-qi(2)) ** r)
-        t2 = ((qv ** 3 - qv ** -3) ** 2
-              * qi(8) ** 2 * qi(5) / qi(4) ** 2 * (qi(7) * qi(2)) ** r)
-        t3 = ((qi(2) ** 4 - 2 * qi(3)) ** 2
-              * qi(6) * qi(2) / qi(3) * (-qi(7) * qi(6)) ** r)
-        return pref * (t1 + t2 + t3)
-    raise ValueError("closed forms are available for S = 2 and S = 3 only")
+        pref = -(qi(2) * qi(3) / qi(4))
+        terms = (((qv - 1 / qv) * (qv ** 3 - qv ** -3)
+                  * qi(6) ** 2 / (qi(3) ** 2 * qi(2) ** 2),
+                  qi(2) / (qi(5) * qi(4))),
+                 (qi(2) ** 2, -qi(2) / qi(4)))
+    elif S == 3:
+        pref = -(qi(2) / (qi(6) * qi(5) * qi(3)))
+        beta = qi(3) / (qi(7) * qi(6) * qi(5))
+        terms = (((qv - 1 / qv) ** 2 * (qv ** 3 - qv ** -3) ** 2
+                  * (qi(9) - (qv ** 2 - qv ** -2) ** 2) ** 2
+                  * qi(4) ** 2 / qi(2) ** 2, -qi(2) * beta),
+                 ((qv ** 3 - qv ** -3) ** 2 * qi(8) ** 2 * qi(5) / qi(4) ** 2,
+                  qi(7) * qi(2) * beta),
+                 ((qi(2) ** 4 - 2 * qi(3)) ** 2 * qi(6) * qi(2) / qi(3),
+                  -qi(7) * qi(6) * beta))
+    else:
+        raise ValueError("closed forms are available for S = 2 and S = 3 only")
+    tiny = sys.float_info.min
+    powers = [b ** r for _, b in terms]
+    value = pref * sum(c * p for (c, _), p in zip(terms, powers))
+    if not math.isfinite(value):
+        raise OverflowError("closed form is not finite at r=%d" % r)
+    # a power below the normal range has lost digits; that matters when its
+    # term, sized by logarithms, is not negligible against the value
+    floor = math.log(max(abs(value) * sys.float_info.epsilon, tiny))
+    for (c, b), p in zip(terms, powers):
+        if abs(p) < tiny and c and (math.log(abs(pref)) + math.log(abs(c))
+                                    + r * math.log(abs(b))) > floor:
+            raise FloatingPointError("closed form underflows at r=%d" % r)
+    return value
 
 
 def isotropic_szsz_limit(S, r):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from .cgproj import bond_list, check_budget, exact_dot, upper_dual_rows
+from .cgproj import (bond_list, bond_product, check_budget, exact_dot,
+                     upper_dual_rows)
 from .qnum import LaurentQ, RadScalar, q_binomial
-from .weylrep import SitePoly, StateVector, bond_factor, poly_to_spin
+from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
 def _check_state_args(S, L):
@@ -26,13 +27,11 @@ def _check_state_args(S, L):
 
 
 def build_pbc(S, L):
-    """Periodic chain ground state: the product of S bond factors per link."""
+    """Periodic chain ground state: the product of one bond product per link."""
     _check_state_args(S, L)
     poly = SitePoly.one()
     for k in range(1, L + 1):
-        nxt = 1 if k == L else k + 1
-        for m in range(1, S + 1):
-            poly = poly * bond_factor(m, k, nxt)
+        poly = poly * bond_product(S, k, k % L + 1)
     return poly_to_spin(poly, S, range(1, L + 1))
 
 
@@ -43,8 +42,7 @@ def build_open(S, L, p1, p2):
         raise ValueError("boundary labels must lie in 1..S+1")
     poly = SitePoly.monomial({1: (S - p1 + 1, p1 - 1)})
     for k in range(1, L):
-        for m in range(1, S + 1):
-            poly = poly * bond_factor(m, k, k + 1)
+        poly = poly * bond_product(S, k, k + 1)
     poly = poly * SitePoly.monomial({L: (p2 - 1, S - p2 + 1)})
     state = poly_to_spin(poly, S, range(1, L + 1))
     state.prefactor = RadScalar.sqrt_of(q_binomial(S, p1 - 1), q_binomial(S, p2 - 1))
@@ -53,6 +51,7 @@ def build_open(S, L, p1, p2):
 
 def random_weight_zero_state(S, L, seed=0):
     """Seeded random total-weight-zero state; the negative control."""
+    _check_state_args(S, L)
     rng = random.Random(seed)
     amps = {}
     # the first site is the fastest digit
@@ -127,7 +126,6 @@ def verify_two_site_lemma(S):
     dimension (S+1)^2 (counting); together these identify the kernel with the
     bond-product multiples exactly.
     """
-    from .cgproj import bond_product
     prod = bond_product(S)
     inclusion = True
     for a in range(S + 1):

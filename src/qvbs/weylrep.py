@@ -1,9 +1,10 @@
 """Difference-operator realization of the deformed su(2) on site polynomials.
 
 Each site l carries two commuting variables x_l, y_l; a spin-S site state is
-a degree-2S homogeneous polynomial in them. Raising/lowering act monomial by
-monomial, which keeps everything exact: the divided differences collapse to
-q-integer prefactors, so no rational-function arithmetic is ever needed here.
+a degree-2S homogeneous polynomial in them. Every single-site operator maps
+one monomial to a multiple of one monomial, which keeps everything exact: the
+divided differences collapse to q-integer prefactors, so no rational-function
+arithmetic is ever needed here. The two-site coproduct composes those maps.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ XMINUS = "X-"
 QH = "qH"
 QH_INV = "qH_inv"
 HGEN = "H"
-
-_GENERATORS = {XPLUS, XMINUS, QH, QH_INV}
 
 
 class SitePoly:
@@ -69,31 +68,16 @@ class SitePoly:
     def is_zero(self):
         return not self.terms
 
-    def sites(self):
-        out = set()
-        for k in self.terms:
-            out.update(s for s, _, _ in k)
-        return sorted(out)
-
     def __add__(self, other):
         if not isinstance(other, SitePoly):
             return NotImplemented
         t = dict(self.terms)
         for k, v in other.terms.items():
-            s = t.get(k)
-            s = v if s is None else s + v
-            if s.is_zero:
-                t.pop(k, None)
-            else:
-                t[k] = s
-        out = SitePoly.__new__(SitePoly)
-        out.terms = t
-        return out
+            _accumulate(t, k, v)
+        return _wrap(t)
 
     def __neg__(self):
-        out = SitePoly.__new__(SitePoly)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return _wrap({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SitePoly):
@@ -110,15 +94,8 @@ class SitePoly:
             for kb, vb in other.terms.items():
                 k = _merge_keys(ka, kb)
                 v = va * vb
-                s = t.get(k)
-                s = v if s is None else s + v
-                if s.is_zero:
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-        out = SitePoly.__new__(SitePoly)
-        out.terms = t
-        return out
+                _accumulate(t, k, v)
+        return _wrap(t)
 
     __rmul__ = __mul__
 
@@ -127,9 +104,7 @@ class SitePoly:
             c = LaurentQ.const(c)
         if c.is_zero:
             return SitePoly.zero()
-        out = SitePoly.__new__(SitePoly)
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+        return _wrap({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SitePoly):
@@ -175,6 +150,23 @@ class SitePoly:
     __repr__ = __str__
 
 
+def _wrap(terms):
+    """A SitePoly around terms already in normal form."""
+    out = SitePoly.__new__(SitePoly)
+    out.terms = terms
+    return out
+
+
+def _accumulate(terms, k, v):
+    """terms[k] += v, dropping k when the sum vanishes."""
+    s = terms.get(k)
+    s = v if s is None else s + v
+    if s.is_zero:
+        terms.pop(k, None)
+    else:
+        terms[k] = s
+
+
 def _norm_key(k):
     return tuple(sorted((s, dx, dy) for s, dx, dy in k if dx or dy))
 
@@ -196,122 +188,83 @@ def _key_replace(key, site, dx, dy):
     return tuple(sorted(rest))
 
 
-def apply_generator(p, gen, site):
-    """Act with one generator at one site, exactly, monomial by monomial."""
-    if gen not in _GENERATORS:
-        raise ValueError("unknown generator %r" % (gen,))
+def _apply(p, op, site):
+    """Act with one single-site monomial map at `site`, term by term."""
     out = {}
     for key, coeff in p.terms.items():
         dx, dy = p.exponents_at(key, site)
-        if gen == XPLUS:
-            if dy == 0:
-                continue
-            nk = _key_replace(key, site, dx + 1, dy - 1)
-            nv = coeff * q_integer(dy)
-        elif gen == XMINUS:
-            if dx == 0:
-                continue
-            nk = _key_replace(key, site, dx - 1, dy + 1)
-            nv = coeff * q_integer(dx)
-        elif gen == QH:
-            nk, nv = key, coeff.shift(dx - dy)
-        else:  # QH_INV
-            nk, nv = key, coeff.shift(dy - dx)
-        s = out.get(nk)
-        s = nv if s is None else s + nv
-        if s.is_zero:
-            out.pop(nk, None)
-        else:
-            out[nk] = s
-    res = SitePoly.__new__(SitePoly)
-    res.terms = out
-    return res
+        image = op(dx, dy)
+        if image is None:
+            continue
+        nx, ny, c = image
+        nk = key if (nx, ny) == (dx, dy) else _key_replace(key, site, nx, ny)
+        _accumulate(out, nk, coeff * c)
+    return _wrap(out)
+
+
+# A single-site operator maps the monomial x^dx y^dy to c x^dx' y^dy', given
+# as (dx', dy', c), or to None when it annihilates the monomial.
+_GENERATOR_MAPS = {
+    XPLUS: lambda dx, dy: (dx + 1, dy - 1, q_integer(dy)) if dy else None,
+    XMINUS: lambda dx, dy: (dx - 1, dy + 1, q_integer(dx)) if dx else None,
+    QH: lambda dx, dy: (dx, dy, LaurentQ.q_power(dx - dy)),
+    QH_INV: lambda dx, dy: (dx, dy, LaurentQ.q_power(dy - dx)),
+}
+
+_BOSON_MAPS = {
+    "a": lambda dx, dy: (dx - 1, dy, q_integer(dx)) if dx else None,
+    "b": lambda dx, dy: (dx, dy - 1, q_integer(dy)) if dy else None,
+    "adag": lambda dx, dy: (dx + 1, dy, 1),
+    "bdag": lambda dx, dy: (dx, dy + 1, 1),
+    "Na": lambda dx, dy: (dx, dy, dx) if dx else None,
+    "Nb": lambda dx, dy: (dx, dy, dy) if dy else None,
+}
+
+
+def _half_power(w):
+    """q^(w/2) for an even weight w; odd weights belong to half-integer spin."""
+    if w % 2:
+        raise ValueError("half-integer weight; integer spin only")
+    return LaurentQ.q_power(w // 2)
+
+
+# the other single-site pieces of the coproduct: H and the twists q^(+-H/2)
+_WEIGHT = lambda dx, dy: (dx, dy, dx - dy) if dx != dy else None
+_HALF_UP = lambda dx, dy: (dx, dy, _half_power(dx - dy))
+_HALF_DOWN = lambda dx, dy: (dx, dy, _half_power(dy - dx))
+
+
+def apply_generator(p, gen, site):
+    """Act with one generator at one site, exactly, monomial by monomial."""
+    if gen not in _GENERATOR_MAPS:
+        raise ValueError("unknown generator %r" % (gen,))
+    return _apply(p, _GENERATOR_MAPS[gen], site)
 
 
 def apply_boson(p, op, site):
     """q-boson action: 'a', 'b' annihilate, 'adag', 'bdag' create, 'Na', 'Nb' count."""
-    out = {}
-    for key, coeff in p.terms.items():
-        dx, dy = p.exponents_at(key, site)
-        if op == "a":
-            if dx == 0:
-                continue
-            nk, nv = _key_replace(key, site, dx - 1, dy), coeff * q_integer(dx)
-        elif op == "b":
-            if dy == 0:
-                continue
-            nk, nv = _key_replace(key, site, dx, dy - 1), coeff * q_integer(dy)
-        elif op == "adag":
-            nk, nv = _key_replace(key, site, dx + 1, dy), coeff
-        elif op == "bdag":
-            nk, nv = _key_replace(key, site, dx, dy + 1), coeff
-        elif op == "Na":
-            if dx == 0:
-                continue
-            nk, nv = key, coeff * dx
-        elif op == "Nb":
-            if dy == 0:
-                continue
-            nk, nv = key, coeff * dy
-        else:
-            raise ValueError("unknown boson op %r" % (op,))
-        s = out.get(nk)
-        s = nv if s is None else s + nv
-        if s.is_zero:
-            out.pop(nk, None)
-        else:
-            out[nk] = s
-    res = SitePoly.__new__(SitePoly)
-    res.terms = out
-    return res
-
-
-def _half_weight_power(p, site, sign):
-    """Multiply each monomial by q^(sign * weight/2) at the given site."""
-    out = {}
-    for key, coeff in p.terms.items():
-        dx, dy = p.exponents_at(key, site)
-        w = dx - dy
-        if w % 2:
-            raise ValueError("half-integer weight at site %d; integer spin only" % site)
-        nv = coeff * LaurentQ.q_power(sign * (w // 2))
-        out[key] = out.get(key, LaurentQ.zero()) + nv
-    res = SitePoly.__new__(SitePoly)
-    res.terms = {k: v for k, v in out.items() if not v.is_zero}
-    return res
+    if op not in _BOSON_MAPS:
+        raise ValueError("unknown boson op %r" % (op,))
+    return _apply(p, _BOSON_MAPS[op], site)
 
 
 def coproduct_apply(p, gen, sites):
     """Two-site action of a generator through the comultiplication.
 
-    Raising/lowering split as X (X) q^(H/2) + q^(-H/2) (X) X over the ordered
-    site pair; H acts additively and qH multiplicatively.
+    Over the ordered site pair, raising/lowering split as
+    X (X) q^(H/2) + q^(-H/2) (X) X, H as H (X) 1 + 1 (X) H, and q^(+-H) as
+    q^(+-H) (X) q^(+-H).
     """
     k, l = sites
     if gen in (XPLUS, XMINUS):
-        t1 = _half_weight_power(apply_generator(p, gen, k), l, +1)
-        t2 = apply_generator(_half_weight_power(p, k, -1), gen, l)
-        return t1 + t2
+        x = _GENERATOR_MAPS[gen]
+        return (_apply(_apply(p, x, k), _HALF_UP, l)
+                + _apply(_apply(p, _HALF_DOWN, k), x, l))
     if gen == HGEN:
-        out = SitePoly.zero()
-        for key, coeff in p.terms.items():
-            dxk, dyk = p.exponents_at(key, k)
-            dxl, dyl = p.exponents_at(key, l)
-            w = (dxk - dyk) + (dxl - dyl)
-            if w:
-                out = out + SitePoly({key: coeff * w})
-        return out
+        return _apply(p, _WEIGHT, k) + _apply(p, _WEIGHT, l)
     if gen in (QH, QH_INV):
-        sign = 1 if gen == QH else -1
-        out = {}
-        for key, coeff in p.terms.items():
-            dxk, dyk = p.exponents_at(key, k)
-            dxl, dyl = p.exponents_at(key, l)
-            w = (dxk - dyk) + (dxl - dyl)
-            out[key] = coeff * LaurentQ.q_power(sign * w)
-        res = SitePoly.__new__(SitePoly)
-        res.terms = out
-        return res
+        qh = _GENERATOR_MAPS[gen]
+        return _apply(_apply(p, qh, k), qh, l)
     raise ValueError("unknown generator %r" % (gen,))
 
 
@@ -410,21 +363,6 @@ class StateVector:
         return StateVector(self.S, self.L,
                            {k: v * c for k, v in self.amps.items()},
                            self.prefactor)
-
-    def add(self, other):
-        if (self.S, self.L) != (other.S, other.L):
-            raise ValueError("shape mismatch")
-        if not self.prefactor.value_eq(other.prefactor):
-            raise ValueError("cannot add states with different prefactors")
-        out = dict(self.amps)
-        for k, v in other.amps.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return StateVector(self.S, self.L, out, self.prefactor)
 
     def proportional_to(self, other):
         """Exact proportionality of physical amplitudes, via cross products.

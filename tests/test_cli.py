@@ -106,6 +106,15 @@ EXACT_DIGESTS = {
     ("state", "open"): "f96b1656c191503e6a8387107faa22e2227d13a272470291c553ba5ca614bd06",
 }
 
+# sha256 of the full stdout of `verify --suite X --seed 1`, exact suites only
+EXACT_SUITE_DIGESTS = {
+    "algebra": "54130e6fafab1d2a6f5f8e7b055fa0152841262c4b9805e8a66244a25f248e88",
+    "certificates": "79b0cf6497eb3f9d8af8aa9deb3d8eba3c8949bb90fba2598ff35a2b6ed6d853",
+    "divisibility": "1abfe198362a5360a05b477323a6bc80ccbb3c2a9474a30f730575ffd0bb8a22",
+    "groundstate": "3c31a4f5b84bd4ea9206904dc0a198211713c28de803a73f2112ce739852d056",
+    "mps": "8bcdc0bb5697cc90c33562583fe4b0f0ee4c93d8d97cbd187f2ab1d972e01492",
+}
+
 
 def test_exact_serializations_are_pinned(capsys):
     def digest(*argv):
@@ -125,6 +134,12 @@ def test_exact_serializations_are_pinned(capsys):
     got = {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
            for k, v in got.items()}
     assert got == EXACT_DIGESTS
+    reports = {}
+    for suite in EXACT_SUITE_DIGESTS:
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1")
+        assert code == 0
+        reports[suite] = hashlib.sha256(out.encode()).hexdigest()
+    assert reports == EXACT_SUITE_DIGESTS
 
 
 def test_correlator_csv_with_closed_form(capsys):
@@ -163,6 +178,18 @@ def test_correlator_former_nan_rows_are_finite(capsys):
     values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
     assert len(values) == 3
     assert all(math.isfinite(v) and v != 0.0 for v in values)
+
+
+@pytest.mark.parametrize("spin, q, r", (
+    ("2", "1", "441"), ("3", "1", "189"), ("2", "1/2", "232"), ("3", "1/2", "86"),
+))
+def test_correlator_closed_form_finite_at_large_r(capsys, spin, q, r):
+    # (2, 1, 441) printed nan and exited 0; the others exited 2 on overflow
+    code, out, err = run(capsys, "correlator", "--spin", spin, "--q", q,
+                         "--r-min", r, "--r-max", r)
+    assert code == 0 and err == ""
+    row = out.strip().splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in row[1:4])
 
 
 def test_correlator_non_finite_exits_2(capsys, monkeypatch):

@@ -271,6 +271,47 @@ def test_closed_form_isotropic_limits():
         assert isotropic_szsz_limit(2, r) == pytest.approx(-6 * (-2.0) ** (-r))
 
 
+def test_closed_form_finite_at_large_separation():
+    # (2, 1, 441) gave nan from 0 * inf; the others raised OverflowError
+    # although the spectral value is finite
+    for S, q0, r in ((2, 1, 441), (3, 1, 189), (2, Fraction(1, 2), 232),
+                     (3, Fraction(1, 2), 86)):
+        assert math.isfinite(closed_form_szsz(S, q0, r))
+    for q0 in (Fraction(1, 2), 1, 2):
+        for r in (1000, 3000):
+            assert math.isfinite(closed_form_szsz(2, q0, r))
+            assert math.isfinite(closed_form_szsz(3, q0, r))
+    for r in (189, 441):
+        assert closed_form_szsz(2, 1, r) == pytest.approx(
+            isotropic_szsz_limit(2, r), rel=1e-12)
+    assert closed_form_szsz(3, 1, 189) == pytest.approx(
+        isotropic_szsz_limit(3, 189), rel=1e-12)
+
+
+def test_closed_form_matches_exact_evaluation_of_printed_form():
+    # the S = 2 printed form, pref * brace, in exact rationals: the folded
+    # float evaluation keeps full precision far past the old overflow
+    def printed(q, r):
+        def qi(n):
+            return q_integer(n).eval_fraction(q)
+        pref = -(qi(2) * qi(3) / qi(4)) * (qi(2) / (qi(5) * qi(4))) ** r
+        brace = ((q - 1 / q) * (q ** 3 - q ** -3) * qi(6) ** 2
+                 / (qi(3) ** 2 * qi(2) ** 2) + qi(2) ** 2 * (-qi(5)) ** r)
+        return pref * brace
+    for q, r in ((Fraction(1, 2), 232), (Fraction(7, 10), 300), (Fraction(2), 441)):
+        assert closed_form_szsz(2, q, r) == pytest.approx(
+            float(printed(q, r)), rel=1e-12)
+
+
+def test_closed_form_at_far_q_raises_instead_of_printing():
+    # at q = 1e20 the r = 8 term passes through a subnormal power and keeps
+    # five digits; at q = 1e-30 a coefficient overflows and the value is nan
+    with pytest.raises(FloatingPointError):
+        closed_form_szsz(2, Fraction(10 ** 20), 8)
+    with pytest.raises(OverflowError):
+        closed_form_szsz(2, Fraction(1, 10 ** 30), 2)
+
+
 def test_closed_form_restrictions():
     with pytest.raises(ValueError):
         closed_form_szsz(2, 1, 1)

@@ -127,6 +127,16 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("QVBS_BUDGET_MB", "0")
     with pytest.raises(BudgetError):
         build_pbc(2, 8)
+    # the control walks every digit tuple, so it is held to the same budget
+    with pytest.raises(BudgetError):
+        random_weight_zero_state(2, 8)
+
+
+def test_negative_control_argument_checks():
+    # S = 0 returned a spin-0 state
+    for S, L in ((0, 4), (2, 1)):
+        with pytest.raises(ValueError):
+            random_weight_zero_state(S, L)
 
 
 @pytest.mark.parametrize("S,L,seed,digest", (

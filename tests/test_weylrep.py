@@ -42,6 +42,18 @@ def test_qh_weight():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         apply_generator(SitePoly.one(), "Z", 1)
+    # each entry point accepts only its own names; H acts through the
+    # coproduct alone
+    for bad in (HGEN, "a"):
+        with pytest.raises(ValueError):
+            apply_generator(SitePoly.one(), bad, 1)
+    with pytest.raises(ValueError):
+        apply_boson(SitePoly.one(), XPLUS, 1)
+    # the name is checked before the polynomial is read, so zero is no escape
+    with pytest.raises(ValueError):
+        apply_boson(SitePoly.zero(), "c", 1)
+    with pytest.raises(ValueError):
+        coproduct_apply(SitePoly.zero(), "Z", (1, 2))
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(0, 9) for b in range(0, 9 - a)])
@@ -91,6 +103,22 @@ def test_coproduct_weight_additivity():
         p = SitePoly.monomial({1: (2 * S, 0), 2: (2 * S, 0)})
         assert coproduct_apply(p, HGEN, (1, 2)) == p.scale(4 * S)
         assert coproduct_apply(p, QH, (1, 2)) == p.scale(LaurentQ.q_power(4 * S))
+
+
+def test_coproduct_diagonal_generators_on_mixed_weights():
+    # H (X) 1 + 1 (X) H and q^H (X) q^H, including weights that cancel
+    # between the two sites
+    for e1, e2, w in (((3, 1), (0, 2), 0), ((4, 0), (1, 1), 4),
+                      ((0, 3), (1, 0), -2)):
+        p = SitePoly.monomial({1: e1, 2: e2}, q_integer(3))
+        assert coproduct_apply(p, HGEN, (1, 2)) == p.scale(w)
+        assert coproduct_apply(p, QH, (1, 2)) == p.scale(LaurentQ.q_power(w))
+        assert coproduct_apply(p, QH_INV, (2, 1)) == p.scale(
+            LaurentQ.q_power(-w))
+    mixed = (SitePoly.monomial({1: (3, 1), 2: (0, 2)})
+             + SitePoly.monomial({1: (4, 0), 2: (1, 1)}))
+    assert coproduct_apply(mixed, HGEN, (1, 2)) == SitePoly.monomial(
+        {1: (4, 0), 2: (1, 1)}, 4)
 
 
 def test_poly_to_spin_highest_weight():
