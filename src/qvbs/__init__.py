@@ -4,13 +4,11 @@ correlators, and the machine checks behind every closed form."""
 
 __version__ = "0.1.0"
 
-from .qnum import LaurentQ, RadScalar, RatQ, eval_at, q_binomial, q_factorial, q_integer
+from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
 
 __all__ = [
     "LaurentQ",
     "RatQ",
-    "RadScalar",
-    "eval_at",
     "q_integer",
     "q_factorial",
     "q_binomial",

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qnum import LaurentQ, RadScalar, RatQ, laurent_gcd, q_integer
+from .qnum import LaurentQ, laurent_gcd, q_integer
 from .weylrep import (
     XMINUS,
     XPLUS,
@@ -233,7 +233,7 @@ class Projector:
 
     Exact data lives sector by sector as a rank-one core: column J of B times
     its dual row over the norm n_J. Physical-basis entries carry the usual
-    sqrt-normalization dressing and are exposed as radical scalars.
+    sqrt-normalization dressing; `to_dense` evaluates them at a point q0.
     """
 
     def __init__(self, S, J):
@@ -253,42 +253,6 @@ class Projector:
     def pair_index(self, pair):
         m1, m2 = pair
         return (self.S - m1) * (2 * self.S + 1) + (self.S - m2)
-
-    def apply_mono(self, amps):
-        """Exact action on monomial-gauge pair amplitudes.
-
-        Returns (out_amps, den): the projected amplitudes times den, with den
-        the sector norm n_J, so callers can compare without division.
-        Input must live in a single weight sector.
-        """
-        ws = {m1 + m2 for (m1, m2) in amps}
-        if len(ws) != 1:
-            raise ValueError("apply_mono expects a single weight sector")
-        w = ws.pop()
-        core = self._cores.get(w)
-        if core is None:
-            return {}, LaurentQ.one()
-        pairs, col, dual, norm = core
-        s = exact_dot(dual, [amps.get(p, LaurentQ.zero()) for p in pairs])
-        out = {}
-        if not s.is_zero:
-            for p, c in zip(pairs, col):
-                v = c * s
-                if not v.is_zero:
-                    out[p] = v
-        return out, norm
-
-    def entry_value(self, vpair, wpair):
-        """Physical-basis matrix entry as (rational) * sqrt(radicand)."""
-        if vpair[0] + vpair[1] != wpair[0] + wpair[1]:
-            return RadScalar(LaurentQ.zero())
-        core = self._cores.get(vpair[0] + vpair[1])
-        if core is None:
-            return RadScalar(LaurentQ.zero())
-        pairs, col, dual, norm = core
-        iv, iw = pairs.index(vpair), pairs.index(wpair)
-        fv, fw = _pair_weight(self.S, vpair), _pair_weight(self.S, wpair)
-        return RadScalar(RatQ(col[iv] * dual[iw], norm * fw), (fv, fw))
 
     def to_dense(self, q0):
         """Physical-basis matrix at a numeric point q0."""

@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__, cgproj, suites, transfercorr, vbsstate
-from .qnum import parse_q
+from .qnum import parse_q, radical_form
 
 
 def _emit(text, path):
@@ -44,6 +44,14 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
+def _radical_text(factors):
+    """sqrt(prod factors) in its normal form, as (r) * sqrt((f) * ...) or r."""
+    r, kept = radical_form(factors)
+    if not kept:
+        return str(r)
+    return "(%s) * sqrt(%s)" % (r, " * ".join("(%s)" % f for f in kept))
+
+
 def cmd_state(args):
     q0 = parse_q(args.q)
     if args.bc == "pbc":
@@ -60,7 +68,7 @@ def cmd_state(args):
             "amplitude_convention": "monomial gauge; physical amplitude is "
                                     "value * sqrt(prod_l [S+m_l]! [S-m_l]!) "
                                     "* prefactor",
-            "prefactor": str(st.prefactor),
+            "prefactor": _radical_text(st.prefactor),
             "amplitudes": {
                 ";".join(str(m) for m in k): v.to_json_obj()
                 for k, v in sorted(st.amps.items())

@@ -1,75 +1,70 @@
 """Matrix product tensors for the chain states and their contractions.
 
 Entry (i, j) of a site tensor carries the single physical vector |S, j-i>, so
-an auxiliary path fixes the physical configuration and vice versa; exact
-contraction is a walk over (S+1)^L paths with radical scalars that collapse
-to Laurent polynomials along the way.
+an auxiliary path fixes the physical configuration and vice versa. Along a
+path every interior radicand [S, i-1] occurs twice and the half-integer q
+powers pair up, so exact contraction is a walk over (S+1)^L paths in plain
+Laurent polynomials; only an open chain's two end radicands stay under one
+square root, the state's prefactor.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cgproj import check_budget
-from .qnum import LaurentQ, RadScalar, q_binomial
+from .qnum import LaurentQ, q_binomial, radical_float
 from .weylrep import StateVector, weight_radicand
 
 
 class MPSTensor:
-    """(S+1) x (S+1) matrix of physical vectors, indices 1-based.
+    """(S+1) x (S+1) site tensor, indices 1-based.
 
-    `entry(i, j)` returns the monomial-gauge scalar of the only basis vector
-    the entry touches (m = j - i); `spin_scalar(i, j)` dresses it with the
-    sqrt-factorial normalization of the physical basis.
+    Entry (i, j) is sign * q^(e2/2) * sqrt([S, i-1] [S, j-1]) times the
+    monomial-gauge basis vector m = j - i; `entry(i, j)` returns (sign, e2),
+    since the radicand is fixed by the indices.
     """
 
-    def __init__(self, S, scalars):
+    def __init__(self, S, entries):
         self.S = S
-        self._scalars = scalars  # dict (i, j) -> RadScalar, 1-based
+        self._entries = entries  # dict (i, j) -> (sign, e2), 1-based
 
     @property
     def dim(self):
         return self.S + 1
 
     def entry(self, i, j):
-        return self._scalars[(i, j)]
-
-    def spin_scalar(self, i, j):
-        return self._scalars[(i, j)] * RadScalar.sqrt_of(
-            weight_radicand(self.S, j - i))
+        return self._entries[(i, j)]
 
     def phys_matrices(self, q0):
-        """Spin-gauge entries as floats: array [m_index, i-1, j-1].
-
-        m_index runs over the digit convention S - m.
-        """
+        """Spin-gauge entries as floats: array [m_index, i-1, j-1], each
+        entry dressed with the sqrt-factorial normalization of its basis
+        vector. m_index runs over the digit convention S - m."""
         S = self.S
         out = np.zeros((2 * S + 1, S + 1, S + 1))
-        for (i, j), sc in self._scalars.items():
+        for (i, j), (sign, e2) in self._entries.items():
             m = j - i
-            out[S - m, i - 1, j - 1] = self.spin_scalar(i, j).eval_float(q0)
+            # an odd e2 leaves one factor q under the radical
+            factors = (q_binomial(S, i - 1), q_binomial(S, j - 1),
+                       weight_radicand(S, m)) + (LaurentQ.q_power(1),) * (e2 % 2)
+            out[S - m, i - 1, j - 1] = radical_float(
+                factors, q0, LaurentQ.q_power(e2 // 2, sign))
         return out
 
 
 def _site_tensor(S, e2, signed):
     """Site tensor with entry sign * q^(e2/2) * sqrt([S, i-1] [S, j-1]).
 
-    e2(i, j) is twice the q exponent; when it is odd, one factor q stays under
-    the radical, so scalars stay exact (such factors pair away in any closed
-    contraction). The sign is (-1)^(S-i+1) when `signed`, else +1.
+    e2(i, j) is twice the q exponent. The sign is (-1)^(S-i+1) when
+    `signed`, else +1.
     """
     if S < 1:
         raise ValueError("need S >= 1")
-    scalars = {}
-    for i in range(1, S + 2):
-        for j in range(1, S + 2):
-            e = e2(i, j)
-            sign = -1 if signed and (S - i + 1) % 2 else 1
-            factors = (q_binomial(S, i - 1), q_binomial(S, j - 1))
-            if e % 2:
-                factors += (LaurentQ.q_power(1),)
-            scalars[(i, j)] = RadScalar(LaurentQ.q_power(e // 2, sign), factors)
-    return MPSTensor(S, scalars)
+    return MPSTensor(S, {
+        (i, j): (-1 if signed and (S - i + 1) % 2 else 1, e2(i, j))
+        for i in range(1, S + 2) for j in range(1, S + 2)})
 
 
 def tensor_g(S):
@@ -87,42 +82,31 @@ def tensor_f(S):
     return _site_tensor(S, lambda i, j: (i + j - 2 - S) * (S + 1), True)
 
 
-def _state_from_radscalars(S, L, rad_amps):
-    """Pull the common radical out as the state prefactor."""
-    factor_keys = {rs._factor_key() for rs in rad_amps.values() if not rs.is_zero}
-    if not factor_keys:
-        return StateVector(S, L)
-    if len(factor_keys) > 1:
-        raise AssertionError("contraction produced mixed radicands")
-    amps = {}
-    common = None
-    for k, rs in rad_amps.items():
-        if rs.is_zero:
-            continue
-        common = rs.factors
-        if not isinstance(rs.rat, LaurentQ):
-            raise AssertionError("contraction produced a non-Laurent amplitude")
-        amps[k] = rs.rat
-    pref = RadScalar(LaurentQ.one(), common) if common else RadScalar.one()
-    return StateVector(S, L, amps, pref)
-
-
-def _walk(tensors, first, last, amps):
+def _walk(tensors, first, last, scalar, amps):
     """Add to amps, keyed by the m string, the product of entries along each
-    auxiliary path from index `first` through `tensors` to index `last`."""
+    auxiliary path from index `first` through `tensors` to index `last`,
+    times `scalar`, without the end radicands sqrt([S, first-1] [S, last-1])."""
     n = len(tensors)
+    S = tensors[0].S
+    binom = {j: q_binomial(S, j - 1) for j in range(1, S + 2)}
 
-    def step(pos, idx, scalar, ms):
+    def step(pos, idx, scalar, sign, e2, ms):
         if pos == n:
+            if e2 % 2:
+                raise AssertionError("half-integer q power on an auxiliary path")
             key = tuple(ms)
+            amp = scalar.shift(e2 // 2) if sign > 0 else -scalar.shift(e2 // 2)
             prev = amps.get(key)
-            amps[key] = scalar if prev is None else prev + scalar
+            amps[key] = amp if prev is None else prev + amp
             return
         t = tensors[pos]
         for j in (last,) if pos == n - 1 else range(1, t.dim + 1):
-            step(pos + 1, j, scalar * t.entry(idx, j), ms + [j - idx])
+            s, e = t.entry(idx, j)
+            # an interior index meets its radicand twice
+            step(pos + 1, j, scalar if pos == n - 1 else scalar * binom[j],
+                 sign * s, e2 + e, ms + [j - idx])
 
-    step(0, first, RadScalar.one(), [])
+    step(0, first, scalar, 1, 0, [])
 
 
 def contract_pbc(tensor, L):
@@ -133,20 +117,23 @@ def contract_pbc(tensor, L):
     check_budget((2 * S + 1) ** L * 256, "contract_pbc(S=%d, L=%d)" % (S, L))
     amps = {}
     for start in range(1, tensor.dim + 1):
-        _walk([tensor] * L, start, start, amps)
-    return _state_from_radscalars(S, L, amps)
+        # the trace closes the path, so its end radicands are one full factor
+        _walk([tensor] * L, start, start, q_binomial(S, start - 1), amps)
+    return StateVector(S, L, amps)
 
 
 def contract_open(S, L, p1, p2):
-    """Matrix element (p1, p2) of start tensor times L-1 bulk tensors."""
+    """Matrix element (p1, p2) of start tensor times L-1 bulk tensors; the
+    end radicands [S, p1-1] [S, p2-1] are the state's prefactor."""
     if not (1 <= p1 <= S + 1 and 1 <= p2 <= S + 1):
         raise ValueError("boundary labels must lie in 1..S+1")
     if L < 1:
         raise ValueError("need L >= 1")
     check_budget((2 * S + 1) ** L * 256, "contract_open(S=%d, L=%d)" % (S, L))
     amps = {}
-    _walk([tensor_g_start(S)] + [tensor_g(S)] * (L - 1), p1, p2, amps)
-    return _state_from_radscalars(S, L, amps)
+    _walk([tensor_g_start(S)] + [tensor_g(S)] * (L - 1), p1, p2,
+          LaurentQ.one(), amps)
+    return StateVector(S, L, amps, (q_binomial(S, p1 - 1), q_binomial(S, p2 - 1)))
 
 
 # -- numeric oracles ----------------------------------------------------
@@ -187,8 +174,15 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
     d = 2 * S + 1
-    vec = dense_pbc_state(S, L, q0)
-    rest = (vec * vec).reshape(d, d ** (r - 2), d, d ** (L - r)).sum(axis=3)
-    joint = np.stack([rest[:, :, b].sum(axis=1) for b in range(d)], axis=1)
-    m = S - np.arange(d, dtype=float)
-    return float(m @ joint @ m / joint.sum())
+    # far from q = 1 the squares overflow or the marginals underflow; only
+    # the scalar result is checked
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vec = dense_pbc_state(S, L, q0)
+        rest = (vec * vec).reshape(d, d ** (r - 2), d, d ** (L - r)).sum(axis=3)
+        joint = np.stack([rest[:, :, b].sum(axis=1) for b in range(d)], axis=1)
+        m = S - np.arange(d, dtype=float)
+        val = float(m @ joint @ m / joint.sum())
+    if not math.isfinite(val):
+        raise ValueError("<S^z S^z> is not finite in floats at S=%d, L=%d, q=%s"
+                         % (S, L, q0))
+    return val

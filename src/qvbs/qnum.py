@@ -1,13 +1,13 @@
 """Exact arithmetic in the deformation parameter q.
 
-Laurent polynomials in q over the integers, ratios of those, formal radical
-scalars, and the q-integer / q-factorial / q-binomial constructions. A
-Fraction enters only as a value of q or as a rational constant that RatQ
-splits into its integer numerator and denominator; floating point enters
-only through the eval helpers. Every other operation is exact in the
-integers, so zero tests are decisive; eval_mod maps a batch of Laurent
-polynomials to their residues at points of GF(p), for zero tests by
-evaluation.
+Laurent polynomials in q over the integers, ratios of those, the normal form
+of square roots of positive Laurent radicands, and the q-integer /
+q-factorial / q-binomial constructions. A Fraction enters only as a value of
+q or as a rational constant that RatQ splits into its integer numerator and
+denominator; floating point enters only through the eval helpers. Every
+other operation is exact in the integers, so zero tests are decisive;
+eval_mod maps a batch of Laurent polynomials to their residues at points of
+GF(p), for zero tests by evaluation.
 """
 
 from __future__ import annotations
@@ -280,10 +280,6 @@ class LaurentQ:
     def to_json_obj(self):
         return {str(e): str(v) for e, v in sorted(self._c.items())}
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls({int(e): int(v) for e, v in obj.items()})
-
     def __str__(self):
         if not self._c:
             return "0"
@@ -437,168 +433,36 @@ class RatQ:
     __repr__ = __str__
 
 
-# -- sign certification at q > 0 --------------------------------------
-
-_SAMPLE_POINTS = [Fraction(5, 7), Fraction(9, 5), Fraction(13, 8), Fraction(27, 16)]
+# -- radicals ---------------------------------------------------------
 
 
-def sign_at_positive(p):
-    """Sign of a Laurent polynomial somewhere on q > 0 (first nonzero sample).
+def radical_form(factors):
+    """sqrt(prod factors) as (r, kept) with r * sqrt(prod kept) the same value.
 
-    Used only for the sign bookkeeping of radical scalars, whose rational
-    parts never change sign between the sampled points in this artifact.
+    The normal form of a product of positive Laurent radicands: unit factors
+    dropped, equal factors paired into the Laurent part r, the rest sorted by
+    key(), so equal products of the same factors print and evaluate alike.
     """
-    if isinstance(p, RatQ):
-        s = sign_at_positive(p.num)
-        return s * sign_at_positive(p.den)
-    if p.is_zero:
-        return 0
-    for q0 in _SAMPLE_POINTS:
-        v = p.eval_fraction(q0)
-        if v:
-            return 1 if v > 0 else -1
-    k = 101
-    while True:
-        v = p.eval_fraction(Fraction(k, 99))
-        if v:
-            return 1 if v > 0 else -1
-        k += 1
+    fs = sorted((f for f in factors if f != 1), key=LaurentQ.key)
+    r, kept = LaurentQ.one(), []
+    while fs:
+        f = fs.pop(0)
+        if fs and fs[0] == f:
+            r = r * fs.pop(0)
+        else:
+            kept.append(f)
+    return r, tuple(kept)
 
 
-class RadScalar:
-    """Formal scalar rat * prod_i sqrt(f_i).
-
-    `rat` is a LaurentQ or RatQ; each radical factor f_i is a LaurentQ that
-    is positive for all q > 0 (q-factorials, q-binomials, monomials). Equal
-    factors pair up into the rational part on construction, so products of
-    two conjugate quantities collapse the radical exactly.
-    """
-
-    __slots__ = ("rat", "factors")
-
-    def __init__(self, rat, factors=()):
-        fs = []
-        for f in factors:
-            if not isinstance(f, LaurentQ):
-                f = LaurentQ.const(f)
-            if f.is_zero:
-                rat = LaurentQ.zero()
-                fs = []
-                break
-            if f == LaurentQ.one():
-                continue
-            fs.append(f)
-        # pair equal factors into the rational part
-        fs.sort(key=lambda f: f.key())
-        kept = []
-        i = 0
-        while i < len(fs):
-            if i + 1 < len(fs) and fs[i] == fs[i + 1]:
-                rat = rat * fs[i]
-                i += 2
-            else:
-                kept.append(fs[i])
-                i += 1
-        if not isinstance(rat, (LaurentQ, RatQ)):
-            rat = LaurentQ.const(rat)
-        if rat.is_zero:
-            kept = []
-        self.rat = rat
-        self.factors = tuple(kept)
-
-    @classmethod
-    def one(cls):
-        return cls(LaurentQ.one())
-
-    @classmethod
-    def sqrt_of(cls, *factors):
-        return cls(LaurentQ.one(), factors)
-
-    @property
-    def is_zero(self):
-        return self.rat.is_zero
-
-    def _factor_key(self):
-        return tuple(f.key() for f in self.factors)
-
-    def __mul__(self, other):
-        if isinstance(other, RadScalar):
-            return RadScalar(self.rat * other.rat, self.factors + other.factors)
-        if isinstance(other, (int, LaurentQ, RatQ)):
-            return RadScalar(self.rat * other, self.factors)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RadScalar(-self.rat, self.factors)
-
-    def __add__(self, other):
-        if not isinstance(other, RadScalar):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self._factor_key() != other._factor_key():
-            raise ValueError("cannot add radical scalars with different radicands")
-        return RadScalar(self.rat + other.rat, self.factors)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def square(self):
-        """Exact square: the radical always collapses."""
-        out = self.rat * self.rat
-        for f in self.factors:
-            out = out * f
-        return out
-
-    def value_eq(self, other):
-        """Equality as functions on q > 0 (squares plus sign comparison)."""
-        if not isinstance(other, RadScalar):
-            other = RadScalar(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        sa, sb = sign_at_positive(self.rat), sign_at_positive(other.rat)
-        if sa != sb:
-            return False
-        a, b = self.square(), other.square()
-        if isinstance(a, LaurentQ) and isinstance(b, LaurentQ):
-            return a == b
-        return RatQ(1, 1, reduce=False) * a == RatQ(1, 1, reduce=False) * b
-
-    def __eq__(self, other):
-        if not isinstance(other, RadScalar):
-            return NotImplemented
-        return self.value_eq(other)
-
-    def __hash__(self):
-        raise TypeError("RadScalar is not hashable")
-
-    def to_laurent(self):
-        if self.factors:
-            raise ValueError("radical part did not collapse: %s" % (self.factors,))
-        if isinstance(self.rat, RatQ):
-            return self.rat.to_laurent()
-        return self.rat
-
-    def eval_float(self, q0):
-        q0 = Fraction(q0)
-        acc = float(self.rat.eval_fraction(q0))
-        for f in self.factors:
-            v = f.eval_fraction(q0)
-            if v < 0:
-                raise ValueError("negative radicand at q=%s" % q0)
-            acc *= math.sqrt(v)
-        return acc
-
-    def __str__(self):
-        if not self.factors:
-            return str(self.rat)
-        return "(%s) * sqrt(%s)" % (self.rat, " * ".join("(%s)" % f for f in self.factors))
-
-    __repr__ = __str__
+def radical_float(factors, q0, rat=1):
+    """rat * sqrt(prod factors) at q0 > 0: the Laurent part in exact
+    rationals, then one square root per unpaired factor."""
+    q0 = Fraction(q0)
+    r, kept = radical_form(factors)
+    acc = float((r * rat).eval_fraction(q0))
+    for f in kept:
+        acc *= math.sqrt(f.eval_fraction(q0))
+    return acc
 
 
 # -- q-combinatorics ---------------------------------------------------
@@ -642,18 +506,6 @@ def parse_q(text):
     if q0 <= 0:
         raise ValueError("q must be positive")
     return q0
-
-
-def eval_at(p, q0):
-    """Evaluate a LaurentQ / RatQ / RadScalar at real q0 > 0 via exact rationals."""
-    q0 = Fraction(q0) if not isinstance(q0, Fraction) else q0
-    if q0 <= 0:
-        raise ValueError("q must be positive")
-    if isinstance(p, RadScalar):
-        return p.eval_float(q0)
-    if isinstance(p, (LaurentQ, RatQ)):
-        return p.eval_float(q0)
-    return float(p)
 
 
 def eval_mod(polys, points, p):

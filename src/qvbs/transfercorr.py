@@ -47,6 +47,8 @@ def _site_op(S, A):
     A = np.asarray(A, dtype=float)
     if A.shape != (2 * S + 1, 2 * S + 1):
         raise ValueError("operator must be (2S+1) x (2S+1)")
+    if not np.isfinite(A).all():
+        raise ValueError("operator entries are not finite")
     return A
 
 
@@ -123,9 +125,17 @@ def transfer_matrix(S, q0, A=None):
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q must be positive")
-    G = _transfer_generic(S, q0, _site_op(S, A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _transfer_generic(S, q0, _site_op(S, A))
+    if not np.isfinite(G).all():
+        # far from q = 1 the entries leave the float range; a NaN would also
+        # pass every tolerance comparison below
+        raise OverflowError("transfer matrix of S=%d is not finite in floats" % S)
     if A is None or isinstance(A, str):
         ref = _transfer_explicit(S, q0, with_sz=A is not None)
+        if not np.isfinite(ref).all():
+            raise OverflowError(
+                "closed-form transfer matrix of S=%d is not finite in floats" % S)
         scale = max(np.abs(ref).max(), 1e-300)
         if np.abs(G - ref).max() > _CROSS_TOL * scale:
             raise AssertionError(

@@ -12,7 +12,7 @@ import random
 
 from .cgproj import (bond_list, bond_product, check_budget, exact_dot,
                      upper_dual_rows)
-from .qnum import LaurentQ, RadScalar, q_binomial
+from .qnum import LaurentQ, q_binomial
 from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
@@ -45,7 +45,7 @@ def build_open(S, L, p1, p2):
         poly = poly * bond_product(S, k, k + 1)
     poly = poly * SitePoly.monomial({L: (p2 - 1, S - p2 + 1)})
     state = poly_to_spin(poly, S, range(1, L + 1))
-    state.prefactor = RadScalar.sqrt_of(q_binomial(S, p1 - 1), q_binomial(S, p2 - 1))
+    state.prefactor = (q_binomial(S, p1 - 1), q_binomial(S, p2 - 1))
     return state
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qnum import LaurentQ, RadScalar, q_factorial, q_integer
+from .qnum import LaurentQ, q_factorial, q_integer, radical_float
 
 XPLUS = "X+"
 XMINUS = "X-"
@@ -277,14 +277,15 @@ class StateVector:
     """Chain state over the product spin basis, stored exactly.
 
     Amplitudes are kept in the monomial gauge: the physical amplitude of
-    |S,m_1> ... |S,m_L> is  prefactor * amps[m] * sqrt(prod_l [S+m_l]![S-m_l]!).
-    That square root is fixed by the basis state, so the stored coefficients
-    stay plain Laurent polynomials and zero tests stay exact.
+    |S,m_1> ... |S,m_L> is  amps[m] * sqrt(prefactor * prod_l [S+m_l]![S-m_l]!)
+    with `prefactor` a tuple of positive Laurent factors (empty for 1). That
+    square root is fixed by the basis state, so the stored coefficients stay
+    plain Laurent polynomials and zero tests stay exact.
     """
 
     __slots__ = ("S", "L", "amps", "prefactor")
 
-    def __init__(self, S, L, amps=None, prefactor=None):
+    def __init__(self, S, L, amps=None, prefactor=()):
         self.S = S
         self.L = L
         self.amps = {}
@@ -294,7 +295,7 @@ class StateVector:
                     v = LaurentQ.const(v)
                 if not v.is_zero:
                     self.amps[tuple(k)] = v
-        self.prefactor = prefactor if prefactor is not None else RadScalar.one()
+        self.prefactor = tuple(prefactor)
 
     @property
     def is_zero(self):
@@ -302,13 +303,6 @@ class StateVector:
 
     def weights(self):
         return sorted({sum(k) for k in self.amps})
-
-    def spin_amplitude(self, mvec):
-        a = self.amps.get(tuple(mvec))
-        if a is None:
-            return RadScalar(LaurentQ.zero())
-        rad = [weight_radicand(self.S, m) for m in mvec]
-        return self.prefactor * RadScalar(a, rad)
 
     def basis_index(self, mvec):
         d = 2 * self.S + 1
@@ -321,7 +315,7 @@ class StateVector:
         """Physical amplitudes as floats keyed by basis state, from one table
         of per-site roots; a non-finite value raises ValueError."""
         q0 = Fraction(q0)
-        pref = self.prefactor.eval_float(q0)
+        pref = radical_float(self.prefactor, q0)
         root = {m: float(weight_radicand(self.S, m).eval_fraction(q0)) ** 0.5
                 for m in range(-self.S, self.S + 1)}
         out = {}
@@ -341,16 +335,6 @@ class StateVector:
             vec[self.basis_index(k)] = val
         return vec
 
-    def norm_squared(self):
-        """Exact <psi|psi>: the radicals collapse pairwise."""
-        acc = LaurentQ.zero()
-        for k, a in self.amps.items():
-            term = a * a
-            for m in k:
-                term = term * weight_radicand(self.S, m)
-            acc = acc + term
-        return self.prefactor.square() * acc
-
     def translated(self):
         """Shift every site by one (site 1 -> site 2, ..., site L -> site 1)."""
         return StateVector(
@@ -358,11 +342,6 @@ class StateVector:
             {(k[-1],) + k[:-1]: v for k, v in self.amps.items()},
             self.prefactor,
         )
-
-    def scaled(self, c):
-        return StateVector(self.S, self.L,
-                           {k: v * c for k, v in self.amps.items()},
-                           self.prefactor)
 
     def proportional_to(self, other):
         """Exact proportionality of physical amplitudes, via cross products.
@@ -382,13 +361,6 @@ class StateVector:
             if a * b0 != other.amps[k] * a0:
                 return False
         return True
-
-    def ratio_to(self, other):
-        """The scalar c with self = c * other, as a physical-amplitude pair."""
-        if not self.proportional_to(other):
-            raise ValueError("states are not proportional")
-        ref = min(self.amps)
-        return self.spin_amplitude(ref), other.spin_amplitude(ref)
 
 
 def poly_to_spin(p, S, sites):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -8,6 +10,7 @@ from qvbs.cgproj import (
     check_divisibility,
     divide_by_bond_product,
     divide_once,
+    exact_dot,
     hamiltonian,
     highest_weight,
     projector,
@@ -16,7 +19,8 @@ from qvbs.cgproj import (
     spin2_reference_quotients,
 )
 from qvbs.qnum import LaurentQ
-from qvbs.weylrep import XPLUS, SitePoly, bond_factor, coproduct_apply, poly_to_spin
+from qvbs.weylrep import (XPLUS, SitePoly, bond_factor, coproduct_apply,
+                          poly_to_spin, weight_radicand)
 
 Q0 = Fraction(4, 5)
 
@@ -137,18 +141,19 @@ def test_sector_system_spin4_frontier():
 
 
 def test_projector_defining_property_exact():
+    # n_J P_J v = col_J (dual_J . v) on the orbit vectors v of every K: it is
+    # n_J v for K = J and zero otherwise
     for S in (1, 2):
-        for J in range(0, 2 * S + 1):
-            P = projector(S, J)
-            for K in range(0, 2 * S + 1):
-                for poly in rep_basis(S, K):
-                    amps = poly_to_spin(poly, S, (1, 2)).amps
-                    out, den = P.apply_mono(amps)
-                    if K == J:
-                        assert set(out) == set(amps)
-                        assert all(out[k] == den * amps[k] for k in amps)
-                    else:
-                        assert not out
+        for K in range(0, 2 * S + 1):
+            for poly in rep_basis(S, K):
+                amps = poly_to_spin(poly, S, (1, 2)).amps
+                sec = sector_system(S)[sum(next(iter(amps)))]
+                v = [amps.get(p, LaurentQ.zero()) for p in sec.pairs]
+                for j, J in enumerate(sec.Js):
+                    s = exact_dot(sec.duals[j], v)
+                    out = [row[j] * s for row in sec.B]
+                    norm = sec.norms[j] if J == K else LaurentQ.zero()
+                    assert out == [norm * a for a in v], (S, J, K)
 
 
 def test_projector_dense_idempotent_numeric():
@@ -160,15 +165,25 @@ def test_projector_dense_idempotent_numeric():
     assert np.abs(total - np.eye(25)).max() < 1e-9
 
 
-def test_projector_entry_value_vs_dense():
-    P = projector(2, 3)
+def test_projector_dense_entries_match_sector_data():
+    # entry (v, w) = col_J[v] dual_J[w] / (n_J W_w) * sqrt(W_v W_w), W the
+    # pair radicand weights, evaluated in exact rationals up to one sqrt
+    S, J = 2, 3
+    P = projector(S, J)
     D = P.to_dense(Q0)
-    for vp in ((2, 1), (1, 0), (0, -1)):
-        for wp in ((2, 1), (1, 0), (1, 2)):
-            if vp[0] + vp[1] != wp[0] + wp[1]:
-                continue
-            ev = P.entry_value(vp, wp).eval_float(Q0)
-            assert abs(ev - D[P.pair_index(vp), P.pair_index(wp)]) < 1e-10
+    for w, sec in sector_system(S).items():
+        if J not in sec.Js:
+            continue
+        j = sec.Js.index(J)
+        W = [(weight_radicand(S, a) * weight_radicand(S, b)).eval_fraction(Q0)
+             for a, b in sec.pairs]
+        for iv, vp in enumerate(sec.pairs):
+            for iw, wp in enumerate(sec.pairs):
+                rat = (sec.B[iv][j] * sec.duals[j][iw]).eval_fraction(Q0) / (
+                    sec.norms[j].eval_fraction(Q0) * W[iw])
+                ref = float(rat) * math.sqrt(W[iv] * W[iw])
+                got = D[P.pair_index(vp), P.pair_index(wp)]
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_low_spin_projector_rank():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import qvbs
 from qvbs import suites, transfercorr, vbsstate
 from qvbs.cli import main
+from qvbs.weylrep import weight_radicand
 
 
 def run(capsys, *argv):
@@ -55,8 +57,11 @@ def test_state_csv_matches_exact_amplitudes(capsys, argv, state):
     assert len(rows) == len(st.amps)
     for row in rows:
         key, value, _ = row.split(",")
-        ref = st.spin_amplitude(tuple(int(m) for m in key.split(";"))
-                                ).eval_float(Fraction(4, 5))
+        mvec = tuple(int(m) for m in key.split(";"))
+        rad = Fraction(1)
+        for f in st.prefactor + tuple(weight_radicand(st.S, m) for m in mvec):
+            rad *= f.eval_fraction(Fraction(4, 5))
+        ref = float(st.amps[mvec].eval_fraction(Fraction(4, 5))) * math.sqrt(rad)
         assert abs(float(value) - ref) <= 1e-14 * abs(ref)
 
 
@@ -104,6 +109,7 @@ EXACT_DIGESTS = {
     ("eigenvalues", 6): "efe3342c8e0f49ef1b0837447aa6f4ccb736d9beabe83a6fac277072c798358e",
     ("state", "pbc"): "23eff0296695d97ac3e0cff00fe509cee46bb14dc7733c250c40bb8956b2d6b5",
     ("state", "open"): "f96b1656c191503e6a8387107faa22e2227d13a272470291c553ba5ca614bd06",
+    ("state", "open", 2, 2): "ad539333626784b974a1dd883c39889b5c49f99e0cc3a38f1746d111d4e12a96",
 }
 
 # sha256 of the full stdout of `verify --suite X --seed 1`, exact suites only
@@ -131,6 +137,10 @@ def test_exact_serializations_are_pinned(capsys):
     got[("state", "open")] = digest("state", "--spin", "2", "--length", "4",
                                     "--bc", "open", "--p1", "2", "--p2", "3",
                                     "--exact")
+    # equal end radicands: the prefactor prints as 1*q + 1*q^-1, no sqrt
+    got[("state", "open", 2, 2)] = digest(
+        "state", "--spin", "2", "--length", "4", "--bc", "open", "--p1", "2",
+        "--p2", "2", "--exact")
     got = {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
            for k, v in got.items()}
     assert got == EXACT_DIGESTS
@@ -316,13 +326,21 @@ def test_verify_failing_suite_exit_code(capsys, monkeypatch):
     ["prob", "--spin", "2", "--q", "1e400"],
     ["eigenvalues", "--spin", "2", "--q", "1e-400"],
     ["state", "--spin", "1", "--length", "3", "--q", "1e400"],
+    # the transfer matrix overflowed to inf and NaN with numpy warnings, and
+    # the NaNs reached the eigensolver: "Eigenvalues did not converge"
+    ["correlator", "--spin", "3", "--q", "1e20"],
+    ["eigenvalues", "--spin", "3", "--q", "1e20"],
+    ["prob", "--spin", "3", "--q", "1e20"],
 ))
 def test_far_q_overflow_is_argument_error(capsys, argv):
     # these died with an OverflowError traceback and exit 1
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: %s at q=%s:" % (argv[0], argv[-1]))
+    assert err.count("\n") == 1
 
 
 def test_state_non_finite_amplitude_exits_2(capsys):
@@ -377,3 +395,23 @@ def test_package_imports_without_scipy():
     names, loaded = proc.stdout.split("\n")[:2]
     assert {"cgproj", "cli", "mpscore", "suites"} <= set(names.split())
     assert loaded == "[]"
+
+
+def test_package_runs_with_optional_dependencies_blocked():
+    # scipy, sympy and hypothesis are blocked outright, so any import of them
+    # by a package module, at load time or in a command, fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qvbs.__file__)))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "for name in ('scipy', 'sympy', 'hypothesis'):\n"
+        "    sys.modules[name] = None\n"
+        "import qvbs\n"
+        "for m in pkgutil.iter_modules(qvbs.__path__):\n"
+        "    importlib.import_module('qvbs.' + m.name)\n"
+        "from qvbs.cli import main\n"
+        "assert main(['prob', '--spin', '2', '--q', '1/2']) == 0\n"
+        "assert main(['state', '--spin', '1', '--length', '3', '--exact']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

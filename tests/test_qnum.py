@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,23 +7,22 @@ import pytest
 
 from qvbs.qnum import (
     LaurentQ,
-    RadScalar,
     RatQ,
-    eval_at,
     eval_mod,
     laurent_gcd,
     parse_q,
     q_binomial,
     q_factorial,
     q_integer,
-    sign_at_positive,
+    radical_float,
+    radical_form,
 )
 
 
 def test_q_integer_basics():
     assert q_integer(0).is_zero
     assert q_integer(2) == LaurentQ({1: 1, -1: 1})
-    assert eval_at(q_integer(4), 1) == 4.0
+    assert q_integer(4).eval_float(1) == 4.0
 
 
 def test_q_factorial_3():
@@ -52,7 +52,7 @@ def test_q_binomial_symmetry_and_bar():
 def test_pascal_classical_limit():
     for n in range(0, 13):
         for k in range(0, n + 1):
-            assert eval_at(q_binomial(n, k), 1) == math.comb(n, k)
+            assert q_binomial(n, k).eval_float(1) == math.comb(n, k)
 
 
 def test_q_binomial_rejects_bad_range():
@@ -63,11 +63,12 @@ def test_q_binomial_rejects_bad_range():
 
 
 def test_eval_at_examples():
-    assert eval_at(q_integer(2), Fraction(2)) == 2.5
-    assert eval_at(q_integer(5), 1) == 5.0
-    assert eval_at(q_binomial(4, 2), 1) == 6.0
+    assert q_integer(2).eval_float(Fraction(2)) == 2.5
+    assert q_integer(5).eval_float(1) == 5.0
+    assert q_binomial(4, 2).eval_float(1) == 6.0
+    assert RatQ(q_integer(3), q_integer(2)).eval_float(2) == 2.1
     with pytest.raises(ValueError):
-        eval_at(q_integer(2), -1)
+        q_integer(2).eval_float(-1)
 
 
 def test_eval_fraction_matches_termwise_sum():
@@ -174,45 +175,31 @@ def test_ratq_pole():
         r.eval_fraction(1)
 
 
-def test_radscalar_pairing_and_square():
-    rs = RadScalar.sqrt_of(q_integer(2), q_integer(2), q_integer(3))
-    assert rs.rat == q_integer(2)
-    assert rs.factors == (q_integer(3),)
-    assert rs.square() == q_integer(2) ** 2 * q_integer(3)
-    prod = rs * rs
-    assert prod.factors == ()
-    assert prod.to_laurent() == rs.square()
+def test_radical_form_pairs_equal_factors():
+    r, kept = radical_form((q_integer(3), LaurentQ.one(), q_integer(2),
+                            q_integer(2)))
+    assert r == q_integer(2)
+    assert kept == (q_integer(3),)
+    assert radical_form((q_integer(3), q_integer(3))) == (q_integer(3), ())
+    assert radical_form(()) == (LaurentQ.one(), ())
+    # the kept factors come sorted by key(), whatever the input order
+    a, b = q_integer(2), q_integer(3)
+    assert radical_form((a, b)) == radical_form((b, a))
 
 
-def test_radscalar_add_requires_matching_radicand():
-    a = RadScalar(q_integer(2), (q_integer(3),))
-    b = RadScalar(LaurentQ.one(), (q_integer(3),))
-    assert (a + b).rat == q_integer(2) + 1
-    with pytest.raises(ValueError):
-        a + RadScalar(LaurentQ.one(), (q_integer(5),))
-
-
-def test_radscalar_value_eq_and_eval():
-    a = RadScalar(q_integer(2), (q_integer(3),))
-    b = RadScalar.sqrt_of(q_integer(2), q_integer(2), q_integer(3))
-    assert a.value_eq(b)
-    assert not a.value_eq(-b)
-    v = a.eval_float(Fraction(1))
+def test_radical_float_matches_sqrt():
+    v = radical_float((q_integer(2), q_integer(2), q_integer(3)), Fraction(1))
     assert abs(v - 2 * math.sqrt(3)) < 1e-12
-
-
-def test_sign_at_positive():
-    assert sign_at_positive(q_integer(4)) == 1
-    assert sign_at_positive(-q_integer(4)) == -1
-    assert sign_at_positive(LaurentQ.zero()) == 0
-    # vanishes at q=1 but is signed elsewhere
-    p = LaurentQ({1: 1, -1: -1})
-    assert sign_at_positive(p) in (-1, 1)
+    assert radical_float((), 2) == 1.0
+    w = radical_float((q_integer(3),), Fraction(1, 2), LaurentQ.q_power(1, -2))
+    assert w == pytest.approx(-math.sqrt(5.25), rel=1e-15)
 
 
 def test_json_round_trip():
+    # exponent and coefficient strings read back into the same polynomial
     p = LaurentQ({3: 7, -2: -4})
-    assert LaurentQ.from_json_obj(p.to_json_obj()) == p
+    obj = json.loads(json.dumps(p.to_json_obj()))
+    assert LaurentQ({int(e): int(v) for e, v in obj.items()}) == p
     obj = p.to_json_obj()
     assert obj == {"3": "7", "-2": "-4"}
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,16 @@ def test_transfer_non_diagonal_operator_matches_einsum(S):
 def test_transfer_rejects_nonpositive_q():
     with pytest.raises(ValueError):
         transfer_matrix(2, 0)
+
+
+@pytest.mark.parametrize("A", (None, "sz", np.diag(np.arange(7.0))))
+def test_transfer_matrix_rejects_non_finite_entries(A):
+    # at q = 1e20 the S=3 broadcast overflows: inf and NaN entries, and a NaN
+    # passed the constructions' cross-check since nan > tol is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="S=3 is not finite"):
+            transfer_matrix(3, Fraction(10 ** 20), A)
 
 
 def test_eigensystem_properties():

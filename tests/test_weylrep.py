@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvbs.qnum import LaurentQ, RadScalar, q_factorial, q_integer
+from qvbs.qnum import LaurentQ, q_factorial, q_integer
 from qvbs.weylrep import (
     HGEN,
     QH,
@@ -124,9 +124,11 @@ def test_coproduct_diagonal_generators_on_mixed_weights():
 def test_poly_to_spin_highest_weight():
     st = poly_to_spin(SitePoly.var(1, "x", 4), 2, (1,))
     assert set(st.amps) == {(2,)}
-    amp = st.spin_amplitude((2,))
+    assert st.amps[(2,)] == LaurentQ.one() and st.prefactor == ()
     # bookkeeping: coefficient 1 times sqrt([4]! [0]!)
-    assert amp.value_eq(RadScalar.sqrt_of(q_factorial(4)))
+    q0 = Fraction(4, 5)
+    assert st.float_amplitudes(q0)[(2,)] == pytest.approx(
+        q_factorial(4).eval_float(q0) ** 0.5, rel=1e-15)
 
 
 def test_poly_to_spin_zero_and_errors():
@@ -146,16 +148,20 @@ def test_statevector_dense_ordering():
 
 
 def test_norm_squared_collapses_radicals():
-    st = StateVector(1, 2, {(1, -1): LaurentQ.one(), (0, 0): q_integer(2)})
-    n2 = st.norm_squared()
-    expect = (q_factorial(2) * q_factorial(2)
-              + q_integer(2) * q_integer(2))
-    assert n2 == expect
+    # <psi|psi> = prefactor * sum_m amp^2 prod_l [S+m_l]! [S-m_l]!, radical-free
+    st = StateVector(1, 2, {(1, -1): LaurentQ.one(), (0, 0): q_integer(2)},
+                     (q_integer(3),))
+    expect = q_integer(3) * (q_factorial(2) * q_factorial(2)
+                             + q_integer(2) * q_integer(2))
+    for q0 in (Fraction(1), Fraction(4, 5), Fraction(7, 3)):
+        v = st.to_dense(q0)
+        assert v @ v == pytest.approx(expect.eval_float(q0), rel=1e-14)
 
 
 def test_proportionality_and_translation():
     st = StateVector(1, 2, {(1, -1): q_integer(2), (0, 0): q_integer(3)})
-    assert st.proportional_to(st.scaled(q_integer(5)))
+    scaled = StateVector(1, 2, {k: v * q_integer(5) for k, v in st.amps.items()})
+    assert st.proportional_to(scaled)
     other = StateVector(1, 2, {(1, -1): q_integer(2), (0, 0): q_integer(4)})
     assert not st.proportional_to(other)
     tr = st.translated()
