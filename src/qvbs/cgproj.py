@@ -51,68 +51,37 @@ def check_budget(bytes_needed, what):
             % (what, bytes_needed / 2 ** 20, limit_mb))
 
 
-@dataclass
-class HighestWeightVector:
-    """Raising-annihilated vector of total spin J in V_Sk (x) V_Sl.
+def highest_weight(S, J):
+    """Highest-weight vector of total spin J in V_S (x) V_S, as a polynomial
+    on sites (1, 2), fixed only up to overall scale.
 
-    `poly` is the closed product form on sites (1, 2); `coeffs` are the
-    recursion coefficients (denominators cleared), indexed by m_k from the
-    bottom of the support upward. Both are fixed only up to overall scale.
+    Built two independent ways and cross-checked: the closed product form
+    and the raising-condition recursion must agree up to scale, and the
+    result must be annihilated by the two-site raising action.
     """
-
-    S_k: int
-    S_l: int
-    J: int
-    poly: SitePoly
-    coeffs: list
-
-
-def _closed_form_poly(S_k, S_l, J):
-    p = SitePoly.monomial({1: (S_k - S_l + J, 0), 2: (S_l - S_k + J, 0)})
-    for m in range(1, S_k + S_l - J + 1):
-        f = SitePoly.monomial({1: (1, 0), 2: (0, 1)}) - SitePoly.monomial(
-            {1: (0, 1), 2: (1, 0)}, LaurentQ.q_power(2 * m - 2 - S_k - S_l)
-        )
-        p = p * f
-    return p
-
-
-def highest_weight(S_k, S_l, J):
-    """Highest-weight vector, built two independent ways and cross-checked.
-
-    The closed product form and the raising-condition recursion must agree up
-    to scale, and the result must be annihilated by the two-site raising
-    action; both are asserted here.
-    """
-    if not (abs(S_k - S_l) <= J <= S_k + S_l):
-        raise ValueError("J=%d outside the Clebsch-Gordan range [%d, %d]"
-                         % (J, abs(S_k - S_l), S_k + S_l))
-    closed = _closed_form_poly(S_k, S_l, J)
-
-    lo = max(-S_k, J - S_l)
-    hi = min(S_k, J + S_l)
-    # C_{m+1} = -q^(J+1) [S_k - m] / [S_l - J + m + 1] C_m, cleared so every
-    # coefficient is a plain Laurent polynomial
-    ups = [(-LaurentQ.q_power(J + 1)) * q_integer(S_k - j) for j in range(lo, hi)]
-    downs = [q_integer(S_l - J + j + 1) for j in range(lo, hi)]
-    coeffs = []
-    for m in range(lo, hi + 1):
-        c = LaurentQ.one()
-        for j in range(lo, m):
-            c = c * ups[j - lo]
-        for j in range(m, hi):
-            c = c * downs[j - lo]
-        coeffs.append(c)
+    if not 0 <= J <= 2 * S:
+        raise ValueError("J=%d outside the Clebsch-Gordan range [0, %d]" % (J, 2 * S))
+    closed = SitePoly.monomial({1: (J, 0), 2: (J, 0)})
+    for m in range(1, 2 * S - J + 1):
+        closed = closed * (SitePoly.monomial({1: (1, 0), 2: (0, 1)})
+                           - SitePoly.monomial({1: (0, 1), 2: (1, 0)},
+                                               LaurentQ.q_power(2 * m - 2 - 2 * S)))
+    # C_{m+1} = -q^(J+1) [S - m] / [S - J + m + 1] C_m, cleared so every
+    # coefficient is a plain Laurent polynomial; m runs from J - S to S
+    ms = range(J - S, S + 1)
+    ups = [(-LaurentQ.q_power(J + 1)) * q_integer(S - j) for j in ms[:-1]]
+    downs = [q_integer(S - J + j + 1) for j in ms[:-1]]
     rec = SitePoly.zero()
-    for m, c in zip(range(lo, hi + 1), coeffs):
-        rec = rec + SitePoly.monomial(
-            {1: (S_k + m, S_k - m), 2: (S_l + J - m, S_l - J + m)}, c
-        )
+    for i, m in enumerate(ms):
+        c = LaurentQ.one()
+        for f in ups[:i] + downs[i:]:
+            c = c * f
+        rec = rec + SitePoly.monomial({1: (S + m, S - m), 2: (S + J - m, S - J + m)}, c)
     if not rec.proportional_to(closed):
         raise AssertionError("recursion and closed form disagree for J=%d" % J)
     if not coproduct_apply(closed, XPLUS, (1, 2)).is_zero:
         raise AssertionError("closed form not annihilated by raising for J=%d" % J)
-    return HighestWeightVector(S_k, S_l, J, closed, coeffs)
+    return closed
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +89,7 @@ def rep_basis(S, J):
     """Lowering orbit (2J+1 vectors) generated from the highest-weight vector."""
     if not (0 <= J <= 2 * S):
         raise ValueError("need 0 <= J <= 2S")
-    v = highest_weight(S, S, J).poly
+    v = highest_weight(S, J)
     orbit = [v]
     for _ in range(2 * J):
         v = coproduct_apply(v, XMINUS, (1, 2))

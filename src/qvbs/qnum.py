@@ -131,12 +131,6 @@ class LaurentQ:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -378,9 +372,6 @@ class RatQ:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -389,28 +380,11 @@ class RatQ:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatQ(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RatQ is not hashable")
 
     def eval_fraction(self, q0):
         d = self.den.eval_fraction(q0)

@@ -2,8 +2,11 @@
 
 The double-layer transfer matrix G is built two independent ways (from the
 site tensor, and from its printed closed form) and the two are compared on
-every construction. Each (S, q) is built, checked and diagonalized once and
-kept in a bounded cache together with the S^z insertion in the eigenbasis;
+every construction. The printed entry rule is written once, in _entry_rule,
+and the exact similar core behind the spectrum certificate and the exact
+equal-index block read that same rule. Each (S, q) is built, checked and
+diagonalized once and kept in a bounded cache together with the S^z
+insertion in the eigenbasis;
 every numeric correlator is then a short sum in the eigenvalue ratios. An
 exact symbolic path exists for the equal-index block, which is all the
 spin-resolved probabilities need: its top eigenvector has the closed form
@@ -21,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cgproj import check_budget
+from .cgproj import check_budget, exact_dot
 from .mpscore import tensor_f
 from .qnum import LaurentQ, RatQ, eval_mod, q_binomial, q_factorial, q_integer
 
@@ -69,9 +72,30 @@ def _f_spin_scalars(S, q0):
 
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _q_floats(S, q0):
-    fact = tuple(float(q_factorial(n).eval_fraction(q0)) for n in range(2 * S + 1))
-    binom = tuple(float(q_binomial(S, k).eval_fraction(q0)) for k in range(S + 1))
+    """[n]! for n = 0..2S and [S, k] for k = 0..S at q0, as read-only arrays."""
+    fact = np.array([float(q_factorial(n).eval_fraction(q0)) for n in range(2 * S + 1)])
+    binom = np.array([float(q_binomial(S, k).eval_fraction(q0)) for k in range(S + 1)])
+    fact.flags.writeable = binom.flags.writeable = False
     return fact, binom
+
+
+@lru_cache(maxsize=None)
+def _entry_rule(S):
+    """The printed closed form of G, written once for every consumer.
+
+    G couples (a, b) to (c, d) only when a - b = c - d, and then
+    G[(a,b),(c,d)] = sign q^e [m]! [n]! sqrt([S,a][S,b][S,c][S,d]) with
+    indices from 0, sign = (-1)^(a+b), e = (a+b+c+d-2S)(S+1)/2 (a+b+c+d is
+    even), m = S-a+c and n = S+a-c. Returned as a read-only int array of
+    rows a, b, c, d, sign, e, m, n, one column per coupled entry.
+    """
+    a, b, c = np.indices((S + 1,) * 3).reshape(3, -1)
+    d = c - a + b
+    a, b, c, d = (x[(0 <= d) & (d <= S)] for x in (a, b, c, d))
+    rule = np.array([a, b, c, d, 1 - 2 * ((a + b) % 2),
+                     (a + b + c + d - 2 * S) * (S + 1) // 2, S - a + c, S + a - c])
+    rule.flags.writeable = False
+    return rule
 
 
 def _transfer_generic(S, q0, op):
@@ -87,28 +111,14 @@ def _transfer_generic(S, q0, op):
 
 
 def _transfer_explicit(S, q0, with_sz):
-    qv = float(q0)
+    """G, or G^sz (each entry times d - b), from _entry_rule in floats."""
     fact, binom = _q_floats(S, q0)
-    d = S + 1
-    G = np.zeros((d * d, d * d))
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            row = (a - 1) * d + (b - 1)
-            for c in range(1, d + 1):
-                dd = c - a + b
-                if not 1 <= dd <= d:
-                    continue
-                e2 = (a + b + c + dd - 2 * S - 4) * (S + 1)
-                if e2 % 2:
-                    raise AssertionError("selection rule broke the q-power parity")
-                sign = -1.0 if (a + b) % 2 else 1.0
-                rad = (binom[a - 1] * binom[b - 1] * binom[c - 1] * binom[dd - 1]
-                       * fact[S - a + c] * fact[S + a - c]
-                       * fact[S - b + dd] * fact[S + b - dd])
-                val = sign * qv ** (e2 // 2) * rad ** 0.5
-                if with_sz:
-                    val *= dd - b
-                G[row, (c - 1) * d + (dd - 1)] = val
+    a, b, c, d, sign, e, m, n = _entry_rule(S)
+    G = np.zeros(((S + 1) ** 2,) * 2)
+    G[a * (S + 1) + b, c * (S + 1) + d] = (
+        sign * float(q0) ** e * fact[m] * fact[n]
+        * np.sqrt(binom[a] * binom[b] * binom[c] * binom[d])
+        * (d - b if with_sz else 1))
     return G
 
 
@@ -120,29 +130,33 @@ def transfer_matrix(S, q0, A=None):
 
     Built generically from the site tensor; when a printed closed form exists
     (plain G and the S^z insertion) the two constructions are compared and a
-    mismatch aborts, guarding the transcription of either formula.
+    mismatch aborts, guarding the entry rule the exact certificate reads too.
+    G must be symmetric and G^sz antisymmetric (d - b = c - a flips sign).
     """
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q must be positive")
+    printed = A is None or isinstance(A, str)
     with np.errstate(over="ignore", invalid="ignore"):
         G = _transfer_generic(S, q0, _site_op(S, A))
+        ref = _transfer_explicit(S, q0, with_sz=A is not None) if printed else None
     if not np.isfinite(G).all():
         # far from q = 1 the entries leave the float range; a NaN would also
         # pass every tolerance comparison below
         raise OverflowError("transfer matrix of S=%d is not finite in floats" % S)
-    if A is None or isinstance(A, str):
-        ref = _transfer_explicit(S, q0, with_sz=A is not None)
-        if not np.isfinite(ref).all():
-            raise OverflowError(
-                "closed-form transfer matrix of S=%d is not finite in floats" % S)
-        scale = max(np.abs(ref).max(), 1e-300)
-        if np.abs(G - ref).max() > _CROSS_TOL * scale:
-            raise AssertionError(
-                "transfer matrix constructions disagree beyond %g" % _CROSS_TOL)
-    if A is None:
-        if np.abs(G - G.T).max() > _CROSS_TOL * max(np.abs(G).max(), 1e-300):
-            raise AssertionError("transfer matrix is not symmetric")
+    if not printed:
+        return G
+    if not np.isfinite(ref).all():
+        raise OverflowError(
+            "closed-form transfer matrix of S=%d is not finite in floats" % S)
+    scale = max(np.abs(ref).max(), 1e-300)
+    if np.abs(G - ref).max() > _CROSS_TOL * scale:
+        raise AssertionError(
+            "transfer matrix constructions disagree beyond %g" % _CROSS_TOL)
+    parity = 1 if A is None else -1
+    if np.abs(G - parity * G.T).max() > _CROSS_TOL * scale:
+        raise AssertionError("transfer matrix is not %ssymmetric"
+                             % ("" if A is None else "anti"))
     return G
 
 
@@ -246,7 +260,12 @@ def conjecture_check(S, q0, tol=1e-9):
 @dataclass(frozen=True)
 class Spectral:
     """Validated transfer data of one (S, q): the eigensystem of G, the
-    ratios w = lambda / lambda_1 and the S^z image V^T G^sz V / lambda_1."""
+    ratios w = lambda / lambda_1 and the S^z image V^T G^sz V / lambda_1.
+
+    G^sz is antisymmetric, so its image is too: each diagonal entry, <S^z>
+    at one level, is exactly zero. The image is stored antisymmetrized, as
+    the float rounding residues there would otherwise square into a floor
+    of about 1e-36 under every long-range correlator."""
     es: EigenSystem
     w: np.ndarray
     sz: np.ndarray
@@ -256,8 +275,8 @@ class Spectral:
 def _spectral(S, q0):
     es = eigensystem(transfer_matrix(S, q0), require_gap=False)
     V = es.vectors
-    data = Spectral(es, es.eigenvalues / es.top,
-                    V.T @ transfer_matrix(S, q0, "sz") @ V / es.top)
+    sz = V.T @ transfer_matrix(S, q0, "sz") @ V / es.top
+    data = Spectral(es, es.eigenvalues / es.top, (sz - sz.T) / 2)
     for arr in (es.eigenvalues, es.vectors, data.w, data.sz):
         arr.flags.writeable = False
     return data
@@ -356,19 +375,8 @@ def sz_distribution(S, q0):
 
 
 def _mat_mul(A, B):
-    n, m = len(B), len(B[0])
-    out = []
-    for row in A:
-        acc = [LaurentQ.zero()] * m
-        for k in range(n):
-            a = row[k]
-            if a.is_zero:
-                continue
-            for j, b in enumerate(B[k]):
-                if not b.is_zero:
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
-    return out
+    cols = list(zip(*B))
+    return [[exact_dot(row, col) for col in cols] for row in A]
 
 
 @lru_cache(maxsize=32)
@@ -426,28 +434,21 @@ def conjecture_moment_identity(S, k):
 def _rational_similar_core(S):
     """A rational matrix exactly similar to G, as its diagonal blocks.
 
-    G = D M D with D = diag(sqrt of the index binomials) and M rational, so
-    N = M D^2 shares G's spectrum; N has plain Laurent entries. Both couple
-    (a, b) to (c, d) only when a - b = c - d, so N is block-diagonal in
-    delta = a - b; the blocks N_delta come for delta = -S..S, each indexed by
-    its pairs (a, a - delta) with a ascending.
+    G = D M D with D = diag(sqrt([S,a][S,b])) and M rational, so N = M D^2
+    shares G's spectrum; N's entries are _entry_rule's sign q^e [m]! [n]!
+    times [S,c][S,d], plain Laurent polynomials. Both couple (a, b) to (c, d)
+    only when a - b = c - d, so N is block-diagonal in delta = a - b; the
+    blocks N_delta come for delta = -S..S, each indexed by its pairs
+    (a, a - delta) with a ascending.
     """
-    n = S + 1
-    blocks = []
-    for delta in range(-S, S + 1):
-        pairs = [(a, a - delta) for a in range(max(1, 1 + delta),
-                                               min(n, n + delta) + 1)]
-        block = []
-        for (a, b) in pairs:
-            row = []
-            for (c, d) in pairs:
-                e2 = (a + b + c + d - 2 * S - 4) * (S + 1)
-                sign = -1 if (a + b) % 2 else 1
-                m_rat = (LaurentQ.q_power(e2 // 2, sign)
-                         * q_factorial(S - a + c) * q_factorial(S + a - c))
-                row.append(m_rat * q_binomial(S, c - 1) * q_binomial(S, d - 1))
-            block.append(row)
-        blocks.append(block)
+    binom = [q_binomial(S, k) for k in range(S + 1)]
+    blocks = [[[None] * (S + 1 - abs(delta)) for _ in range(S + 1 - abs(delta))]
+              for delta in range(-S, S + 1)]
+    for a, b, c, d, sign, e, m, n in _entry_rule(S).T.tolist():
+        lo = max(0, a - b)
+        blocks[S + a - b][a - lo][c - lo] = (
+            LaurentQ.q_power(e, sign) * q_factorial(m) * q_factorial(n)
+            * binom[c] * binom[d])
     return blocks
 
 
@@ -686,18 +687,12 @@ def conjecture_exact_certificate(S):
 
 @lru_cache(maxsize=None)
 def transfer_diag_block_exact(S):
-    """The a=b block of G as exact Laurent entries (radicals pair up there)."""
-    n = S + 1
-    out = []
-    for a in range(1, n + 1):
-        row = []
-        for c in range(1, n + 1):
-            e = (a + c - S - 2) * (S + 1)
-            val = LaurentQ.q_power(e) * q_binomial(S, a - 1) * q_binomial(S, c - 1) \
-                * q_factorial(S - a + c) * q_factorial(S + a - c)
-            row.append(val)
-        out.append(row)
-    return out
+    """The a=b block of G as exact Laurent entries, where the radicals pair
+    up: D0 N0 D0^-1 for the delta = 0 block N0 of the rational similar core,
+    D0 = diag([S,a]), by exact division."""
+    binom = [q_binomial(S, k) for k in range(S + 1)]
+    return [[(e * binom[a]).divide_exact(binom[c]) for c, e in enumerate(row)]
+            for a, row in enumerate(_rational_similar_core(S)[S])]
 
 
 @lru_cache(maxsize=None)

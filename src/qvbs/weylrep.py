@@ -111,9 +111,6 @@ class SitePoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("SitePoly is not hashable")
-
     def exponents_at(self, key, site):
         for s, dx, dy in key:
             if s == site:
@@ -122,16 +119,7 @@ class SitePoly:
 
     def proportional_to(self, other):
         """True when self = c * other for a single nonzero scalar c."""
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if set(self.terms) != set(other.terms):
-            return False
-        ref = next(iter(self.terms))
-        a0, b0 = self.terms[ref], other.terms[ref]
-        for k, a in self.terms.items():
-            if a * b0 != other.terms[k] * a0:
-                return False
-        return True
+        return _proportional(self.terms, other.terms)
 
     def __str__(self):
         if not self.terms:
@@ -165,6 +153,22 @@ def _accumulate(terms, k, v):
         terms.pop(k, None)
     else:
         terms[k] = s
+
+
+def _proportional(a, b):
+    """True when the coefficient dicts a and b (no zero values stored) hold
+    c times each other's values for one nonzero scalar c: the same keys, and
+    every cross product a_k b_r equal to b_k a_r at one reference key r."""
+    if a.keys() != b.keys():
+        return False
+    if not a:
+        return True
+    # every cross product multiplies by the reference pair, so it sits at
+    # the smallest key: a chain state's amplitude there is one term, while
+    # the all-zero key, often first, holds the longest amplitude
+    ref = min(a)
+    a0, b0 = a[ref], b[ref]
+    return all(v * b0 == b[k] * a0 for k, v in a.items())
 
 
 def _norm_key(k):
@@ -349,18 +353,8 @@ class StateVector:
         The prefactors are global constants, so componentwise proportionality
         of the monomial-gauge amplitudes is the whole statement.
         """
-        if (self.S, self.L) != (other.S, other.L):
-            return False
-        if set(self.amps) != set(other.amps):
-            return False
-        if self.is_zero:
-            return True
-        ref = min(self.amps)
-        a0, b0 = self.amps[ref], other.amps[ref]
-        for k, a in self.amps.items():
-            if a * b0 != other.amps[k] * a0:
-                return False
-        return True
+        return ((self.S, self.L) == (other.S, other.L)
+                and _proportional(self.amps, other.amps))
 
 
 def poly_to_spin(p, S, sites):

@@ -27,34 +27,28 @@ Q0 = Fraction(4, 5)
 
 def test_highest_weight_top_is_monomial():
     for S in (1, 2, 3):
-        hw = highest_weight(S, S, 2 * S)
-        assert hw.poly == SitePoly.monomial({1: (2 * S, 0), 2: (2 * S, 0)})
+        hw = highest_weight(S, 2 * S)
+        assert hw == SitePoly.monomial({1: (2 * S, 0), 2: (2 * S, 0)})
 
 
 def test_highest_weight_s2_j2_matches_published_form():
-    hw = highest_weight(2, 2, 2)
+    hw = highest_weight(2, 2)
     ref = SitePoly.monomial({1: (2, 0), 2: (2, 0)}) \
         * bond_factor(1, 1, 2) * bond_factor(2, 1, 2)
-    assert hw.poly.proportional_to(ref)
+    assert hw.proportional_to(ref)
 
 
 def test_highest_weight_singlet_annihilated():
     for S in (1, 2):
-        hw = highest_weight(S, S, 0)
-        assert coproduct_apply(hw.poly, XPLUS, (1, 2)).is_zero
-
-
-def test_highest_weight_mixed_spins():
-    hw = highest_weight(2, 1, 1)
-    assert coproduct_apply(hw.poly, XPLUS, (1, 2)).is_zero
-    assert len(hw.coeffs) == 3
+        hw = highest_weight(S, 0)
+        assert coproduct_apply(hw, XPLUS, (1, 2)).is_zero
 
 
 def test_highest_weight_range_errors():
     with pytest.raises(ValueError):
-        highest_weight(2, 2, 5)
+        highest_weight(2, 5)
     with pytest.raises(ValueError):
-        highest_weight(2, 1, 0)
+        highest_weight(2, -1)
 
 
 def test_rep_basis_dimensions():
@@ -329,7 +323,7 @@ def test_raising_cancellation_up_to_spin4():
     # the closed form and the recursion agree, and the raising action kills
     # the result, for every block up to two spin-4 sites (asserted inside)
     for J in range(0, 9):
-        highest_weight(4, 4, J)
+        highest_weight(4, J)
 
 
 def test_hamiltonian_annihilates_pbc_state():

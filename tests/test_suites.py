@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 from qvbs import suites
 
 
@@ -21,6 +24,14 @@ def test_suite_registry_complete():
         "certificates",
     }
     assert len(suites.ACCEPTANCE_SUITES) == 9
+
+
+def test_readme_lists_exactly_the_registered_suites():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"runs a single suite; names:(.*?)\.", readme, re.S)
+    assert listed, "README no longer lists the suite names"
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert sorted(names) == sorted(suites.SUITE_BY_NAME)
 
 
 def test_run_acceptance_shape(acceptance_run):

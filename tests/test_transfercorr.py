@@ -112,6 +112,49 @@ def test_transfer_matrix_rejects_non_finite_entries(A):
             transfer_matrix(3, Fraction(10 ** 20), A)
 
 
+@pytest.fixture
+def slipped_rule(monkeypatch):
+    """Serve a copy of _entry_rule(S) with one entry of one row changed, to
+    every consumer of the shared closed form, with their caches cleared."""
+    caches = (transfercorr._rational_similar_core, transfercorr._core_block_powers)
+
+    def slip(S, row, col, change):
+        rule = transfercorr._entry_rule(S).copy()
+        rule[row, col] = change(rule[row, col])
+        monkeypatch.setattr(transfercorr, "_entry_rule", lambda S: rule)
+        for cache in caches:
+            cache.cache_clear()
+    yield slip
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("row, change", ((4, lambda sign: -sign),
+                                         (5, lambda e: e + 1)),
+                         ids=("sign", "exponent"))
+@pytest.mark.parametrize("col", (0, 22, -1))  # S=3 has 44 coupled entries
+def test_slip_in_the_entry_rule_fails_cross_check_and_certificate(
+        slipped_rule, row, change, col):
+    # the float cross-check and the exact certificate read one entry rule,
+    # so one wrong sign or q exponent there must fail both
+    slipped_rule(3, row, col, change)
+    with pytest.raises(AssertionError, match="constructions disagree"):
+        transfer_matrix(3, Fraction(4, 5))
+    assert conjecture_exact_certificate(3)["proved"] is False
+
+
+def test_sz_transfer_matrix_antisymmetry_is_checked(monkeypatch):
+    # both constructions wrong in the same way pass the cross-check; a
+    # symmetric G^sz still fails the antisymmetry check
+    fake = np.ones((9, 9))
+    monkeypatch.setattr(transfercorr, "_transfer_generic", lambda S, q0, op: fake)
+    monkeypatch.setattr(transfercorr, "_transfer_explicit",
+                        lambda S, q0, with_sz: fake)
+    transfer_matrix(2, Fraction(4, 5))
+    with pytest.raises(AssertionError, match="not antisymmetric"):
+        transfer_matrix(2, Fraction(4, 5), "sz")
+
+
 def test_eigensystem_properties():
     G = transfer_matrix(2, Fraction(4, 5))
     es = eigensystem(G)
@@ -536,9 +579,24 @@ def test_finite_large_length_matches_thermo(S, L):
 
 
 def test_thermo_matches_closed_form_at_long_range():
-    for S in (2, 3):
-        cf = closed_form_szsz(S, Q_NEAR, 60)
-        assert abs(two_point_thermo("sz", "sz", S, Q_NEAR, 60) - cf) <= 1e-9 * abs(cf)
+    # the squared rounding residues of <S^z> once stopped the decay: S=2,
+    # q=1/2 gave 1.602784e-36 for every r from 100 on
+    cases = ((2, Q_NEAR, (60,)), (3, Q_NEAR, (60,)),
+             (2, Fraction(1, 2), range(98, 103)), (3, Fraction(2), range(98, 103)),
+             (2, Fraction(1, 10 ** 5), (7, 8)))
+    for S, q0, rs in cases:
+        for r in rs:
+            cf = closed_form_szsz(S, q0, r)
+            assert abs(two_point_thermo("sz", "sz", S, q0, r) - cf) <= 1e-9 * abs(cf)
+
+
+def test_sz_image_has_exactly_zero_diagonal():
+    # G^sz is antisymmetric, so <S^z> vanishes at every level
+    for S in (1, 2, 3):
+        G = transfer_matrix(S, Fraction(1, 2), "sz")
+        assert np.array_equal(G, -G.T)
+        sz = transfercorr.spectral_data(S, Fraction(1, 2)).sz
+        assert np.array_equal(sz, -sz.T)
 
 
 def test_finite_eigenbasis_sum_matches_matrix_powers():
