@@ -5,13 +5,15 @@ of square roots of positive Laurent radicands, and the q-integer /
 q-factorial / q-binomial constructions. A Fraction enters only as a value of
 q or as a rational constant that RatQ splits into its integer numerator and
 denominator; floating point enters only through the eval helpers. Every
-other operation is exact in the integers, so zero tests are decisive;
-eval_mod maps a batch of Laurent polynomials to their residues at points of
-GF(p), for zero tests by evaluation.
+other operation is exact in the integers, so zero tests are decisive.
+The modular kernel at the end (eval_mod, the fixed PRIMES and the bounds
+that say how many points and primes make a zero test a proof) serves the
+zero tests by evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -482,6 +484,81 @@ def parse_q(text):
     return q0
 
 
+# -- modular zero tests -------------------------------------------------
+#
+# A Laurent polynomial with integer coefficients whose exponents span at
+# most D and whose coefficients are at most H in absolute value is zero
+# exactly when it vanishes at D+1 nonzero points of GF(p) for each of a set
+# of primes whose product exceeds 2H (Brown 1971, J. ACM 18, 478; von zur
+# Gathen and Gerhard, Modern Computer Algebra, ch. 5-6). Callers carry D and
+# H through their products from spans(), so every zero test is a proof, not
+# sampling; and a single nonzero residue at any point proves a nonzero.
+
+# The 32 largest primes below 2**31. Residues stay below 2**31, so a
+# product of two is below 2**62 and adding a residue stays inside int64.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921)
+
+
+def _flatten(polys):
+    """Term counts, exponents and coefficients of a batch, concatenated; the
+    coefficients are int64 when every one fits, an object array past that."""
+    sizes = np.array([len(f._c) for f in polys], dtype=np.int64)
+    chain = itertools.chain.from_iterable
+    exps = np.fromiter(chain(f._c for f in polys), dtype=np.int64,
+                       count=int(sizes.sum()))
+    coeffs = np.array(list(chain(f._c.values() for f in polys)))
+    return sizes, exps, coeffs
+
+
+def spans(polys):
+    """Per polynomial: min exponent, max exponent (int64 arrays) and l1 norm
+    (an object array of ints). The zero polynomial gets the range [0, 0],
+    which only widens the ranges it enters, and norm 0."""
+    sizes, exps, coeffs = _flatten(polys)
+    lo, hi = np.zeros((2, len(polys)), dtype=np.int64)
+    l1 = np.zeros(len(polys), dtype=object)
+    live = sizes > 0
+    if live.any():
+        first = (np.cumsum(sizes) - sizes)[live]
+        lo[live] = np.minimum.reduceat(exps, first)
+        hi[live] = np.maximum.reduceat(exps, first)
+        l1[live] = np.add.reduceat(np.abs(coeffs.astype(object)), first)
+    return lo, hi, l1
+
+
+def primes_for_height(H, what):
+    """The shortest nonempty prefix of PRIMES whose product exceeds 2H."""
+    for n in range(1, len(PRIMES) + 1):
+        if math.prod(PRIMES[:n]) > 2 * H:
+            return PRIMES[:n]
+    raise ValueError("height bound of %d bits in %s needs more than the %d "
+                     "fixed primes" % (H.bit_length(), what, len(PRIMES)))
+
+
+def mat_mul_mod(A, B, p):
+    """Product of (n, k, P) and (k, m, P) stacks of matrices over GF(p), one
+    matrix per point; each partial sum is reduced at once, so no entry
+    exceeds 2**62 + p."""
+    out = np.zeros((A.shape[0], B.shape[1], A.shape[2]), dtype=np.int64)
+    for k in range(A.shape[1]):
+        out += A[:, k, None] * B[None, k]
+        out %= p
+    return out
+
+
+@lru_cache(maxsize=64)
+def _powers(points, e, p):
+    """x**e mod p for each point x; the Python pow inverts for e < 0, which
+    costs about a microsecond a point, and the callers reuse point sets."""
+    return tuple(pow(v, e, p) for v in points)
+
+
 def eval_mod(polys, points, p):
     """Values of Laurent polynomials at points of GF(p), modulo the prime p.
 
@@ -493,26 +570,25 @@ def eval_mod(polys, points, p):
     split into 16-bit limbs.
     """
     x = np.asarray(points, dtype=np.int64) % p
-    live = [f for f in polys if not f.is_zero]
-    if not live:
+    sizes, exps, coeffs = _flatten(polys)
+    if not exps.size:
         return np.zeros((len(polys), len(x)), dtype=np.int64)
-    lo = min(f.min_exp() for f in live)
-    width = max(f.max_exp() for f in live) - lo + 1
+    lo = int(exps.min())
+    width = int(exps.max()) - lo + 1
     if width > 2 ** 16:
         raise ValueError("exponent range %d too wide for int64 sums" % width)
-    rows, cols, coeffs = [], [], []
-    for i, f in enumerate(polys):
-        rows += [i] * len(f._c)
-        cols += f._c.keys()
-        coeffs += f._c.values()
     C = np.zeros((len(polys), width), dtype=np.int64)
-    C[rows, np.array(cols, dtype=np.int64) - lo] = (
-        np.array(coeffs, dtype=object) % p).astype(np.int64)
+    C[np.repeat(np.arange(len(polys)), sizes), exps - lo] = coeffs % p
+    # the powers x**(lo + k) by doubling: rows n..2n-1 are rows 0..n-1
+    # times x**n
+    X = np.empty((width, len(x)), dtype=np.int64)
+    X[0] = _powers(tuple(x.tolist()), lo, p)
+    step, n = x, 1
+    while n < width:
+        m = min(n, width - n)
+        X[n:n + m] = X[:m] * step % p
+        step, n = step * step % p, n + m
     # a residue times a limb is below 2**47, and a row of at most 2**16 such
     # products sums below 2**63
-    x1, x0 = np.empty((2, width, len(x)), dtype=np.int64)
-    power = np.array([pow(int(v), lo, p) for v in x], dtype=np.int64)
-    for k in range(width):
-        x1[k], x0[k] = np.divmod(power, 1 << 16)
-        power = power * x % p
+    x1, x0 = np.divmod(X, 1 << 16)
     return (C @ x1 % p * (1 << 16) + C @ x0 % p) % p

@@ -26,7 +26,8 @@ import numpy as np
 
 from .cgproj import check_budget, exact_dot
 from .mpscore import tensor_f
-from .qnum import LaurentQ, RatQ, eval_mod, q_binomial, q_factorial, q_integer
+from .qnum import (LaurentQ, RatQ, eval_mod, mat_mul_mod, primes_for_height,
+                   q_binomial, q_factorial, q_integer, spans)
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -292,13 +293,27 @@ def spectral_data(S, q0, require_gap=True):
 
 
 def _image(data, S, q0, A):
-    """The site operator A in the eigenbasis, V^T G^A V / lambda_1."""
+    """The site operator A in the eigenbasis, V^T G^A V / lambda_1.
+
+    G^A transposed is G^(R A R), R the flip m -> -m, and V is orthogonal; so
+    the part of A that R A R keeps has a symmetric image and the part it
+    negates an antisymmetric one. Each part's image is stored exactly so:
+    the diagonal of an odd operator's image such as S^z's is exactly zero,
+    where floats leave a rounding residue whose square floors the
+    correlators.
+    """
     if A is None:
         return np.diag(data.w)
     if isinstance(A, str) and A == "sz":
         return data.sz
     V = data.es.vectors
-    return V.T @ transfer_matrix(S, q0, A) @ V / data.es.top
+    A = _site_op(S, A)
+    flipped = A[::-1, ::-1]
+    out = np.zeros_like(V)
+    for part, sign in (((A + flipped) / 2, 1), ((A - flipped) / 2, -1)):
+        image = V.T @ transfer_matrix(S, q0, part) @ V / data.es.top
+        out += (image + sign * image.T) / 2
+    return out
 
 
 def _finite(value, what, S, q0):
@@ -471,43 +486,19 @@ def _factors_annihilate(block, roots):
 # -- modular certificate ------------------------------------------------
 #
 # Each identity the certificate checks says that a Laurent polynomial with
-# integer coefficients is zero. If its exponents span at most D and its
-# coefficients are at most H in absolute value, it is zero exactly when it
-# vanishes at D+1 nonzero points of GF(p) for each of a set of primes whose
-# product exceeds 2H (Brown 1971, J. ACM 18, 478; von zur Gathen and
-# Gerhard, Modern Computer Algebra, ch. 5-6). D and H come from exponent
-# ranges and l1 norms carried through the same block products in Python
-# ints, so every zero test is a proof, not sampling. The dict path above
-# stays as the oracle.
-
-# The 32 largest primes below 2**31. Residues stay below 2**31, so a
-# product of two is below 2**62 and adding a residue stays inside int64.
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921)
+# integer coefficients is zero; it is proved by the modular zero test of
+# qnum, with the degree bound D and height bound H carried through the same
+# block products in Python ints. The dict path above stays as the oracle.
 
 
 # points per evaluation; bounds the arrays a certificate holds at once
 _CHUNK = 128
 
 
-def _span(f):
-    """(min exponent, max exponent, l1 norm) of f; the zero polynomial gets
-    the range [0, 0], which only widens the ranges it enters."""
-    if f.is_zero:
-        return 0, 0, 0
-    return f.min_exp(), f.max_exp(), sum(abs(v) for _, v in f.items())
-
-
 def _block_spans(block):
     n = len(block)
-    lo, hi, l1 = zip(*(_span(e) for row in block for e in row))
-    return (np.array(lo).reshape(n, n), np.array(hi).reshape(n, n),
-            np.array(l1, dtype=object).reshape(n, n))
+    entries = [e for row in block for e in row]
+    return tuple(a.reshape(n, n) for a in spans(entries))
 
 
 def _spans_mul(A, B):
@@ -534,7 +525,7 @@ def _certificate_bounds(blocks, roots, lams):
         N = _block_spans(block)
         diag = np.arange(len(block))
         work = None
-        for r_lo, r_hi, r_l1 in map(_span, roots):
+        for r_lo, r_hi, r_l1 in zip(*spans(roots)):
             factor = tuple(a.copy() for a in N)
             factor[0][diag, diag] = np.minimum(factor[0][diag, diag], r_lo)
             factor[1][diag, diag] = np.maximum(factor[1][diag, diag], r_hi)
@@ -547,8 +538,8 @@ def _certificate_bounds(blocks, roots, lams):
                 power = _spans_mul(power, N)
             see(*power)
             traces[k].append(tuple(a.diagonal() for a in power))
-    nums = [_span(lam.num) for lam in lams]
-    dens = [_span(lam.den) for lam in lams]
+    nums = list(zip(*spans([lam.num for lam in lams])))
+    dens = list(zip(*spans([lam.den for lam in lams])))
     d_lo, d_hi = sum(d[0] for d in dens), sum(d[1] for d in dens)
     d_l1 = math.prod(d[2] for d in dens)
     for k, parts in enumerate(traces, start=1):
@@ -565,17 +556,6 @@ def _certificate_bounds(blocks, roots, lams):
     return D, H
 
 
-def _mat_mul_mod(A, B, p):
-    """Product of (n, k, P) and (k, m, P) stacks of matrices over GF(p), one
-    matrix per point; each partial sum is reduced at once, so no entry
-    exceeds 2**62 + p."""
-    out = np.zeros((A.shape[0], B.shape[1], A.shape[2]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out += A[:, k, None] * B[None, k]
-        out %= p
-    return out
-
-
 def _annihilated_mod(N, roots, p):
     """prod_r (N - r I) vanishes at every point mod p; like the dict path,
     the running product stops at its first zero."""
@@ -584,7 +564,7 @@ def _annihilated_mod(N, roots, p):
     for r in roots:
         factor = N.copy()
         factor[diag, diag] = (factor[diag, diag] - r) % p
-        work = factor if work is None else _mat_mul_mod(work, factor, p)
+        work = factor if work is None else mat_mul_mod(work, factor, p)
         if not work.any():
             return True
     return False
@@ -603,7 +583,7 @@ def _moments_vanish_mod(blocks, nums, dens, p):
         power = N
         for k in range(len(nums)):
             if k:
-                power = _mat_mul_mod(power, N, p)
+                power = mat_mul_mod(power, N, p)
             traces[k] = (traces[k] + power.trace()) % p
     a_pow, b_pow = np.ones_like(nums), np.ones_like(dens)
     for k, trace in enumerate(traces):
@@ -642,15 +622,11 @@ def conjecture_exact_certificate(S):
     # product vanishes after S+1-|delta| factors
     roots = [lam.to_laurent() for lam in reversed(lams)]
     D, H = _certificate_bounds(blocks, roots, lams)
-    n_primes = next((n for n in range(1, len(_PRIMES) + 1)
-                     if math.prod(_PRIMES[:n]) > 2 * H), None)
-    if n_primes is None:
-        raise ValueError("height bound of %d bits at S=%d needs more than the "
-                         "%d fixed primes" % (H.bit_length(), S, len(_PRIMES)))
+    primes = primes_for_height(H, "conjecture_exact_certificate(S=%d)" % S)
     polys = ([e for block in blocks for row in block for e in row] + roots
              + [lam.num for lam in lams] + [lam.den for lam in lams])
-    spans = [_span(f) for f in polys]
-    width = max(s[1] for s in spans) - min(s[0] for s in spans) + 1
+    lo, hi, _ = spans(polys)
+    width = int(hi.max() - lo.min()) + 1
     # per chunk of points: at most eight len(polys) x chunk arrays (the
     # values, the limb products and the block products) and three
     # width x chunk ones (the power table's limbs)
@@ -660,7 +636,7 @@ def conjecture_exact_certificate(S):
     annihilates = moments = True
     # every check is pointwise, so the D+1 points run in chunks
     chunks = range(1, D + 2, _CHUNK)
-    for p, start in itertools.product(_PRIMES[:n_primes], chunks):
+    for p, start in itertools.product(primes, chunks):
         points = np.arange(start, min(start + _CHUNK, D + 2))
         values = eval_mod(polys, points, p)
         *core, root_v, num_v, den_v = np.split(values, offsets)
@@ -677,7 +653,7 @@ def conjecture_exact_certificate(S):
         "proved": annihilates and moments,
         "degree_bound": D,
         "height_bits": H.bit_length(),
-        "primes": n_primes,
+        "primes": len(primes),
         "points": D + 1,
     }
 

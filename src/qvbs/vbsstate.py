@@ -2,17 +2,22 @@
 
 Creation operators commute, so the bond products expand as ordinary
 polynomials; conversion to the spin product basis then happens in one step.
-Exact mode is the default at desk scale, floats only enter downstream.
+Exact mode is the default at desk scale, floats only enter downstream. The
+bond annihilation check decides each of its zero tests exactly, by
+evaluation modulo primes under proved degree and height bounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from dataclasses import dataclass
+from functools import lru_cache
 
-from .cgproj import (bond_list, bond_product, check_budget, exact_dot,
-                     upper_dual_rows)
-from .qnum import LaurentQ, q_binomial
+import numpy as np
+
+from .cgproj import bond_list, bond_product, check_budget, upper_dual_rows
+from .qnum import (PRIMES, LaurentQ, eval_mod, primes_for_height, q_binomial,
+                   spans)
 from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
@@ -54,17 +59,164 @@ def random_weight_zero_state(S, L, seed=0):
     _check_state_args(S, L)
     rng = random.Random(seed)
     amps = {}
-    # the first site is the fastest digit
-    for digits in itertools.product(range(2 * S + 1), repeat=L):
-        mvec = tuple(S - k for k in reversed(digits))
-        if sum(mvec) != 0:
-            continue
+    # every m tuple with the first site the fastest digit, weight zero kept,
+    # each drawing one coefficient in that order
+    d = 2 * S + 1
+    mvecs = S - np.indices((d,) * L).reshape(L, -1)[::-1].T
+    for mvec in mvecs[mvecs.sum(axis=1) == 0].tolist():
         c = rng.randint(-9, 9)
         if c:
-            amps[mvec] = LaurentQ.const(c)
+            amps[tuple(mvec)] = LaurentQ.const(c)
     if not amps:
         raise AssertionError("empty control state; change the seed")
     return StateVector(S, L, amps)
+
+
+# The screen point: 16807 = 7**5 generates the multiplicative group of
+# GF(2**31 - 1), so q**(2n) - 1, and with it every q-integer [n], vanishes
+# there only when 2n is a multiple of 2**31 - 2; q = +-1 are the points where
+# the q-deformation collapses.
+_SCREEN_PRIME, _SCREEN_POINT = PRIMES[0], 16807
+
+# terms times points that one step of the proof holds at once (two int64
+# arrays of this size, 256 KiB each)
+_PROOF_BLOCK = 1 << 15
+
+# the dual entries are read at the screen point and 1..n for n the next
+# multiple of this, so that states with nearby degree bounds share one
+# cached evaluation
+_POINTS_STEP = 64
+
+
+@dataclass(frozen=True)
+class _DualLayout:
+    """The J > S dual rows of every sector, flattened for batched pairing.
+
+    `entries` holds the nonzero dual entries row by row, `spans` their
+    qnum.spans, `row` the row of each entry and `row_J` the J of each row.
+    `at[c]` lists the entries on the pair with code
+    c = (S - m1)(2S+1) + (S - m2), -1 padded to S, the most rows with J > S
+    that one sector has.
+    """
+
+    entries: tuple
+    spans: tuple
+    row: np.ndarray
+    row_J: np.ndarray
+    at: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _dual_layout(S):
+    d = 2 * S + 1
+    entries, row, row_J = [], [], []
+    at = np.full((d * d, S), -1, dtype=np.int64)
+    used = np.zeros(d * d, dtype=np.int64)
+    for pairs, rows in upper_dual_rows(S).values():
+        for J, dual in rows:
+            for (m1, m2), e in zip(pairs, dual):
+                if e.is_zero:
+                    continue
+                c = (S - m1) * d + S - m2
+                at[c, used[c]] = len(entries)
+                used[c] += 1
+                entries.append(e)
+                row.append(len(row_J))
+            row_J.append(J)
+    layout = _DualLayout(tuple(entries), spans(entries), np.array(row),
+                         np.array(row_J), at)
+    for a in (*layout.spans, layout.row, layout.row_J, at):
+        a.flags.writeable = False
+    return layout
+
+
+def _points(D):
+    """The screen point, then the D+1 proof points 1..D+1."""
+    return (_SCREEN_POINT,) + tuple(range(1, D + 2))
+
+
+@lru_cache(maxsize=16)
+def _dual_residues(S, p, n):
+    """The dual entries of S at _points(n - 1) mod p, read-only."""
+    values = eval_mod(_dual_layout(S).entries, _points(n - 1), p)
+    values.flags.writeable = False
+    return values
+
+
+def _residues(amps, S, p, D):
+    """Amplitudes and dual entries at _points(D) mod p, one column a point."""
+    n = -(D + 1) // _POINTS_STEP * -_POINTS_STEP
+    return eval_mod(amps, _points(D), p), _dual_residues(S, p, n)[:, :D + 2]
+
+
+def _components(state, bonds, layout):
+    """Every (rest, w, J) component of every bond as a run of terms.
+
+    The component pairs the J dual row of sector w with the amplitudes that
+    read `rest` on the sites off the bond; each term is one (amplitude, dual
+    entry) product with both factors nonzero. The terms come sorted so that
+    every component is one contiguous run; a component with no term is zero
+    and is left out. Returns the amplitude and entry index of each term, the
+    run boundaries (run i is terms bounds[i]:bounds[i+1]), and the bond
+    index and J of each run.
+    """
+    S, L = state.S, state.L
+    d = 2 * S + 1
+    n_rows, n_bonds = len(layout.row_J), len(bonds)
+    digits = S - np.array(list(state.amps), dtype=np.int64).reshape(-1, L)
+    place = d ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    index = digits @ place
+    keys, amps, entries = [], [], []
+    for b, (k, l) in enumerate(bonds):
+        dk, dl = digits[:, k - 1], digits[:, l - 1]
+        rest = index - dk * place[k - 1] - dl * place[l - 1]
+        at = layout.at[dk * d + dl]
+        amp, slot = np.nonzero(at >= 0)
+        entry = at[amp, slot]
+        keys.append((rest[amp] * n_rows + layout.row[entry]) * n_bonds + b)
+        amps.append(amp)
+        entries.append(entry)
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    edges = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    first = key[bounds[:-1]]
+    return (np.concatenate(amps)[order], np.concatenate(entries)[order],
+            bounds, first % n_bonds, layout.row_J[first // n_bonds % n_rows])
+
+
+def _pair_sums(a, dv, amp, entry, starts, p):
+    """Per run, sum over its terms of amplitude times dual entry, mod p; a
+    and dv hold residues (one column per point), so no sum leaves int64."""
+    terms = a[amp]
+    terms *= dv[entry]
+    terms %= p
+    return np.add.reduceat(terms, starts, axis=0) % p
+
+
+def _prove(amps, S, screened, amp, entry, starts, degree, height):
+    """Which of the given runs are nonzero, decided exactly.
+
+    Run i is a Laurent polynomial whose exponents span at most degree[i] and
+    whose coefficients are at most height[i], both bounds read off its
+    terms' spans. With D and H the largest of these, every run is evaluated
+    at the D+1 proof points modulo enough primes that their product exceeds
+    2H, so a run that vanishes at all of them is zero (see qnum). The first
+    prime is the screen's, whose residues come in as `screened`.
+    """
+    D, H = int(degree.max()), int(height.max())
+    what = "verify_annihilation(S=%d)" % S
+    step = max(1, _PROOF_BLOCK // len(amp))
+    nonzero = np.zeros(len(starts), dtype=bool)
+    for p in primes_for_height(H, what):
+        a, dv = screened if p == _SCREEN_PRIME else _residues(amps, S, p, D)
+        for k in range(1, D + 2, step):
+            cols = slice(k, min(k + step, D + 2))
+            sums = _pair_sums(a[:, cols], dv[:, cols], amp, entry, starts, p)
+            nonzero |= sums.any(axis=1)
+    return nonzero
 
 
 def verify_annihilation(state, boundary="periodic", bonds=None):
@@ -73,35 +225,57 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
     For each bond (k, l) and each J in S+1..2S the J-component of the two-site
     restriction is paired against the dual rows of the sector decomposition;
     an exact zero means the projector annihilates the state on that bond.
+    The pairings are zero tests mod primes: every component is screened at
+    one point, where a nonzero residue proves it nonzero, and the ones that
+    vanish there are decided at enough points and primes (_prove). One
+    evaluation mod the first prime serves both.
     """
     S, L = state.S, state.L
-    duals = upper_dual_rows(S)
     if bonds is None:
         bonds = bond_list(L, boundary)
+    for k, l in bonds:
+        if not (1 <= k <= L and 1 <= l <= L and k != l):
+            raise ValueError("bond (%s, %s) is not two sites of 1..%d"
+                             % (k, l, L))
+    layout = _dual_layout(S)
+    amps = list(state.amps.values())
+    amp, entry, bounds, comp_bond, comp_J = _components(state, bonds, layout)
+    starts = bounds[:-1]
+    a_lo, a_hi, a_l1 = spans(amps)
+    e_lo, e_hi, e_l1 = layout.spans
+    degree = (np.maximum.reduceat(a_hi[amp] + e_hi[entry], starts)
+              - np.minimum.reduceat(a_lo[amp] + e_lo[entry], starts))
+    D = int(degree.max(initial=0))
+    width = int(a_hi.max(initial=0) - a_lo.min(initial=0)) + 1
+    # the residue tables with eval_mod's work arrays, the terms, and one
+    # block of the proof's products
+    check_budget(8 * ((D + 2) * (5 * len(amps) + 3 * width)
+                      + len(amps) * width + 4 * len(amp) + 2 * _PROOF_BLOCK),
+                 "verify_annihilation(S=%d, L=%d)" % (S, L))
+    a, dv = screened = _residues(amps, S, _SCREEN_PRIME, D)
+    nonzero = _pair_sums(a[:, :1], dv[:, :1], amp, entry, starts,
+                         _SCREEN_PRIME)[:, 0] != 0
+    left = ~nonzero
+    if left.any():
+        sizes = bounds[1:] - bounds[:-1]
+        terms = np.repeat(left, sizes)
+        sizes = sizes[left]
+        amp, entry = amp[terms], entry[terms]
+        starts = np.cumsum(sizes) - sizes
+        height = np.add.reduceat(a_l1[amp] * e_l1[entry], starts)
+        nonzero[left] = _prove(amps, S, screened, amp, entry, starts,
+                               degree[left], height)
+    bad = np.zeros((len(bonds), S), dtype=bool)
+    bad[comp_bond[nonzero], comp_J[nonzero] - S - 1] = True
+    counts = np.bincount(comp_bond[nonzero], minlength=len(bonds)).tolist()
     report = {"S": S, "L": L, "boundary": boundary, "bonds": {}, "all_zero": True}
-    for (k, l) in bonds:
-        pk, pl = k - 1, l - 1
-        groups = {}
-        for mvec, amp in state.amps.items():
-            rest = tuple(m for i, m in enumerate(mvec) if i not in (pk, pl))
-            groups.setdefault(rest, {})[(mvec[pk], mvec[pl])] = amp
-        residual = {}
-        for rest, pair_amps in groups.items():
-            by_w = {}
-            for pair, amp in pair_amps.items():
-                by_w.setdefault(pair[0] + pair[1], {})[pair] = amp
-            for w, amps_w in by_w.items():
-                pairs, rows = duals[w]
-                vec = [amps_w.get(p, LaurentQ.zero()) for p in pairs]
-                for J, row in rows:
-                    if not exact_dot(row, vec).is_zero:
-                        residual[J] = residual.get(J, 0) + 1
-        zero = {J: residual.get(J, 0) == 0 for J in range(S + 1, 2 * S + 1)}
+    for (k, l), row, count in zip(bonds, bad.tolist(), counts):
+        zero = {J: not flag for J, flag in zip(range(S + 1, 2 * S + 1), row)}
         report["bonds"]["%d-%d" % (k, l)] = {
             "residual_zero": zero,
-            "nonzero_components": sum(residual.values()),
+            "nonzero_components": count,
         }
-        if not all(zero.values()):
+        if count:
             report["all_zero"] = False
     return report
 
@@ -125,15 +299,20 @@ def verify_two_site_lemma(S):
     annihilated by all J > S projectors (inclusion), and the joint kernel has
     dimension (S+1)^2 (counting); together these identify the kernel with the
     bond-product multiples exactly.
+
+    The inclusion is one check: each multiple sits on sites 1, 2 of a
+    four-site state whose sites 3, 4 hold its monomial's labels (a, b), so
+    on bond (1, 2) every component belongs to exactly one multiple.
     """
     prod = bond_product(S)
-    inclusion = True
+    amps = {}
     for a in range(S + 1):
         for b in range(S + 1):
             f = SitePoly.monomial({1: (a, S - a), 2: (b, S - b)})
-            state = poly_to_spin(f * prod, S, (1, 2))
-            rep = verify_annihilation(state, "open", bonds=[(1, 2)])
-            inclusion = inclusion and rep["all_zero"]
+            for mvec, amp in poly_to_spin(f * prod, S, (1, 2)).amps.items():
+                amps[mvec + (a, b)] = amp
+    rep = verify_annihilation(StateVector(S, 4, amps), "open", bonds=[(1, 2)])
+    inclusion = rep["all_zero"]
     dim = two_site_kernel_dimension(S)
     return {
         "S": S,

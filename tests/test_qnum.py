@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qvbs.qnum import (
+    PRIMES,
     LaurentQ,
     RatQ,
     eval_mod,
+    primes_for_height,
+    spans,
     laurent_gcd,
     parse_q,
     q_binomial,
@@ -258,3 +261,34 @@ def test_eval_mod_matches_termwise_residues():
         assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
                              for x in points]
     assert not eval_mod([LaurentQ.zero()], points, p).any()
+
+
+def test_eval_mod_small_coefficients():
+    # coefficients that fit int64 take the int64 route; negative ones too
+    p = PRIMES[0]
+    polys = [LaurentQ({-3: -5, 0: 7, 4: -1}), LaurentQ.zero(), LaurentQ({2: 9})]
+    points = [16807, 1, 2, p - 1]
+    got = eval_mod(polys, points, p)
+    for f, row in zip(polys, got):
+        assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
+                             for x in points]
+
+
+def test_spans_per_polynomial():
+    polys = [LaurentQ({-3: -5, 0: 7, 4: -1}), LaurentQ.zero(),
+             LaurentQ({2: -10 ** 30, 5: 10 ** 30}), LaurentQ.const(-4)]
+    lo, hi, l1 = spans(polys)
+    assert lo.tolist() == [-3, 0, 2, 0] and hi.tolist() == [4, 0, 5, 0]
+    assert l1.tolist() == [13, 0, 2 * 10 ** 30, 4]
+    assert all(type(v) is int for v in l1)
+
+
+def test_primes_for_height():
+    assert primes_for_height(0, "x") == PRIMES[:1]
+    assert primes_for_height(PRIMES[0] // 2, "x") == PRIMES[:1]
+    assert primes_for_height(PRIMES[0] // 2 + 1, "x") == PRIMES[:2]
+    for H in (10 ** 20, 10 ** 100):
+        n = len(primes_for_height(H, "x"))
+        assert math.prod(PRIMES[:n]) > 2 * H >= math.prod(PRIMES[:n - 1])
+    with pytest.raises(ValueError, match="more than the 32 fixed primes"):
+        primes_for_height(math.prod(PRIMES), "x")

@@ -10,7 +10,7 @@ from qvbs import transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
-from qvbs.qnum import LaurentQ, RatQ, q_integer
+from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
     Q_CACHE_SIZE,
@@ -430,7 +430,7 @@ def test_conjecture_exact_certificates():
         assert rep["moment_identities"]
         assert rep["proved"]
         assert rep["points"] == rep["degree_bound"] + 1
-        assert math.prod(transfercorr._PRIMES[:rep["primes"]]).bit_length() \
+        assert math.prod(PRIMES[:rep["primes"]]).bit_length() \
             > rep["height_bits"] + 1
 
 
@@ -442,8 +442,8 @@ def test_conjecture_exact_certificate_rejects_spin_below_one(S):
 
 
 def test_certificate_moduli_are_prime():
-    assert len(set(transfercorr._PRIMES)) == len(transfercorr._PRIMES)
-    for p in transfercorr._PRIMES:
+    assert len(set(PRIMES)) == len(PRIMES)
+    for p in PRIMES:
         assert 2 ** 30 < p < 2 ** 31
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
@@ -597,6 +597,26 @@ def test_sz_image_has_exactly_zero_diagonal():
         assert np.array_equal(G, -G.T)
         sz = transfercorr.spectral_data(S, Fraction(1, 2)).sz
         assert np.array_equal(sz, -sz.T)
+
+
+def test_sz_array_gives_the_sz_tag_image():
+    # S^z passed as an array once kept the rounding residue on the diagonal
+    # of its image: S=2, q=1/2 gave 1.4499e-36 at r=60 and 1.6028e-36 at
+    # r=100, where the tag gives -1.5287e-37 and -1.1188e-62
+    sz, q0 = sz_operator(2), Fraction(1, 2)
+    for r in (60, 100):
+        assert two_point_thermo(sz, sz, 2, q0, r) \
+            == two_point_thermo("sz", "sz", 2, q0, r)
+    assert two_point_finite(sz, sz, 2, q0, 400, 100) \
+        == two_point_finite("sz", "sz", 2, q0, 400, 100)
+    # with an even part too, the odd part adds exactly nothing on the
+    # diagonal and its image elsewhere
+    data = transfercorr.spectral_data(2, q0)
+    even = np.diag([1.0, 0.0, 2.0, 0.0, 1.0])
+    mixed = transfercorr._image(data, 2, q0, sz + even)
+    alone = transfercorr._image(data, 2, q0, even)
+    assert np.array_equal(np.diag(mixed), np.diag(alone))
+    assert np.abs(mixed - alone - data.sz).max() < 1e-14
 
 
 def test_finite_eigenbasis_sum_matches_matrix_powers():
