@@ -512,8 +512,11 @@ def _flatten(polys):
     chain = itertools.chain.from_iterable
     exps = np.fromiter(chain(f._c for f in polys), dtype=np.int64,
                        count=int(sizes.sum()))
-    coeffs = np.array(list(chain(f._c.values() for f in polys)))
-    return sizes, exps, coeffs
+    coeffs = list(chain(f._c.values() for f in polys))
+    # numpy's own inference would take [2**63, 2**64) as uint64 and a batch
+    # mixing those with negatives as float64, inexact
+    fits = not coeffs or (min(coeffs) >= -2 ** 63 and max(coeffs) < 2 ** 63)
+    return sizes, exps, np.array(coeffs, dtype=np.int64 if fits else object)
 
 
 def spans(polys):

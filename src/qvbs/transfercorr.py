@@ -295,12 +295,13 @@ def spectral_data(S, q0, require_gap=True):
 def _image(data, S, q0, A):
     """The site operator A in the eigenbasis, V^T G^A V / lambda_1.
 
-    G^A transposed is G^(R A R), R the flip m -> -m, and V is orthogonal; so
-    the part of A that R A R keeps has a symmetric image and the part it
-    negates an antisymmetric one. Each part's image is stored exactly so:
-    the diagonal of an odd operator's image such as S^z's is exactly zero,
-    where floats leave a rounding residue whose square floors the
-    correlators.
+    G^A transposed is G^(P R A R P), R the flip m -> -m and P the sign
+    diag((-1)^m): the site scalar on entry (i, j) carries (-1)^(i-j) against
+    the one on (j, i). V is orthogonal; so the part of A that A -> P R A R P
+    keeps has a symmetric image and the part it negates an antisymmetric one.
+    Each part's image is stored exactly so: the diagonal of an odd operator's
+    image such as S^z's is exactly zero, where floats leave a rounding
+    residue whose square floors the correlators.
     """
     if A is None:
         return np.diag(data.w)
@@ -308,7 +309,8 @@ def _image(data, S, q0, A):
         return data.sz
     V = data.es.vectors
     A = _site_op(S, A)
-    flipped = A[::-1, ::-1]
+    p = np.arange(2 * S + 1)
+    flipped = (-1.0) ** np.add.outer(p, p) * A[::-1, ::-1]
     out = np.zeros_like(V)
     for part, sign in (((A + flipped) / 2, 1), ((A - flipped) / 2, -1)):
         image = V.T @ transfer_matrix(S, q0, part) @ V / data.es.top

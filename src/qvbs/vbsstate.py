@@ -82,12 +82,6 @@ _SCREEN_PRIME, _SCREEN_POINT = PRIMES[0], 16807
 # arrays of this size, 256 KiB each)
 _PROOF_BLOCK = 1 << 15
 
-# the dual entries are read at the screen point and 1..n for n the next
-# multiple of this, so that states with nearby degree bounds share one
-# cached evaluation
-_POINTS_STEP = 64
-
-
 @dataclass(frozen=True)
 class _DualLayout:
     """The J > S dual rows of every sector, flattened for batched pairing.
@@ -136,17 +130,16 @@ def _points(D):
 
 
 @lru_cache(maxsize=16)
-def _dual_residues(S, p, n):
-    """The dual entries of S at _points(n - 1) mod p, read-only."""
-    values = eval_mod(_dual_layout(S).entries, _points(n - 1), p)
+def _dual_residues(S, p, D):
+    """The dual entries of S at _points(D) mod p, read-only."""
+    values = eval_mod(_dual_layout(S).entries, _points(D), p)
     values.flags.writeable = False
     return values
 
 
 def _residues(amps, S, p, D):
     """Amplitudes and dual entries at _points(D) mod p, one column a point."""
-    n = -(D + 1) // _POINTS_STEP * -_POINTS_STEP
-    return eval_mod(amps, _points(D), p), _dual_residues(S, p, n)[:, :D + 2]
+    return eval_mod(amps, _points(D), p), _dual_residues(S, p, D)
 
 
 def _components(state, bonds, layout):
@@ -164,27 +157,31 @@ def _components(state, bonds, layout):
     d = 2 * S + 1
     n_rows, n_bonds = len(layout.row_J), len(bonds)
     digits = S - np.array(list(state.amps), dtype=np.int64).reshape(-1, L)
-    place = d ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    index = digits @ place
-    keys, amps, entries = [], [], []
-    for b, (k, l) in enumerate(bonds):
-        dk, dl = digits[:, k - 1], digits[:, l - 1]
-        rest = index - dk * place[k - 1] - dl * place[l - 1]
-        at = layout.at[dk * d + dl]
-        amp, slot = np.nonzero(at >= 0)
-        entry = at[amp, slot]
-        keys.append((rest[amp] * n_rows + layout.row[entry]) * n_bonds + b)
-        amps.append(amp)
-        entries.append(entry)
-    key = np.concatenate(keys)
+    k, l = (np.array(bonds, dtype=np.int64).reshape(-1, 2) - 1).T
+    # one row of bytes per bond and amplitude: the bond, then the digits
+    # with the bond's two cleared. Equal rows read one rest on one bond;
+    # their rank among the distinct rows keys the rest in an int64 below
+    # bonds x amplitudes, however large d**L
+    rest = np.empty((n_bonds, len(digits), L + 1),
+                    np.min_scalar_type(max(d, n_bonds)))
+    rest[:, :, 0] = np.arange(n_bonds)[:, None]
+    rest[:, :, 1:] = digits
+    rest[np.arange(n_bonds), :, k + 1] = 0
+    rest[np.arange(n_bonds), :, l + 1] = 0
+    rows = rest.view(np.dtype((np.void, rest.itemsize * (L + 1))))
+    rank = np.unique(rows.reshape(-1), return_inverse=True)[1]
+    at = layout.at[digits[:, k].T * d + digits[:, l].T]
+    bond, amp, slot = np.nonzero(at >= 0)
+    entry = at[bond, amp, slot]
+    key = rank.reshape(n_bonds, len(digits))[bond, amp] * n_rows + layout.row[entry]
     order = np.argsort(key, kind="stable")
     key = key[order]
     edges = np.ones(len(key) + 1, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
-    first = key[bounds[:-1]]
-    return (np.concatenate(amps)[order], np.concatenate(entries)[order],
-            bounds, first % n_bonds, layout.row_J[first // n_bonds % n_rows])
+    first = bounds[:-1]
+    return (amp[order], entry[order], bounds, bond[order][first],
+            layout.row_J[key[first] % n_rows])
 
 
 def _pair_sums(a, dv, amp, entry, starts, p):

@@ -274,6 +274,21 @@ def test_eval_mod_small_coefficients():
                              for x in points]
 
 
+def test_eval_mod_unsigned_window_with_negatives():
+    # a coefficient in [2**63, 2**64) beside a negative one: numpy alone
+    # would infer float64 for the batch and lose the low bits
+    p = PRIMES[0]
+    big = 2 ** 63 + 1
+    polys = [LaurentQ({0: big, 3: -1}), LaurentQ({0: -1}),
+             LaurentQ({1: 2 ** 64 - 1})]
+    points = [1, 16807, p - 1]
+    got = eval_mod(polys, points, p)
+    for f, row in zip(polys, got):
+        assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
+                             for x in points]
+    assert spans(polys)[2].tolist() == [big + 1, 1, 2 ** 64 - 1]
+
+
 def test_spans_per_polynomial():
     polys = [LaurentQ({-3: -5, 0: 7, 4: -1}), LaurentQ.zero(),
              LaurentQ({2: -10 ** 30, 5: 10 ** 30}), LaurentQ.const(-4)]

@@ -619,6 +619,35 @@ def test_sz_array_gives_the_sz_tag_image():
     assert np.abs(mixed - alone - data.sz).max() < 1e-14
 
 
+def _spin_raise(S):
+    """S^+ in the |S,m> basis, m descending."""
+    m = S - np.arange(2 * S + 1)
+    return np.diag(np.sqrt(S * (S + 1) - m[1:] * (m[1:] + 1)), 1)
+
+
+@pytest.mark.parametrize("S", (1, 2))
+def test_off_diagonal_operator_images(S):
+    # operators coupling m and m' of opposite parity: the eigenbasis image
+    # must equal the plain V^T G^A V / lambda_1, not a symmetrized part of it
+    sp = _spin_raise(S)
+    sx = (sp + sp.T) / 2
+    rng = np.random.default_rng(S)
+    for q0 in (Fraction(1, 2), Fraction(1), Fraction(5, 4)):
+        data = transfercorr.spectral_data(S, q0)
+        V = data.es.vectors
+        for A in (sp, sp.T, sx, rng.standard_normal((2 * S + 1,) * 2)):
+            plain = V.T @ transfer_matrix(S, q0, A) @ V / data.es.top
+            got = transfercorr._image(data, S, q0, A)
+            assert np.abs(got - plain).max() < 1e-12 * np.abs(plain).max()
+    # SU(2) at q = 1: <S^x S^x> = <S^z S^z>; for S = 1 this is the AKLT
+    # value (4/3)(-1/3)^r at distance r
+    for r in (2, 3, 6):
+        want = two_point_thermo("sz", "sz", S, 1, r)
+        assert two_point_thermo(sx, sx, S, 1, r) == pytest.approx(want, rel=1e-12)
+        if S == 1:
+            assert want == pytest.approx(4 / 3 * (-1 / 3) ** (r - 1), rel=1e-12)
+
+
 def test_finite_eigenbasis_sum_matches_matrix_powers():
     # independent route: the trace of matrix powers, scaled by lambda_1
     S, q0, L = 2, Fraction(4, 5), 30

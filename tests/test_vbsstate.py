@@ -298,6 +298,36 @@ def test_annihilation_rejects_bonds_off_the_chain(bond):
         verify_annihilation(build_pbc(1, 3), bonds=[bond])
 
 
+def test_annihilation_with_no_bonds():
+    want = {"S": 1, "L": 3, "boundary": "periodic", "bonds": {},
+            "all_zero": True}
+    assert verify_annihilation(build_pbc(1, 3), bonds=[]) == want
+    one_site = StateVector(1, 1, {(0,): LaurentQ.const(1)})
+    assert verify_annihilation(one_site, "open") == dict(
+        want, L=1, boundary="open")
+
+
+def test_annihilation_on_a_long_sparse_chain():
+    # 3**45 indices overflow int64: the open (1, 3) state padded with
+    # m = 0 on 42 more sites, plus seeded strays, on every periodic bond
+    S, L = 1, 45
+    rng = random.Random(13)
+    pad = (0,) * (L - 3)
+    amps = {mvec + pad: amp for mvec, amp in build_open(S, 3, 1, 2).amps.items()}
+    padded = StateVector(S, L, dict(amps))
+    for _ in range(12):
+        mvec = [0] * L
+        for i in rng.sample(range(L), 4):
+            mvec[i] = rng.choice((-1, 1))
+        amps[tuple(mvec)] = LaurentQ({rng.randint(-2, 2): rng.randint(1, 9)})
+    strays = StateVector(S, L, amps)
+    for state, bonds in ((padded, [(1, 2), (2, 3)]), (padded, None),
+                         (strays, None)):
+        got = verify_annihilation(state, bonds=bonds)
+        assert got == dict_annihilation_report(state, bonds=bonds)
+        assert got["all_zero"] is (bonds is not None)
+
+
 def test_screen_point_generates_the_field():
     # 16807 has multiplicative order p - 1 = 2 3^2 7 11 31 151 331 mod
     # p = 2^31 - 1, so no q-integer vanishes there
