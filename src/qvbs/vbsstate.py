@@ -82,6 +82,7 @@ _SCREEN_PRIME, _SCREEN_POINT = PRIMES[0], 16807
 # arrays of this size, 256 KiB each)
 _PROOF_BLOCK = 1 << 15
 
+
 @dataclass(frozen=True)
 class _DualLayout:
     """The J > S dual rows of every sector, flattened for batched pairing.
@@ -173,7 +174,8 @@ def _components(state, bonds, layout):
     at = layout.at[digits[:, k].T * d + digits[:, l].T]
     bond, amp, slot = np.nonzero(at >= 0)
     entry = at[bond, amp, slot]
-    key = rank.reshape(n_bonds, len(digits))[bond, amp] * n_rows + layout.row[entry]
+    rank = rank.reshape(n_bonds, len(digits))
+    key = rank[bond, amp] * n_rows + layout.row[entry]
     order = np.argsort(key, kind="stable")
     key = key[order]
     edges = np.ones(len(key) + 1, dtype=bool)
