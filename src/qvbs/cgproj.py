@@ -293,7 +293,7 @@ class BondHamiltonian:
 def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
     """Sum of two-site projector embeddings as an operator at numeric q0.
 
-    coeffs maps J in (S, 2S] to a nonnegative weight; missing entries get 1.
+    coeffs maps J in (S, 2S] to a finite weight >= 0; missing entries get 1.
     Site 1 is the most significant digit of the basis index.
     """
     if S < 1:
@@ -306,8 +306,9 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
         if J not in cs:
             raise ValueError("projector coefficient for J=%s outside (S, 2S] = "
                              "(%d, %d]" % (J, S, 2 * S))
-        if c < 0:
-            raise ValueError("projector coefficients must be >= 0")
+        if not 0 <= c < math.inf:
+            # NaN fails every comparison, so c < 0 alone would let it in
+            raise ValueError("projector coefficients must be finite and >= 0")
         cs[int(J)] = float(c)
     local = sum((c * projector(S, J).to_dense(q0) for J, c in cs.items() if c),
                 np.zeros((d * d, d * d)))

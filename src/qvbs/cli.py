@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__, cgproj, suites, transfercorr, vbsstate
-from .qnum import parse_q, radical_form
+from .qnum import RatQ, parse_q, radical_form
 
 
 def _emit(text, path):
@@ -102,7 +102,7 @@ def cmd_eigenvalues(args):
             args.spin, q0)["match"]
     if args.exact:
         payload["exact_closed_form"] = [
-            transfercorr.conjectured_eigenvalue(args.spin, l).to_json_obj()
+            RatQ(transfercorr.conjectured_eigenvalue(args.spin, l)).to_json_obj()
             for l in range(args.spin + 1)
         ]
     _emit(_json_text(payload), args.output)

@@ -397,9 +397,6 @@ class RatQ:
     def eval_float(self, q0):
         return float(self.eval_fraction(Fraction(q0)))
 
-    def to_laurent(self):
-        return self.num.divide_exact(self.den)
-
     def to_json_obj(self):
         return {"num": self.num.to_json_obj(), "den": self.den.to_json_obj()}
 

@@ -77,7 +77,7 @@ def suite_eigenvalue_conjecture():
     passed = exact_ok
     for S in (3, 4, 5):
         for q0 in FIVE_Q:
-            rep = transfercorr.conjecture_check(S, q0, tol=1e-9)
+            rep = transfercorr.conjecture_check(S, q0)
             passed = passed and rep["match"]
             numeric.append({"S": S, "q": str(q0), "match": rep["match"]})
     return {
@@ -86,7 +86,8 @@ def suite_eigenvalue_conjecture():
                        "numeric with multiplicities 2l+1 for S=3..5",
         "source": "transfer_eigenvalue_general_form",
         "passed": passed,
-        "details": {"exact_s2": exact_ok, "numeric": numeric, "tolerance": 1e-9},
+        "details": {"exact_s2": exact_ok, "numeric": numeric,
+                    "tolerance": transfercorr.CONJECTURE_TOL},
     }
 
 

@@ -31,6 +31,7 @@ from .qnum import (LaurentQ, RatQ, eval_mod, mat_mul_mod, primes_for_height,
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
+CONJECTURE_TOL = 1e-9
 
 
 def sz_operator(S):
@@ -212,31 +213,33 @@ def eigensystem(G, require_gap=True):
 @lru_cache(maxsize=None)
 def conjectured_eigenvalue(S, l):
     """Closed-form transfer-matrix eigenvalue of level l, exact (and q-free,
-    so cached)."""
+    so cached): (-1)^l [2S+1]! [S,l] / ([S+1] [S+l+1,l]), the q-integer
+    product (-1)^l [S+l+2]...[2S+1] [S-l+1]...[S] [S]!, formed by an exact
+    division that raises ValueError were it not one."""
     if not 0 <= l <= S:
         raise ValueError("need 0 <= l <= S")
     num = q_factorial(2 * S + 1) * q_binomial(S, l)
-    den = q_integer(S + 1) * q_binomial(S + l + 1, l)
-    return RatQ(num if l % 2 == 0 else -num, den)
+    lam = num.divide_exact(q_integer(S + 1) * q_binomial(S + l + 1, l))
+    return lam if l % 2 == 0 else -lam
 
 
 def conjectured_eigenvalue_float(S, l, q0):
     return conjectured_eigenvalue(S, l).eval_float(Fraction(q0))
 
 
-def conjecture_check(S, q0, tol=1e-9):
+def conjecture_check(S, q0):
     """Compare the diagonalized spectrum against the closed form, with
     multiplicities 2l+1, at one numeric point.
 
-    Both spectra are sorted and paired value by value at tol times the top
-    eigenvalue, so the multiplicities are checked wherever the levels lie
-    further apart than that. The spectrum spans a factor of order q^(2 S^2):
-    far from the isotropic point the lowest levels sink below the tolerance,
-    where they are compared as the near-zero values they are rather than
-    having to group apart."""
+    Both spectra are sorted and paired value by value at CONJECTURE_TOL
+    times the top eigenvalue, so the multiplicities are checked wherever the
+    levels lie further apart than that. The spectrum spans a factor of order
+    q^(2 S^2): far from the isotropic point the lowest levels sink below the
+    tolerance, where they are compared as the near-zero values they are
+    rather than having to group apart."""
     q0 = Fraction(q0)
     es = spectral_data(S, q0).es
-    bound = tol * abs(es.top)
+    bound = CONJECTURE_TOL * abs(es.top)
     values = [conjectured_eigenvalue_float(S, l, q0) for l in range(S + 1)]
     expected = sorted((values[l], l) for l in range(S + 1) for _ in range(2 * l + 1))
     worst = [0.0] * (S + 1)
@@ -437,14 +440,10 @@ def conjecture_moment_identity(S, k):
     Holds identically in q when the closed-form spectrum (with multiplicities
     2l+1) is the true spectrum; one exact identity per moment order.
     """
-    lhs = RatQ(0)
+    lhs = LaurentQ.zero()
     for l in range(S + 1):
-        lam = conjectured_eigenvalue(S, l)
-        term = RatQ(2 * l + 1)
-        for _ in range(k):
-            term = term * lam
-        lhs = lhs + term
-    return lhs == RatQ(exact_trace_power(S, k))
+        lhs = lhs + (2 * l + 1) * conjectured_eigenvalue(S, l) ** k
+    return lhs == exact_trace_power(S, k)
 
 
 @lru_cache(maxsize=None)
@@ -511,7 +510,7 @@ def _spans_mul(A, B):
             A[2] @ B[2])
 
 
-def _certificate_bounds(blocks, roots, lams):
+def _certificate_bounds(blocks, roots):
     """Degree bound D and height bound H of every polynomial the modular
     checks form: each running product of the annihilation factors, each
     block power, and each moment identity (see _moments_vanish_mod)."""
@@ -521,13 +520,14 @@ def _certificate_bounds(blocks, roots, lams):
         nonlocal D, H
         D, H = max(D, int(np.max(hi - lo))), max(H, int(np.max(l1)))
 
-    S = len(lams) - 1
+    S = len(roots) - 1
+    r_spans = list(zip(*spans(roots)))
     traces = [[] for _ in range(S + 1)]
     for block in blocks:
         N = _block_spans(block)
         diag = np.arange(len(block))
         work = None
-        for r_lo, r_hi, r_l1 in zip(*spans(roots)):
+        for r_lo, r_hi, r_l1 in r_spans:
             factor = tuple(a.copy() for a in N)
             factor[0][diag, diag] = np.minimum(factor[0][diag, diag], r_lo)
             factor[1][diag, diag] = np.maximum(factor[1][diag, diag], r_hi)
@@ -540,19 +540,13 @@ def _certificate_bounds(blocks, roots, lams):
                 power = _spans_mul(power, N)
             see(*power)
             traces[k].append(tuple(a.diagonal() for a in power))
-    nums = list(zip(*spans([lam.num for lam in lams])))
-    dens = list(zip(*spans([lam.den for lam in lams])))
-    d_lo, d_hi = sum(d[0] for d in dens), sum(d[1] for d in dens)
-    d_l1 = math.prod(d[2] for d in dens)
     for k, parts in enumerate(traces, start=1):
-        t_lo = min(int(lo.min()) for lo, _, _ in parts)
-        t_hi = max(int(hi.max()) for _, hi, _ in parts)
-        t_l1 = sum(sum(l1) for _, _, l1 in parts)
-        terms = [(k * d_lo + t_lo, k * d_hi + t_hi, d_l1 ** k * t_l1)]
-        for l, (n_lo, n_hi, n_l1) in enumerate(nums):
-            terms.append((k * (n_lo + d_lo - dens[l][0]),
-                          k * (n_hi + d_hi - dens[l][1]),
-                          (2 * l + 1) * (n_l1 * d_l1 // dens[l][2]) ** k))
+        # roots run from lambda_S down to lambda_0
+        terms = [(k * lo, k * hi, (2 * (S - i) + 1) * l1 ** k)
+                 for i, (lo, hi, l1) in enumerate(r_spans)]
+        terms.append((min(int(lo.min()) for lo, _, _ in parts),
+                      max(int(hi.max()) for _, hi, _ in parts),
+                      sum(sum(l1) for _, _, l1 in parts)))
         see(min(t[0] for t in terms), max(t[1] for t in terms),
             sum(t[2] for t in terms))
     return D, H
@@ -572,34 +566,22 @@ def _annihilated_mod(N, roots, p):
     return False
 
 
-def _moments_vanish_mod(blocks, nums, dens, p):
-    """The first S+1 moment sum rules vanish at every point mod p.
-
-    With lambda_l = a_l / b_l, the rule sum_l (2l+1) lambda_l^k = Tr N^k is
-    cross-multiplied into the Laurent identity
-    prod_l b_l^k Tr N^k - sum_l (2l+1) a_l^k prod_(l' != l) b_l'^k = 0,
-    so no point is a pole and none needs skipping.
-    """
-    traces = np.zeros_like(nums)
+def _moments_vanish_mod(blocks, roots, p):
+    """The first S+1 moment sum rules, Tr N^k - sum_l (2l+1) lambda_l^k = 0,
+    vanish at every point mod p; roots holds the values of lambda_S down to
+    lambda_0, one column a point."""
+    traces = np.zeros_like(roots)
     for N in blocks:
         power = N
-        for k in range(len(nums)):
+        for k in range(len(roots)):
             if k:
                 power = mat_mul_mod(power, N, p)
             traces[k] = (traces[k] + power.trace()) % p
-    a_pow, b_pow = np.ones_like(nums), np.ones_like(dens)
-    for k, trace in enumerate(traces):
-        a_pow, b_pow = a_pow * nums % p, b_pow * dens % p
-        lhs = trace
-        for b in b_pow:
-            lhs = lhs * b % p
-        for l, a in enumerate(a_pow):
-            term = a * (2 * l + 1) % p
-            for other, b in enumerate(b_pow):
-                if other != l:
-                    term = term * b % p
-            lhs = (lhs - term) % p
-        if lhs.any():
+    weights = np.arange(2 * len(roots) - 1, 0, -2)[:, None]
+    lam_pow = np.ones_like(roots)
+    for trace in traces:
+        lam_pow = lam_pow * roots % p
+        if ((trace - (weights * lam_pow).sum(axis=0)) % p).any():
             return False
     return True
 
@@ -619,14 +601,12 @@ def conjecture_exact_certificate(S):
     if S < 1:
         raise ValueError("need S >= 1")
     blocks = _rational_similar_core(S)
-    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
     # descending l: the block delta holds the levels l >= |delta|, so its
     # product vanishes after S+1-|delta| factors
-    roots = [lam.to_laurent() for lam in reversed(lams)]
-    D, H = _certificate_bounds(blocks, roots, lams)
+    roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
+    D, H = _certificate_bounds(blocks, roots)
     primes = primes_for_height(H, "conjecture_exact_certificate(S=%d)" % S)
-    polys = ([e for block in blocks for row in block for e in row] + roots
-             + [lam.num for lam in lams] + [lam.den for lam in lams])
+    polys = [e for block in blocks for row in block for e in row] + roots
     lo, hi, _ = spans(polys)
     width = int(hi.max() - lo.min()) + 1
     # per chunk of points: at most eight len(polys) x chunk arrays (the
@@ -634,18 +614,18 @@ def conjecture_exact_certificate(S):
     # width x chunk ones (the power table's limbs)
     check_budget(8 * _CHUNK * (8 * len(polys) + 3 * width),
                  "conjecture_exact_certificate(S=%d)" % S)
-    offsets = np.cumsum([len(block) ** 2 for block in blocks] + [S + 1, S + 1])
+    offsets = np.cumsum([len(block) ** 2 for block in blocks])
     annihilates = moments = True
     # every check is pointwise, so the D+1 points run in chunks
     chunks = range(1, D + 2, _CHUNK)
     for p, start in itertools.product(primes, chunks):
         points = np.arange(start, min(start + _CHUNK, D + 2))
         values = eval_mod(polys, points, p)
-        *core, root_v, num_v, den_v = np.split(values, offsets)
+        *core, root_v = np.split(values, offsets)
         core = [v.reshape(len(b), len(b), -1) for v, b in zip(core, blocks)]
         annihilates = annihilates and all(
             _annihilated_mod(N, root_v, p) for N in core)
-        moments = moments and _moments_vanish_mod(core, num_v, den_v, p)
+        moments = moments and _moments_vanish_mod(core, root_v, p)
         if not (annihilates or moments):
             break
     return {
@@ -685,7 +665,7 @@ def top_eigenvector_exact(S):
     eigenvector v belongs to the simple top eigenvalue, and a wrong
     closed-form eigenvalue cannot slip through.
     """
-    lam1 = conjectured_eigenvalue(S, 0).to_laurent()
+    lam1 = conjectured_eigenvalue(S, 0)
     block = transfer_diag_block_exact(S)
     if not all(not e.is_zero and e.nonneg_coeffs() for row in block for e in row):
         raise AssertionError("diagonal block is not entrywise positive")

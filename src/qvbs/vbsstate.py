@@ -9,6 +9,7 @@ evaluation modulo primes under proved degree and height bounds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,9 +79,9 @@ def random_weight_zero_state(S, L, seed=0):
 # the q-deformation collapses.
 _SCREEN_PRIME, _SCREEN_POINT = PRIMES[0], 16807
 
-# terms times points that one step of the proof holds at once (two int64
+# terms times points that one step of the pairing holds at once (two int64
 # arrays of this size, 256 KiB each)
-_PROOF_BLOCK = 1 << 15
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -125,22 +126,13 @@ def _dual_layout(S):
     return layout
 
 
-def _points(D):
-    """The screen point, then the D+1 proof points 1..D+1."""
-    return (_SCREEN_POINT,) + tuple(range(1, D + 2))
-
-
 @lru_cache(maxsize=16)
-def _dual_residues(S, p, D):
-    """The dual entries of S at _points(D) mod p, read-only."""
-    values = eval_mod(_dual_layout(S).entries, _points(D), p)
+def _dual_residues(S, p, points):
+    """The dual entries of S at the given points mod p, one column a point,
+    read-only."""
+    values = eval_mod(_dual_layout(S).entries, points, p)
     values.flags.writeable = False
     return values
-
-
-def _residues(amps, S, p, D):
-    """Amplitudes and dual entries at _points(D) mod p, one column a point."""
-    return eval_mod(amps, _points(D), p), _dual_residues(S, p, D)
 
 
 def _components(state, bonds, layout):
@@ -186,35 +178,29 @@ def _components(state, bonds, layout):
             layout.row_J[key[first] % n_rows])
 
 
-def _pair_sums(a, dv, amp, entry, starts, p):
-    """Per run, sum over its terms of amplitude times dual entry, mod p; a
-    and dv hold residues (one column per point), so no sum leaves int64."""
-    terms = a[amp]
-    terms *= dv[entry]
-    terms %= p
-    return np.add.reduceat(terms, starts, axis=0) % p
+def _nonzero_runs(amps, a_spans, S, L, amp, entry, starts, points, primes):
+    """Which runs have a nonzero sum at some point modulo some prime.
 
-
-def _prove(amps, S, screened, amp, entry, starts, degree, height):
-    """Which of the given runs are nonzero, decided exactly.
-
-    Run i is a Laurent polynomial whose exponents span at most degree[i] and
-    whose coefficients are at most height[i], both bounds read off its
-    terms' spans. With D and H the largest of these, every run is evaluated
-    at the D+1 proof points modulo enough primes that their product exceeds
-    2H, so a run that vanishes at all of them is zero (see qnum). The first
-    prime is the screen's, whose residues come in as `screened`.
+    Run i sums amplitude times dual entry over the terms from starts[i] to
+    the next start, in residues, so no sum leaves int64. The memory,
+    eval_mod's work arrays for the amplitudes (with spans a_spans) at the
+    points, the terms, and one block of terms x points, is counted against
+    the budget first.
     """
-    D, H = int(degree.max()), int(height.max())
-    what = "verify_annihilation(S=%d)" % S
-    step = max(1, _PROOF_BLOCK // len(amp))
+    lo, hi, _ = a_spans
+    n, width = len(amps), int(hi.max(initial=0) - lo.min(initial=0)) + 1
+    check_budget(8 * (len(points) * (5 * n + 3 * width) + n * width
+                      + 4 * len(amp) + 2 * _BLOCK),
+                 "verify_annihilation(S=%d, L=%d)" % (S, L))
+    step = max(1, _BLOCK // max(len(amp), 1))
     nonzero = np.zeros(len(starts), dtype=bool)
-    for p in primes_for_height(H, what):
-        a, dv = screened if p == _SCREEN_PRIME else _residues(amps, S, p, D)
-        for k in range(1, D + 2, step):
-            cols = slice(k, min(k + step, D + 2))
-            sums = _pair_sums(a[:, cols], dv[:, cols], amp, entry, starts, p)
-            nonzero |= sums.any(axis=1)
+    for p in primes:
+        a, dv = eval_mod(amps, points, p), _dual_residues(S, p, points)
+        for k in range(0, len(points), step):
+            terms = a[amp, k:k + step]
+            terms *= dv[entry, k:k + step]
+            terms %= p
+            nonzero |= (np.add.reduceat(terms, starts) % p).any(axis=1)
     return nonzero
 
 
@@ -225,9 +211,12 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
     restriction is paired against the dual rows of the sector decomposition;
     an exact zero means the projector annihilates the state on that bond.
     The pairings are zero tests mod primes: every component is screened at
-    one point, where a nonzero residue proves it nonzero, and the ones that
-    vanish there are decided at enough points and primes (_prove). One
-    evaluation mod the first prime serves both.
+    one point, where a nonzero residue proves it nonzero. A component that
+    vanishes there is a Laurent polynomial whose exponent span and l1 norm
+    are bounded through its terms' spans; with D and H the largest of these
+    bounds, those components are evaluated at the D+1 points 1..D+1 modulo
+    enough primes that their product exceeds 2H, so one that vanishes at
+    all of them is zero (see qnum).
     """
     S, L = state.S, state.L
     if bonds is None:
@@ -236,46 +225,42 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
         if not (1 <= k <= L and 1 <= l <= L and k != l):
             raise ValueError("bond (%s, %s) is not two sites of 1..%d"
                              % (k, l, L))
+    # a key off the digits 0..2S would read as another pair on the bond
+    allowed = set(range(-S, S + 1))
+    if not (set(map(len, state.amps)) <= {L}
+            and allowed.issuperset(itertools.chain.from_iterable(state.amps))):
+        bad = next(k for k in state.amps
+                   if len(k) != L or not allowed.issuperset(k))
+        raise ValueError("amplitude key %r is not %d integers in -%d..%d"
+                         % (bad, L, S, S))
     layout = _dual_layout(S)
     amps = list(state.amps.values())
     amp, entry, bounds, comp_bond, comp_J = _components(state, bonds, layout)
-    starts = bounds[:-1]
-    a_lo, a_hi, a_l1 = spans(amps)
-    e_lo, e_hi, e_l1 = layout.spans
-    degree = (np.maximum.reduceat(a_hi[amp] + e_hi[entry], starts)
-              - np.minimum.reduceat(a_lo[amp] + e_lo[entry], starts))
-    D = int(degree.max(initial=0))
-    width = int(a_hi.max(initial=0) - a_lo.min(initial=0)) + 1
-    # the residue tables with eval_mod's work arrays, the terms, and one
-    # block of the proof's products
-    check_budget(8 * ((D + 2) * (5 * len(amps) + 3 * width)
-                      + len(amps) * width + 4 * len(amp) + 2 * _PROOF_BLOCK),
-                 "verify_annihilation(S=%d, L=%d)" % (S, L))
-    a, dv = screened = _residues(amps, S, _SCREEN_PRIME, D)
-    nonzero = _pair_sums(a[:, :1], dv[:, :1], amp, entry, starts,
-                         _SCREEN_PRIME)[:, 0] != 0
+    a_spans = spans(amps)
+    nonzero = _nonzero_runs(amps, a_spans, S, L, amp, entry, bounds[:-1],
+                            (_SCREEN_POINT,), (_SCREEN_PRIME,))
     left = ~nonzero
     if left.any():
-        sizes = bounds[1:] - bounds[:-1]
+        sizes = np.diff(bounds)
         terms = np.repeat(left, sizes)
-        sizes = sizes[left]
-        amp, entry = amp[terms], entry[terms]
+        amp, entry, sizes = amp[terms], entry[terms], sizes[left]
         starts = np.cumsum(sizes) - sizes
-        height = np.add.reduceat(a_l1[amp] * e_l1[entry], starts)
-        nonzero[left] = _prove(amps, S, screened, amp, entry, starts,
-                               degree[left], height)
+        (a_lo, a_hi, a_l1), (e_lo, e_hi, e_l1) = a_spans, layout.spans
+        D = int((np.maximum.reduceat(a_hi[amp] + e_hi[entry], starts)
+                 - np.minimum.reduceat(a_lo[amp] + e_lo[entry], starts)).max())
+        H = int(np.add.reduceat(a_l1[amp] * e_l1[entry], starts).max())
+        primes = primes_for_height(H, "verify_annihilation(S=%d)" % S)
+        nonzero[left] = _nonzero_runs(amps, a_spans, S, L, amp, entry, starts,
+                                      range(1, D + 2), primes)
     bad = np.zeros((len(bonds), S), dtype=bool)
     bad[comp_bond[nonzero], comp_J[nonzero] - S - 1] = True
     counts = np.bincount(comp_bond[nonzero], minlength=len(bonds)).tolist()
-    report = {"S": S, "L": L, "boundary": boundary, "bonds": {}, "all_zero": True}
+    report = {"S": S, "L": L, "boundary": boundary, "bonds": {},
+              "all_zero": not nonzero.any()}
     for (k, l), row, count in zip(bonds, bad.tolist(), counts):
         zero = {J: not flag for J, flag in zip(range(S + 1, 2 * S + 1), row)}
-        report["bonds"]["%d-%d" % (k, l)] = {
-            "residual_zero": zero,
-            "nonzero_components": count,
-        }
-        if count:
-            report["all_zero"] = False
+        report["bonds"]["%d-%d" % (k, l)] = {"residual_zero": zero,
+                                             "nonzero_components": count}
     return report
 
 

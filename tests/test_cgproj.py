@@ -228,6 +228,10 @@ def test_hamiltonian_coefficients_and_budget(monkeypatch):
     assert np.abs(H0).max() == 0.0
     with pytest.raises(ValueError):
         hamiltonian(1, 2, Q0, "open", coeffs={2: -1.0})
+    # NaN passed the old c < 0 test and gave a NaN operator
+    for c in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            hamiltonian(1, 4, Q0, coeffs={2: c})
     # J = 0 once gave a wrong operator with no error
     for J in (0, 1, 3):
         with pytest.raises(ValueError, match="outside"):

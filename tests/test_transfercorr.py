@@ -10,7 +10,7 @@ from qvbs import transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
-from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_integer
+from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_factorial, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
     Q_CACHE_SIZE,
@@ -192,6 +192,19 @@ def test_conjecture_against_diagonalization(S):
         assert conjecture_check(S, q0)["match"]
 
 
+def test_conjectured_eigenvalue_is_a_q_integer_product():
+    # [2S+1]! [S,l] / ([S+1] [S+l+1,l]) cancels down to
+    # (-1)^l [S+l+2]...[2S+1] [S-l+1]...[S] [S]!
+    for S in range(1, 9):
+        for l in range(S + 1):
+            want = LaurentQ.const((-1) ** l) * q_factorial(S)
+            for n in [*range(S + l + 2, 2 * S + 2), *range(S - l + 1, S + 1)]:
+                want = want * q_integer(n)
+            lam = conjectured_eigenvalue(S, l)
+            assert isinstance(lam, LaurentQ)
+            assert lam == want
+
+
 def test_conjectured_eigenvalue_range():
     with pytest.raises(ValueError):
         conjectured_eigenvalue(2, 3)
@@ -299,7 +312,7 @@ def test_top_eigenvector_checks_reject_a_wrong_block(monkeypatch, scale, match):
 def test_top_eigenvector_exact_up_to_spin6():
     for S in range(1, 7):
         lam1, v = top_eigenvector_exact(S)
-        assert lam1 == conjectured_eigenvalue(S, 0).to_laurent()
+        assert lam1 == conjectured_eigenvalue(S, 0)
         assert len(v) == S + 1
 
 
@@ -460,8 +473,8 @@ def test_certificate_bounds_cover_dict_products(S):
     # products, the block powers, the traces and the moment identities
     blocks = transfercorr._rational_similar_core(S)
     lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
-    roots = [lam.to_laurent() for lam in reversed(lams)]
-    D, H = transfercorr._certificate_bounds(blocks, roots, lams)
+    roots = lams[::-1]
+    D, H = transfercorr._certificate_bounds(blocks, roots)
     rep = conjecture_exact_certificate(S)
     assert (rep["degree_bound"], rep["height_bits"]) == (D, H.bit_length())
     seen = []
@@ -480,9 +493,9 @@ def test_certificate_bounds_cover_dict_products(S):
         seen.append(trace)
         for l, lam in enumerate(lams):
             # every closed-form eigenvalue is a Laurent polynomial here, so
-            # the identity is Tr N^k minus the terms (2l+1) a_l^k
-            assert lam.den == 1
-            term = (2 * l + 1) * lam.num ** k
+            # the identity is Tr N^k minus the terms (2l+1) lambda_l^k
+            assert isinstance(lam, LaurentQ)
+            term = (2 * l + 1) * lam ** k
             trace = trace - term
             seen += [term, trace]
     for f in seen:
@@ -501,7 +514,7 @@ def patched_inputs(monkeypatch):
                             lambda S, l: lams[l])
         transfercorr._core_block_powers.cache_clear()
         rep = conjecture_exact_certificate(S)
-        roots = [lam.to_laurent() for lam in reversed(lams)]
+        roots = lams[::-1]
         annihilate = transfercorr._factors_annihilate
         oracle = (all(annihilate(b, roots) for b in blocks),
                   all(conjecture_moment_identity(S, k) for k in range(1, S + 2)))
@@ -546,7 +559,7 @@ def test_characteristic_factors_need_every_level():
     # block carries every level, so dropping one factor must leave it nonzero
     from qvbs.transfercorr import _factors_annihilate, _rational_similar_core
     S = 3
-    roots = [conjectured_eigenvalue(S, l).to_laurent() for l in range(S, -1, -1)]
+    roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
     blocks = _rational_similar_core(S)
     assert all(_factors_annihilate(b, roots) for b in blocks)
     for drop in range(S + 1):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,41 @@ def test_annihilation_rejects_bonds_off_the_chain(bond):
     # an array index of -1 for site 0 would silently read site L
     with pytest.raises(ValueError, match="not two sites"):
         verify_annihilation(build_pbc(1, 3), bonds=[bond])
+
+
+@pytest.mark.parametrize("amps, key", (
+    ({(2, -2): 1}, (2, -2)),
+    ({(1, -1): 1, (3, -3): 5}, (3, -3)),
+    ({(1, 0, -1): 1}, (1, 0, -1)),
+))
+def test_annihilation_rejects_keys_off_the_digits(amps, key):
+    # read as digits, m = 2 on S = 1 wrapped onto another pair of the bond
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        verify_annihilation(StateVector(1, 2, amps), "open")
+
+
+def test_screen_alone_decides_a_control(monkeypatch):
+    # every component of this control is nonzero at the screen point, so
+    # its amplitudes are evaluated there and nowhere else
+    state = random_weight_zero_state(3, 4, seed=0)
+    amps = list(state.amps.values())
+    points = []
+
+    def spy(polys, at, p):
+        if list(polys) == amps:
+            points.append(list(at))
+        return eval_mod(polys, at, p)
+    monkeypatch.setattr(vbsstate, "eval_mod", spy)
+    assert not verify_annihilation(state)["all_zero"]
+    assert points == [[vbsstate._SCREEN_POINT]]
+
+
+def test_annihilation_screen_counts_against_the_budget(monkeypatch):
+    states = (build_pbc(2, 5), random_weight_zero_state(2, 5, seed=0))
+    monkeypatch.setenv("QVBS_BUDGET_MB", "0")
+    for state in states:
+        with pytest.raises(BudgetError, match="verify_annihilation"):
+            verify_annihilation(state)
 
 
 def test_annihilation_with_no_bonds():
