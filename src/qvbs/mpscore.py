@@ -139,15 +139,13 @@ def contract_open(S, L, p1, p2):
 # -- numeric oracles ----------------------------------------------------
 
 
-def dense_pbc_state(S, L, q0):
-    """Physical amplitudes of the periodic chain as a dense float vector.
+_BLOCK = 1 << 18  # amplitudes per block of the streamed two-point pass, 2 MB
 
-    Contracts the two chain halves separately and joins them with one GEMM
-    over the (S+1)^2 pairs of auxiliary indices where they meet.
-    """
-    if L < 1:
-        raise ValueError("need L >= 1")
-    check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
+
+def _dense_halves(S, L, q0):
+    """Sites 1..h and h+1..L, h = L // 2, contracted as A (K x d^h) and
+    B (K x d^(L-h)) over the K = (S+1)^2 auxiliary pairs where they meet, so
+    A.T @ B holds the amplitudes with site 1 as the leading digit."""
     W = tensor_g(S).phys_matrices(q0)  # [digit, i, j]
 
     def half(n):
@@ -158,28 +156,63 @@ def dense_pbc_state(S, L, q0):
             acc = acc.reshape(S + 1, S + 1, -1)
         return acc
 
-    A = half(L // 2)
-    B = half(L - L // 2)
-    # amp[s, t] = sum over (i, j) of A[i, j, s] B[j, i, t], one GEMM
-    return np.tensordot(A, B, axes=([0, 1], [1, 0])).reshape(-1)
+    # amp[s, t] = sum over (i, j) of A[i, j, s] B[j, i, t]
+    K = (S + 1) ** 2
+    return (half(L // 2).transpose(1, 0, 2).reshape(K, -1),
+            half(L - L // 2).reshape(K, -1))
+
+
+def dense_pbc_state(S, L, q0):
+    """Physical amplitudes of the periodic chain as a dense float vector: the
+    two `_dense_halves` joined by one GEMM. Raises ValueError when an
+    amplitude is not finite in floats (q far from 1)."""
+    if L < 1:
+        raise ValueError("need L >= 1")
+    check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = _dense_halves(S, L, q0)
+        vec = (A.T @ B).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ValueError("dense state is not finite in floats at S=%d, L=%d, "
+                         "q=%s" % (S, L, q0))
+    return vec
 
 
 def dense_pbc_two_point_sz(S, L, q0, r):
     """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state.
 
-    Site 1 is the leading digit, so the joint distribution of sites 1 and r
-    sums the squared amplitudes over the digits after r, then over those
-    between, one column of r at a time to keep numpy's pairwise summation.
+    Every amplitude is formed and squared, but the d^L state is never held:
+    the halves' join A.T @ B runs d^k rows (fixing sites 1..h) at a time,
+    about `_BLOCK` amplitudes within one site-1 digit, and each squared
+    block is reduced at once, to row sums when r <= h, else to column sums
+    keyed by the site-1 digit. The joint of sites 1 and r is one reshape-sum
+    of that marginal. Memory is O(K d^(L/2) + block).
     """
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
     d = 2 * S + 1
+    h = L // 2
+    ncols = d ** (L - h)
+    rows = d ** max((k for k in range(h) if d ** k * ncols <= _BLOCK),
+                    default=0)
+    # the two halves, one block and the weight arrays
+    check_budget(8 * ((S + 1) ** 2 * (d ** h + ncols) + rows * ncols
+                      + d ** h + d * ncols),
+                 "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
+    marg = np.zeros(d ** h) if r <= h else np.zeros((d, ncols))
     # far from q = 1 the squares overflow or the marginals underflow; only
     # the scalar result is checked
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vec = dense_pbc_state(S, L, q0)
-        rest = (vec * vec).reshape(d, d ** (r - 2), d, d ** (L - r)).sum(axis=3)
-        joint = np.stack([rest[:, :, b].sum(axis=1) for b in range(d)], axis=1)
+        A, B = _dense_halves(S, L, q0)
+        for lo in range(0, d ** h, rows):
+            blk = A[:, lo:lo + rows].T @ B
+            np.square(blk, out=blk)
+            if r <= h:
+                marg[lo:lo + rows] = blk.sum(axis=1)
+            else:
+                marg[lo // d ** (h - 1)] += blk.sum(axis=0)
+        skip = r - 2 if r <= h else r - h - 1
+        joint = marg.reshape(d, d ** skip, d, -1).sum(axis=(1, 3))
         m = S - np.arange(d, dtype=float)
         val = float(m @ joint @ m / joint.sum())
     if not math.isfinite(val):

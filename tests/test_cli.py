@@ -307,6 +307,12 @@ def test_budget_variable_must_be_a_finite_number(capsys, monkeypatch, value):
     assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
 
 
+def test_verify_oracle_is_deterministic(capsys):
+    a = run(capsys, "verify", "--suite", "oracle")
+    b = run(capsys, "verify", "--suite", "oracle")
+    assert a[0] == 0 and a == b
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2 and "unknown suite" in err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from qvbs import mpscore
+from qvbs.cgproj import BudgetError
 from qvbs.mpscore import (
     contract_open,
     contract_pbc,
@@ -14,6 +16,7 @@ from qvbs.mpscore import (
     tensor_g_start,
 )
 from qvbs.qnum import q_binomial, q_factorial
+from qvbs.transfercorr import two_point_finite
 from qvbs.vbsstate import build_open, build_pbc
 
 Q0 = Fraction(4, 5)
@@ -131,6 +134,16 @@ def test_dense_state_matches_exact():
             assert np.abs(d - ratio * v).max() < 1e-10 * np.abs(d).max()
 
 
+def test_dense_state_far_q_raises_instead_of_nan():
+    # the join overflowed and the vector came back with NaN entries
+    for q0 in (1e-80, 1e80):
+        with pytest.raises(ValueError, match=r"S=1, L=10, q=") as info:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dense_pbc_state(1, 10, q0)
+        assert "not finite" in str(info.value)
+
+
 def test_dense_state_rejects_short_chains():
     for L in (0, -2):
         with pytest.raises(ValueError, match="need L >= 1"):
@@ -152,3 +165,39 @@ def test_dense_two_point_far_q_raises_instead_of_nan():
                 warnings.simplefilter("error")
                 dense_pbc_two_point_sz(1, 10, q0, 4)
         assert "not finite" in str(info.value)
+
+
+def _full_vector_two_point(S, L, q0, r):
+    """<S^z_1 S^z_r> from the whole squared state vector: the marginal over
+    the digits after r, then over those between, one column of r at a time."""
+    d = 2 * S + 1
+    vec = dense_pbc_state(S, L, q0)
+    rest = (vec * vec).reshape(d, d ** (r - 2), d, d ** (L - r)).sum(axis=3)
+    joint = np.stack([rest[:, :, b].sum(axis=1) for b in range(d)], axis=1)
+    m = S - np.arange(d, dtype=float)
+    return float(m @ joint @ m / joint.sum())
+
+
+@pytest.mark.parametrize("block", (None, 200, 1))
+def test_streamed_two_point_matches_full_vector(monkeypatch, block):
+    # every r in 2..L takes both reductions and the r = h / h + 1 boundary;
+    # a small block makes the pass take many blocks, one row each at 1
+    if block is not None:
+        monkeypatch.setattr(mpscore, "_BLOCK", block)
+    for S in (1, 2, 3):
+        for L in range(2, 8 if S < 3 else 7):
+            for q0 in (Fraction(1, 2), Fraction(1), Fraction(7, 4)):
+                for r in range(2, L + 1):
+                    expected = _full_vector_two_point(S, L, q0, r)
+                    assert dense_pbc_two_point_sz(S, L, q0, r) == \
+                        pytest.approx(expected, rel=1e-12)
+
+
+def test_dense_two_point_budget_counts_halves_not_state(monkeypatch):
+    # the 5^10-float state needs ~234 MB; the streamed pass holds ~2 MB
+    monkeypatch.setenv("QVBS_BUDGET_MB", "16")
+    q0 = Fraction(9, 10)
+    assert abs(dense_pbc_two_point_sz(2, 10, q0, 5)
+               - two_point_finite("sz", "sz", 2, q0, 10, 5)) < 1e-10
+    with pytest.raises(BudgetError, match=r"dense_pbc_state\(S=2, L=10\)"):
+        dense_pbc_state(2, 10, q0)
