@@ -6,7 +6,7 @@ q-factorial / q-binomial constructions. A Fraction enters only as a value of
 q or as a rational constant that RatQ splits into its integer numerator and
 denominator; floating point enters only through the eval helpers. Every
 other operation is exact in the integers, so zero tests are decisive.
-The modular kernel at the end (eval_mod, the fixed PRIMES and the bounds
+The modular kernel at the end (Batch, the fixed PRIMES and the bounds
 that say how many points and primes make a zero test a proof) serves the
 zero tests by evaluation.
 """
@@ -488,8 +488,9 @@ def parse_q(text):
 # exactly when it vanishes at D+1 nonzero points of GF(p) for each of a set
 # of primes whose product exceeds 2H (Brown 1971, J. ACM 18, 478; von zur
 # Gathen and Gerhard, Modern Computer Algebra, ch. 5-6). Callers carry D and
-# H through their products from spans(), so every zero test is a proof, not
-# sampling; and a single nonzero residue at any point proves a nonzero.
+# H through their products from a Batch's spans, so every zero test is a
+# proof, not sampling; and a single nonzero residue at any point proves a
+# nonzero.
 
 # The 32 largest primes below 2**31. Residues stay below 2**31, so a
 # product of two is below 2**62 and adding a residue stays inside int64.
@@ -500,36 +501,6 @@ PRIMES = (
     2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
     2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
     2147482937, 2147482921)
-
-
-def _flatten(polys):
-    """Term counts, exponents and coefficients of a batch, concatenated; the
-    coefficients are int64 when every one fits, an object array past that."""
-    sizes = np.array([len(f._c) for f in polys], dtype=np.int64)
-    chain = itertools.chain.from_iterable
-    exps = np.fromiter(chain(f._c for f in polys), dtype=np.int64,
-                       count=int(sizes.sum()))
-    coeffs = list(chain(f._c.values() for f in polys))
-    # numpy's own inference would take [2**63, 2**64) as uint64 and a batch
-    # mixing those with negatives as float64, inexact
-    fits = not coeffs or (min(coeffs) >= -2 ** 63 and max(coeffs) < 2 ** 63)
-    return sizes, exps, np.array(coeffs, dtype=np.int64 if fits else object)
-
-
-def spans(polys):
-    """Per polynomial: min exponent, max exponent (int64 arrays) and l1 norm
-    (an object array of ints). The zero polynomial gets the range [0, 0],
-    which only widens the ranges it enters, and norm 0."""
-    sizes, exps, coeffs = _flatten(polys)
-    lo, hi = np.zeros((2, len(polys)), dtype=np.int64)
-    l1 = np.zeros(len(polys), dtype=object)
-    live = sizes > 0
-    if live.any():
-        first = (np.cumsum(sizes) - sizes)[live]
-        lo[live] = np.minimum.reduceat(exps, first)
-        hi[live] = np.maximum.reduceat(exps, first)
-        l1[live] = np.add.reduceat(np.abs(coeffs.astype(object)), first)
-    return lo, hi, l1
 
 
 def primes_for_height(H, what):
@@ -559,36 +530,70 @@ def _powers(points, e, p):
     return tuple(pow(v, e, p) for v in points)
 
 
-def eval_mod(polys, points, p):
-    """Values of Laurent polynomials at points of GF(p), modulo the prime p.
+class Batch:
+    """Laurent polynomials flattened once for evaluation over GF(p).
 
-    Returns an int64 array of shape (len(polys), len(points)) with entries
-    in [0, p). p must be below 2**31 and no point divisible by p, since
-    negative exponents need the inverse. The coefficients, reduced mod p,
-    fill a matrix C over the batch's exponent range and the points a power
-    table X, so the values are C @ X mod p, computed exactly in int64 with X
-    split into 16-bit limbs.
+    `lo`, `hi` and `l1` hold each polynomial's min and max exponent (int64)
+    and l1 norm (object ints), read-only, so a batch can sit in a cache; the
+    zero polynomial gets the range [0, 0], which only widens the ranges it
+    enters, and norm 0.
     """
-    x = np.asarray(points, dtype=np.int64) % p
-    sizes, exps, coeffs = _flatten(polys)
-    if not exps.size:
-        return np.zeros((len(polys), len(x)), dtype=np.int64)
-    lo = int(exps.min())
-    width = int(exps.max()) - lo + 1
-    if width > 2 ** 16:
-        raise ValueError("exponent range %d too wide for int64 sums" % width)
-    C = np.zeros((len(polys), width), dtype=np.int64)
-    C[np.repeat(np.arange(len(polys)), sizes), exps - lo] = coeffs % p
-    # the powers x**(lo + k) by doubling: rows n..2n-1 are rows 0..n-1
-    # times x**n
-    X = np.empty((width, len(x)), dtype=np.int64)
-    X[0] = _powers(tuple(x.tolist()), lo, p)
-    step, n = x, 1
-    while n < width:
-        m = min(n, width - n)
-        X[n:n + m] = X[:m] * step % p
-        step, n = step * step % p, n + m
-    # a residue times a limb is below 2**47, and a row of at most 2**16 such
-    # products sums below 2**63
-    x1, x0 = np.divmod(X, 1 << 16)
-    return (C @ x1 % p * (1 << 16) + C @ x0 % p) % p
+
+    def __init__(self, polys):
+        terms = [f._c for f in polys]
+        sizes = np.array([len(c) for c in terms], dtype=np.int64)
+        chain = itertools.chain.from_iterable
+        coeffs = list(chain(c.values() for c in terms))
+        exps = np.fromiter(chain(terms), dtype=np.int64, count=len(coeffs))
+        # int64 if all fit: numpy's own inference would take [2**63, 2**64)
+        # as uint64, and a batch mixing those with negatives as inexact float64
+        fits = not coeffs or (min(coeffs) >= -2 ** 63 and max(coeffs) < 2 ** 63)
+        self._coeffs = np.array(coeffs, dtype=np.int64 if fits else object)
+        # each term's cell in the coefficient matrix that eval_mod fills
+        self._base = int(exps.min()) if exps.size else 0
+        self._row = np.repeat(np.arange(len(terms)), sizes)
+        self._col = exps - self._base
+        self._width = int(self._col.max(initial=-1)) + 1
+        self.lo, self.hi = np.zeros((2, len(terms)), dtype=np.int64)
+        self.l1 = np.zeros(len(terms), dtype=object)
+        live = sizes > 0
+        if live.any():
+            first = (np.cumsum(sizes) - sizes)[live]
+            self.lo[live] = np.minimum.reduceat(exps, first)
+            self.hi[live] = np.maximum.reduceat(exps, first)
+            self.l1[live] = np.add.reduceat(
+                np.abs(self._coeffs.astype(object)), first)
+        for a in (self.lo, self.hi, self.l1):
+            a.flags.writeable = False
+
+    def eval_mod(self, points, p):
+        """Values of the polynomials at points of GF(p), modulo the prime p.
+
+        Returns an int64 array, a row per polynomial and a column per point,
+        with entries in [0, p). p must be below 2**31 and no point divisible
+        by p, since negative exponents need the inverse. The coefficients,
+        reduced mod p, fill a matrix C over the batch's exponent range and
+        the points a power table X, so the values are C @ X mod p, computed
+        exactly in int64 with X split into 16-bit limbs.
+        """
+        x = np.asarray(points, dtype=np.int64) % p
+        width = self._width
+        if not width:
+            return np.zeros((len(self.lo), len(x)), dtype=np.int64)
+        if width > 2 ** 16:
+            raise ValueError("exponent range %d too wide for int64 sums" % width)
+        C = np.zeros((len(self.lo), width), dtype=np.int64)
+        C[self._row, self._col] = self._coeffs % p
+        # the powers x**(base + k) by doubling: rows n..2n-1 are rows
+        # 0..n-1 times x**n
+        X = np.empty((width, len(x)), dtype=np.int64)
+        X[0] = _powers(tuple(x.tolist()), self._base, p)
+        step, n = x, 1
+        while n < width:
+            m = min(n, width - n)
+            X[n:n + m] = X[:m] * step % p
+            step, n = step * step % p, n + m
+        # a residue times a limb is below 2**47, and a row of at most 2**16
+        # such products sums below 2**63
+        x1, x0 = np.divmod(X, 1 << 16)
+        return (C @ x1 % p * (1 << 16) + C @ x0 % p) % p

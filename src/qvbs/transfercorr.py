@@ -26,8 +26,8 @@ import numpy as np
 
 from .cgproj import check_budget, exact_dot
 from .mpscore import tensor_f
-from .qnum import (LaurentQ, RatQ, eval_mod, mat_mul_mod, primes_for_height,
-                   q_binomial, q_factorial, q_integer, spans)
+from .qnum import (Batch, LaurentQ, RatQ, mat_mul_mod, primes_for_height,
+                   q_binomial, q_factorial, q_integer)
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -135,6 +135,8 @@ def transfer_matrix(S, q0, A=None):
     mismatch aborts, guarding the entry rule the exact certificate reads too.
     G must be symmetric and G^sz antisymmetric (d - b = c - a flips sign).
     """
+    if S < 1:
+        raise ValueError("need S >= 1")
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q must be positive")
@@ -496,12 +498,6 @@ def _factors_annihilate(block, roots):
 _CHUNK = 128
 
 
-def _block_spans(block):
-    n = len(block)
-    entries = [e for row in block for e in row]
-    return tuple(a.reshape(n, n) for a in spans(entries))
-
-
 def _spans_mul(A, B):
     """Spans of a matrix product: each entry's exponents lie in the union of
     the summed ranges, and its l1 norm is at most the sum of the products."""
@@ -510,22 +506,27 @@ def _spans_mul(A, B):
             A[2] @ B[2])
 
 
-def _certificate_bounds(blocks, roots):
+def _certificate_bounds(batch, offsets):
     """Degree bound D and height bound H of every polynomial the modular
     checks form: each running product of the annihilation factors, each
-    block power, and each moment identity (see _moments_vanish_mod)."""
+    block power, and each moment identity (see _moments_vanish_mod), read
+    from the spans of the certificate's batch split at its block offsets."""
     D = H = 0
 
     def see(lo, hi, l1):
         nonlocal D, H
         D, H = max(D, int(np.max(hi - lo))), max(H, int(np.max(l1)))
 
-    S = len(roots) - 1
-    r_spans = list(zip(*spans(roots)))
+    # one (lo, hi, l1) piece per block, then one for the roots
+    *block_spans, root_spans = zip(*(np.split(a, offsets)
+                                     for a in (batch.lo, batch.hi, batch.l1)))
+    r_spans = list(zip(*root_spans))
+    S = len(r_spans) - 1
     traces = [[] for _ in range(S + 1)]
-    for block in blocks:
-        N = _block_spans(block)
-        diag = np.arange(len(block))
+    for spans in block_spans:
+        n = math.isqrt(len(spans[0]))
+        N = tuple(a.reshape(n, n) for a in spans)
+        diag = np.arange(n)
         work = None
         for r_lo, r_hi, r_l1 in r_spans:
             factor = tuple(a.copy() for a in N)
@@ -604,23 +605,22 @@ def conjecture_exact_certificate(S):
     # descending l: the block delta holds the levels l >= |delta|, so its
     # product vanishes after S+1-|delta| factors
     roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
-    D, H = _certificate_bounds(blocks, roots)
+    batch = Batch([e for b in blocks for row in b for e in row] + roots)
+    offsets = np.cumsum([len(block) ** 2 for block in blocks])
+    D, H = _certificate_bounds(batch, offsets)
     primes = primes_for_height(H, "conjecture_exact_certificate(S=%d)" % S)
-    polys = [e for block in blocks for row in block for e in row] + roots
-    lo, hi, _ = spans(polys)
-    width = int(hi.max() - lo.min()) + 1
-    # per chunk of points: at most eight len(polys) x chunk arrays (the
+    width = int(batch.hi.max() - batch.lo.min()) + 1
+    # per chunk of points: at most eight polynomials x chunk arrays (the
     # values, the limb products and the block products) and three
     # width x chunk ones (the power table's limbs)
-    check_budget(8 * _CHUNK * (8 * len(polys) + 3 * width),
+    check_budget(8 * _CHUNK * (8 * len(batch.lo) + 3 * width),
                  "conjecture_exact_certificate(S=%d)" % S)
-    offsets = np.cumsum([len(block) ** 2 for block in blocks])
     annihilates = moments = True
     # every check is pointwise, so the D+1 points run in chunks
     chunks = range(1, D + 2, _CHUNK)
     for p, start in itertools.product(primes, chunks):
         points = np.arange(start, min(start + _CHUNK, D + 2))
-        values = eval_mod(polys, points, p)
+        values = batch.eval_mod(points, p)
         *core, root_v = np.split(values, offsets)
         core = [v.reshape(len(b), len(b), -1) for v, b in zip(core, blocks)]
         annihilates = annihilates and all(

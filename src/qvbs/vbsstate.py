@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cgproj import bond_list, bond_product, check_budget, upper_dual_rows
-from .qnum import (PRIMES, LaurentQ, eval_mod, primes_for_height, q_binomial,
-                   spans)
+from .qnum import PRIMES, Batch, LaurentQ, primes_for_height, q_binomial
 from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
@@ -88,15 +87,13 @@ _BLOCK = 1 << 15
 class _DualLayout:
     """The J > S dual rows of every sector, flattened for batched pairing.
 
-    `entries` holds the nonzero dual entries row by row, `spans` their
-    qnum.spans, `row` the row of each entry and `row_J` the J of each row.
-    `at[c]` lists the entries on the pair with code
-    c = (S - m1)(2S+1) + (S - m2), -1 padded to S, the most rows with J > S
-    that one sector has.
+    `entries` holds the nonzero dual entries row by row, as a qnum.Batch;
+    `row` the row of each entry and `row_J` the J of each row. `at[c]`
+    lists the entries on the pair with code c = (S - m1)(2S+1) + (S - m2),
+    -1 padded to S, the most rows with J > S that one sector has.
     """
 
-    entries: tuple
-    spans: tuple
+    entries: Batch
     row: np.ndarray
     row_J: np.ndarray
     at: np.ndarray
@@ -119,18 +116,16 @@ def _dual_layout(S):
                 entries.append(e)
                 row.append(len(row_J))
             row_J.append(J)
-    layout = _DualLayout(tuple(entries), spans(entries), np.array(row),
-                         np.array(row_J), at)
-    for a in (*layout.spans, layout.row, layout.row_J, at):
-        a.flags.writeable = False
-    return layout
+    row, row_J = np.array(row), np.array(row_J)
+    row.flags.writeable = row_J.flags.writeable = at.flags.writeable = False
+    return _DualLayout(Batch(entries), row, row_J, at)
 
 
 @lru_cache(maxsize=16)
 def _dual_residues(S, p, points):
     """The dual entries of S at the given points mod p, one column a point,
     read-only."""
-    values = eval_mod(_dual_layout(S).entries, points, p)
+    values = _dual_layout(S).entries.eval_mod(points, p)
     values.flags.writeable = False
     return values
 
@@ -178,24 +173,23 @@ def _components(state, bonds, layout):
             layout.row_J[key[first] % n_rows])
 
 
-def _nonzero_runs(amps, a_spans, S, L, amp, entry, starts, points, primes):
+def _nonzero_runs(amps, S, L, amp, entry, starts, points, primes):
     """Which runs have a nonzero sum at some point modulo some prime.
 
     Run i sums amplitude times dual entry over the terms from starts[i] to
     the next start, in residues, so no sum leaves int64. The memory,
-    eval_mod's work arrays for the amplitudes (with spans a_spans) at the
-    points, the terms, and one block of terms x points, is counted against
-    the budget first.
+    eval_mod's work arrays for the amplitude batch amps at the points, the
+    terms, and one block of terms x points, is counted against the budget.
     """
-    lo, hi, _ = a_spans
-    n, width = len(amps), int(hi.max(initial=0) - lo.min(initial=0)) + 1
+    n = len(amps.lo)
+    width = int(amps.hi.max(initial=0) - amps.lo.min(initial=0)) + 1
     check_budget(8 * (len(points) * (5 * n + 3 * width) + n * width
                       + 4 * len(amp) + 2 * _BLOCK),
                  "verify_annihilation(S=%d, L=%d)" % (S, L))
     step = max(1, _BLOCK // max(len(amp), 1))
     nonzero = np.zeros(len(starts), dtype=bool)
     for p in primes:
-        a, dv = eval_mod(amps, points, p), _dual_residues(S, p, points)
+        a, dv = amps.eval_mod(points, p), _dual_residues(S, p, points)
         for k in range(0, len(points), step):
             terms = a[amp, k:k + step]
             terms *= dv[entry, k:k + step]
@@ -219,8 +213,8 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
     all of them is zero (see qnum).
     """
     S, L = state.S, state.L
-    if bonds is None:
-        bonds = bond_list(L, boundary)
+    chain_bonds = bond_list(L, boundary)  # checks the label in any case
+    bonds = chain_bonds if bonds is None else bonds
     for k, l in bonds:
         if not (1 <= k <= L and 1 <= l <= L and k != l):
             raise ValueError("bond (%s, %s) is not two sites of 1..%d"
@@ -234,10 +228,9 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
         raise ValueError("amplitude key %r is not %d integers in -%d..%d"
                          % (bad, L, S, S))
     layout = _dual_layout(S)
-    amps = list(state.amps.values())
+    amps = Batch(state.amps.values())
     amp, entry, bounds, comp_bond, comp_J = _components(state, bonds, layout)
-    a_spans = spans(amps)
-    nonzero = _nonzero_runs(amps, a_spans, S, L, amp, entry, bounds[:-1],
+    nonzero = _nonzero_runs(amps, S, L, amp, entry, bounds[:-1],
                             (_SCREEN_POINT,), (_SCREEN_PRIME,))
     left = ~nonzero
     if left.any():
@@ -245,12 +238,13 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
         terms = np.repeat(left, sizes)
         amp, entry, sizes = amp[terms], entry[terms], sizes[left]
         starts = np.cumsum(sizes) - sizes
-        (a_lo, a_hi, a_l1), (e_lo, e_hi, e_l1) = a_spans, layout.spans
-        D = int((np.maximum.reduceat(a_hi[amp] + e_hi[entry], starts)
-                 - np.minimum.reduceat(a_lo[amp] + e_lo[entry], starts)).max())
-        H = int(np.add.reduceat(a_l1[amp] * e_l1[entry], starts).max())
+        duals = layout.entries
+        hi = np.maximum.reduceat(amps.hi[amp] + duals.hi[entry], starts)
+        lo = np.minimum.reduceat(amps.lo[amp] + duals.lo[entry], starts)
+        D = int((hi - lo).max())
+        H = int(np.add.reduceat(amps.l1[amp] * duals.l1[entry], starts).max())
         primes = primes_for_height(H, "verify_annihilation(S=%d)" % S)
-        nonzero[left] = _nonzero_runs(amps, a_spans, S, L, amp, entry, starts,
+        nonzero[left] = _nonzero_runs(amps, S, L, amp, entry, starts,
                                       range(1, D + 2), primes)
     bad = np.zeros((len(bonds), S), dtype=bool)
     bad[comp_bond[nonzero], comp_J[nonzero] - S - 1] = True

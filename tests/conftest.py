@@ -1,6 +1,7 @@
 import pytest
 
 from qvbs import suites
+from qvbs.qnum import Batch
 
 
 @pytest.fixture(scope="session")
@@ -10,3 +11,18 @@ def acceptance_run():
     lines = []
     rep = suites.run_acceptance(seed=0, progress=lines.append)
     return rep, lines
+
+
+@pytest.fixture
+def batches_built(monkeypatch):
+    """The polynomials of every qnum.Batch constructed while the test
+    runs, one list per batch."""
+    built = []
+    init = Batch.__init__
+
+    def spy(self, polys):
+        polys = list(polys)
+        built.append(polys)
+        init(self, polys)
+    monkeypatch.setattr(Batch, "__init__", spy)
+    return built

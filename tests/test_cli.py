@@ -421,3 +421,15 @@ def test_package_runs_with_optional_dependencies_blocked():
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", (
+    ("eigenvalues", "--spin", "-1"),
+    ("prob", "--spin", "-1"),
+    ("correlator", "--spin", "-1", "--mode", "finite", "--length", "5"),
+))
+def test_numeric_commands_reject_negative_spin(capsys, argv):
+    # np.eye(2S+1) used to fail first, with "negative dimensions"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: need S >= 1\n"

@@ -7,11 +7,10 @@ import pytest
 
 from qvbs.qnum import (
     PRIMES,
+    Batch,
     LaurentQ,
     RatQ,
-    eval_mod,
     primes_for_height,
-    spans,
     laurent_gcd,
     parse_q,
     q_binomial,
@@ -255,12 +254,12 @@ def test_eval_mod_matches_termwise_residues():
                        for _ in range(12)}) for _ in range(20)]
     polys.append(LaurentQ.zero())
     points = [1, 2, 3, 977, p - 1, p + 2]
-    got = eval_mod(polys, points, p)
+    got = Batch(polys).eval_mod(points, p)
     assert got.shape == (len(polys), len(points)) and str(got.dtype) == "int64"
     for f, row in zip(polys, got):
         assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
                              for x in points]
-    assert not eval_mod([LaurentQ.zero()], points, p).any()
+    assert not Batch([LaurentQ.zero()]).eval_mod(points, p).any()
 
 
 def test_eval_mod_small_coefficients():
@@ -268,10 +267,15 @@ def test_eval_mod_small_coefficients():
     p = PRIMES[0]
     polys = [LaurentQ({-3: -5, 0: 7, 4: -1}), LaurentQ.zero(), LaurentQ({2: 9})]
     points = [16807, 1, 2, p - 1]
-    got = eval_mod(polys, points, p)
+    got = Batch(polys).eval_mod(points, p)
     for f, row in zip(polys, got):
         assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
                              for x in points]
+    # the exponent range is the batch's own, not one anchored at q**0
+    for f in (LaurentQ({70000: 3, 70001: -1}), LaurentQ({-70000: 2})):
+        got = Batch([f]).eval_mod(points, p)
+        assert list(got[0]) == [sum(c * pow(x, e, p) for e, c in f.items())
+                                % p for x in points]
 
 
 def test_eval_mod_unsigned_window_with_negatives():
@@ -282,20 +286,38 @@ def test_eval_mod_unsigned_window_with_negatives():
     polys = [LaurentQ({0: big, 3: -1}), LaurentQ({0: -1}),
              LaurentQ({1: 2 ** 64 - 1})]
     points = [1, 16807, p - 1]
-    got = eval_mod(polys, points, p)
+    got = Batch(polys).eval_mod(points, p)
     for f, row in zip(polys, got):
         assert list(row) == [sum(c * pow(x, e, p) for e, c in f.items()) % p
                              for x in points]
-    assert spans(polys)[2].tolist() == [big + 1, 1, 2 ** 64 - 1]
+    assert Batch(polys).l1.tolist() == [big + 1, 1, 2 ** 64 - 1]
 
 
 def test_spans_per_polynomial():
     polys = [LaurentQ({-3: -5, 0: 7, 4: -1}), LaurentQ.zero(),
              LaurentQ({2: -10 ** 30, 5: 10 ** 30}), LaurentQ.const(-4)]
-    lo, hi, l1 = spans(polys)
+    batch = Batch(polys)
+    lo, hi, l1 = batch.lo, batch.hi, batch.l1
     assert lo.tolist() == [-3, 0, 2, 0] and hi.tolist() == [4, 0, 5, 0]
     assert l1.tolist() == [13, 0, 2 * 10 ** 30, 4]
     assert all(type(v) is int for v in l1)
+
+
+def test_empty_batch():
+    batch = Batch([])
+    got = batch.eval_mod([1, 2, 16807], PRIMES[0])
+    assert got.shape == (0, 3) and str(got.dtype) == "int64"
+    assert batch.lo.shape == batch.hi.shape == batch.l1.shape == (0,)
+
+
+def test_batch_spans_are_read_only():
+    # a batch may sit in an lru cache, where a caller's write would reach
+    # every later caller
+    batch = Batch([LaurentQ({-1: 2, 3: -5}), LaurentQ.zero()])
+    for a in (batch.lo, batch.hi, batch.l1):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 99
+    assert batch.lo.tolist() == [-1, 0] and batch.l1.tolist() == [7, 0]
 
 
 def test_primes_for_height():

@@ -10,7 +10,7 @@ from qvbs import transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
-from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_factorial, q_integer
+from qvbs.qnum import PRIMES, Batch, LaurentQ, RatQ, q_factorial, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
     Q_CACHE_SIZE,
@@ -447,6 +447,19 @@ def test_conjecture_exact_certificates():
             > rep["height_bits"] + 1
 
 
+def test_certificate_flattens_its_polynomials_once(batches_built):
+    # every core entry and root goes into one batch, which serves the
+    # bounds, the budget and every (prime, chunk) evaluation
+    transfercorr._rational_similar_core.cache_clear()
+    transfercorr._core_block_powers.cache_clear()
+    rep = conjecture_exact_certificate(4)
+    assert rep["proved"] and rep["primes"] * rep["points"] > 128
+    blocks = transfercorr._rational_similar_core(4)
+    roots = [conjectured_eigenvalue(4, l) for l in range(4, -1, -1)]
+    assert batches_built == [[e for block in blocks for row in block
+                              for e in row] + roots]
+
+
 @pytest.mark.parametrize("S", (0, -1))
 def test_conjecture_exact_certificate_rejects_spin_below_one(S):
     # with no level to check, the certificate used to report proved: True
@@ -474,7 +487,10 @@ def test_certificate_bounds_cover_dict_products(S):
     blocks = transfercorr._rational_similar_core(S)
     lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
     roots = lams[::-1]
-    D, H = transfercorr._certificate_bounds(blocks, roots)
+    batch = Batch([e for block in blocks for row in block for e in row]
+                  + roots)
+    offsets = np.cumsum([len(block) ** 2 for block in blocks])
+    D, H = transfercorr._certificate_bounds(batch, offsets)
     rep = conjecture_exact_certificate(S)
     assert (rep["degree_bound"], rep["height_bits"]) == (D, H.bit_length())
     seen = []

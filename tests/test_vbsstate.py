@@ -11,7 +11,7 @@ from fractions import Fraction
 from qvbs import vbsstate
 from qvbs.cgproj import (BudgetError, bond_list, bond_product, exact_dot,
                          upper_dual_rows)
-from qvbs.qnum import LaurentQ, eval_mod
+from qvbs.qnum import Batch, LaurentQ
 from qvbs.vbsstate import (
     verify_two_site_lemma,
     build_open,
@@ -314,16 +314,39 @@ def test_screen_alone_decides_a_control(monkeypatch):
     # every component of this control is nonzero at the screen point, so
     # its amplitudes are evaluated there and nowhere else
     state = random_weight_zero_state(3, 4, seed=0)
-    amps = list(state.amps.values())
+    duals = vbsstate._dual_layout(3).entries
     points = []
+    eval_mod = Batch.eval_mod
 
-    def spy(polys, at, p):
-        if list(polys) == amps:
+    def spy(self, at, p):
+        if self is not duals:
             points.append(list(at))
-        return eval_mod(polys, at, p)
-    monkeypatch.setattr(vbsstate, "eval_mod", spy)
+        return eval_mod(self, at, p)
+    monkeypatch.setattr(Batch, "eval_mod", spy)
     assert not verify_annihilation(state)["all_zero"]
     assert points == [[vbsstate._SCREEN_POINT]]
+
+
+@pytest.mark.parametrize("build, all_zero", (
+    (lambda: random_weight_zero_state(3, 4, seed=0), False),
+    (lambda: build_pbc(2, 4), True),
+), ids=("screen_decides", "proof_decides"))
+def test_annihilation_flattens_the_amplitudes_once(batches_built, build,
+                                                   all_zero):
+    # the screen, the D and H bounds and the proof share one amplitude
+    # batch; the dual entries' batch is built with the cached layout
+    state = build()
+    vbsstate._dual_layout(state.S)
+    batches_built.clear()
+    assert verify_annihilation(state)["all_zero"] is all_zero
+    assert batches_built == [list(state.amps.values())]
+
+
+def test_annihilation_checks_the_boundary_label_with_given_bonds():
+    state = build_open(1, 3, 1, 1)
+    with pytest.raises(ValueError, match="boundary must be"):
+        verify_annihilation(state, "bogus", bonds=[(1, 2)])
+    assert verify_annihilation(state, "open", bonds=[(1, 2)])["all_zero"]
 
 
 def test_annihilation_screen_counts_against_the_budget(monkeypatch):
@@ -377,7 +400,7 @@ def test_component_vanishing_at_the_screen_point_is_counted():
     # proof stage can tell that this component is not zero
     p, x0 = vbsstate._SCREEN_PRIME, vbsstate._SCREEN_POINT
     amp = LaurentQ({1: 1, 0: -x0})
-    assert not eval_mod([amp], [x0], p).any()
+    assert not Batch([amp]).eval_mod([x0], p).any()
     state = StateVector(1, 2, {(1, 0): amp})
     got = verify_annihilation(state, "open")
     assert got == dict_annihilation_report(state, "open")
