@@ -318,50 +318,6 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
 # -- divisibility of the orbit vectors by the bond product -------------
 
 
-def _term_vector(poly, key, sites):
-    out = []
-    for s in sites:
-        dx, dy = poly.exponents_at(key, s)
-        out.extend((dx, dy))
-    return tuple(out)
-
-
-def divide_once(p, factor, sites):
-    """Division with remainder by one bond factor, lex order on `sites`.
-
-    The factor's leading coefficient must be +-q^k, a unit of Z[q, 1/q], so
-    quotient and remainder keep integer Laurent coefficients.
-    """
-    lead_key = max(factor.terms, key=lambda k: _term_vector(factor, k, sites))
-    lead_vec = _term_vector(factor, lead_key, sites)
-    lead_coeff = factor.terms[lead_key]
-    terms = lead_coeff.key()
-    if len(terms) != 1 or terms[0][1] not in (1, -1):
-        raise ValueError("divisor leading coefficient must be +-q^k")
-    exp, c = terms[0]
-    inv_lead = LaurentQ({-exp: c})
-    quot = SitePoly.zero()
-    rem = SitePoly.zero()
-    work = p
-    while not work.is_zero:
-        key = max(work.terms, key=lambda k: _term_vector(work, k, sites))
-        vec = _term_vector(work, key, sites)
-        if all(v >= l for v, l in zip(vec, lead_vec)):
-            expo = {}
-            for i, s in enumerate(sites):
-                dx = vec[2 * i] - lead_vec[2 * i]
-                dy = vec[2 * i + 1] - lead_vec[2 * i + 1]
-                expo[s] = (dx, dy)
-            qterm = SitePoly.monomial(expo, work.terms[key] * inv_lead)
-            quot = quot + qterm
-            work = work - qterm * factor
-        else:
-            t = SitePoly({key: work.terms[key]})
-            rem = rem + t
-            work = work - t
-    return quot, rem
-
-
 def bond_product(S, site_a=1, site_b=2):
     """The bond product prod_{m=1..S} (q^m x_a y_b - q^-m y_a x_b)."""
     p = SitePoly.one()
@@ -370,27 +326,41 @@ def bond_product(S, site_a=1, site_b=2):
     return p
 
 
-def divide_by_bond_product(poly, S, sites=(1, 2)):
-    """Divide sequentially by each bond factor; returns (quotient, zero_flag)."""
-    work = poly
-    for m in range(1, S + 1):
-        quot, rem = divide_once(work, bond_factor(m, sites[0], sites[1]), sites)
-        if not rem.is_zero:
-            return None, False
-        work = quot
-    return work, True
+def _reduces_to_zero(poly, m):
+    """True when the one-step remainder of poly modulo f_m is zero."""
+    rem = {}
+    for key, v in poly.terms.items():
+        (a, b), (c, d) = poly.exponents_at(key, 1), poly.exponents_at(key, 2)
+        t = min(a, d)
+        k = (a - t, b + t, c + t, d - t, tuple(e for e in key if e[0] > 2))
+        rem[k] = rem.get(k, LaurentQ.zero()) + v * LaurentQ.q_power(-2 * m * t)
+    return all(v.is_zero for v in rem.values())
+
+
+def divisible_by_bond_product(poly, S):
+    """True when B = prod_{m=1..S} f_m, f_m = q^m x_1 y_2 - q^-m y_1 x_2,
+    divides poly. Modulo f_m, x_1 y_2 = q^-2m y_1 x_2, so with t = min(a, d)
+    x_1^a y_1^b x_2^c y_2^d reduces in one step to
+    q^-2mt x_1^(a-t) y_1^(b+t) x_2^(c+t) y_2^(d-t). The test is exact:
+    - Monomials with no x_1 y_2 factor form a basis modulo (f_m): in lex order
+      with x_1 first, a nonzero g f_m leads with the leading monomial of g
+      times x_1 y_2. So a zero remainder means f_m divides poly.
+    - f_m has degree 1 in x_1, coprime coefficients q^m y_2 and q^-m y_1 x_2
+      and a unit of Z[q, 1/q] as content: it is primitive and irreducible.
+    - The units are +-q^k, so f_m for different m are not associates; in the
+      UFD Z[q, 1/q][x, y], divisibility by every f_m is divisibility by B.
+    """
+    return all(_reduces_to_zero(poly, m) for m in range(1, S + 1))
 
 
 def check_divisibility(S):
-    """Divisibility report for every orbit vector with j <= S."""
+    """Whether the bond product divides each orbit vector of spin j <= S:
+    one row {S, j, t, remainder_zero} per vector, t its lowering step."""
     if S < 1:
         raise ValueError("need S >= 1")
-    report = []
-    for j in range(0, S + 1):
-        for t, poly in enumerate(rep_basis(S, j)):
-            quot, ok = divide_by_bond_product(poly, S)
-            report.append({"S": S, "j": j, "t": t, "remainder_zero": bool(ok)})
-    return report
+    return [{"S": S, "j": j, "t": t,
+             "remainder_zero": divisible_by_bond_product(poly, S)}
+            for j in range(0, S + 1) for t, poly in enumerate(rep_basis(S, j))]
 
 
 def spin2_reference_quotients():

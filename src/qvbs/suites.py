@@ -100,11 +100,10 @@ def suite_divisibility():
         for row in cgproj.check_divisibility(S):
             items.append(row)
             passed = passed and row["remainder_zero"]
-    refs = cgproj.spin2_reference_quotients()
-    quotients_ok = True
-    for (j, t), ref in refs.items():
-        quot, ok = cgproj.divide_by_bond_product(cgproj.rep_basis(2, j)[t], 2)
-        quotients_ok = quotients_ok and ok and quot.proportional_to(ref)
+    # divisible with a quotient proportional to ref, without forming it
+    B = cgproj.bond_product(2)
+    quotients_ok = all(cgproj.rep_basis(2, j)[t].proportional_to(ref * B) for
+                       (j, t), ref in cgproj.spin2_reference_quotients().items())
     passed = passed and quotients_ok
     return {
         "id": "divisibility",

@@ -436,18 +436,6 @@ def exact_trace_power(S, k):
     return acc
 
 
-def conjecture_moment_identity(S, k):
-    """Exact sum rule: sum_l (2l+1) lambda(l)^k equals Tr G^k.
-
-    Holds identically in q when the closed-form spectrum (with multiplicities
-    2l+1) is the true spectrum; one exact identity per moment order.
-    """
-    lhs = LaurentQ.zero()
-    for l in range(S + 1):
-        lhs = lhs + (2 * l + 1) * conjectured_eigenvalue(S, l) ** k
-    return lhs == exact_trace_power(S, k)
-
-
 @lru_cache(maxsize=None)
 def _rational_similar_core(S):
     """A rational matrix exactly similar to G, as its diagonal blocks.
@@ -470,28 +458,14 @@ def _rational_similar_core(S):
     return blocks
 
 
-def _factors_annihilate(block, roots):
-    """True when prod_r (block - r I) is the zero matrix.
-
-    The factors commute, and once the running product is zero every further
-    factor keeps it zero, so the loop stops there.
-    """
-    work = None
-    for r in roots:
-        factor = [[e - r if i == j else e for j, e in enumerate(row)]
-                  for i, row in enumerate(block)]
-        work = factor if work is None else _mat_mul(work, factor)
-        if all(e.is_zero for row in work for e in row):
-            return True
-    return False
-
-
 # -- modular certificate ------------------------------------------------
 #
 # Each identity the certificate checks says that a Laurent polynomial with
 # integer coefficients is zero; it is proved by the modular zero test of
 # qnum, with the degree bound D and height bound H carried through the same
-# block products in Python ints. The dict path above stays as the oracle.
+# block products in Python ints. The exact traces above (`exact_trace_power`)
+# are an independent route to the same moments; the tests hold the exact
+# annihilation and moment checks built on them.
 
 
 # points per evaluation; bounds the arrays a certificate holds at once

@@ -1,0 +1,38 @@
+"""Exact dict oracles for the modular spectrum certificate.
+
+They form the certificate's identities as exact Laurent products, so the
+tests can compare verdicts with `transfercorr.conjecture_exact_certificate`.
+Both read `transfercorr` through the module, so a test that patches its core
+or its eigenvalues patches them here too.
+"""
+
+from qvbs import transfercorr
+from qvbs.qnum import LaurentQ
+
+
+def factors_annihilate(block, roots):
+    """True when prod_r (block - r I) is the zero matrix.
+
+    The factors commute, and once the running product is zero every further
+    factor keeps it zero, so the loop stops there.
+    """
+    work = None
+    for r in roots:
+        factor = [[e - r if i == j else e for j, e in enumerate(row)]
+                  for i, row in enumerate(block)]
+        work = factor if work is None else transfercorr._mat_mul(work, factor)
+        if all(e.is_zero for row in work for e in row):
+            return True
+    return False
+
+
+def conjecture_moment_identity(S, k):
+    """Exact sum rule: sum_l (2l+1) lambda(l)^k equals Tr G^k.
+
+    Holds identically in q when the closed-form spectrum (with multiplicities
+    2l+1) is the true spectrum; one exact identity per moment order.
+    """
+    lhs = LaurentQ.zero()
+    for l in range(S + 1):
+        lhs = lhs + (2 * l + 1) * transfercorr.conjectured_eigenvalue(S, l) ** k
+    return lhs == transfercorr.exact_trace_power(S, k)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from qvbs.cgproj import (
     BudgetError,
+    _reduces_to_zero,
     bond_product,
     check_divisibility,
-    divide_by_bond_product,
-    divide_once,
+    divisible_by_bond_product,
     exact_dot,
     hamiltonian,
     highest_weight,
@@ -277,17 +277,6 @@ def test_hamiltonian_matches_bondwise_tensordot(S, L, boundary):
     assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_divide_once_remainder():
-    f = bond_factor(1, 1, 2)
-    p = f * SitePoly.var(1, "x") + SitePoly.var(2, "y")
-    quot, rem = divide_once(p, f, (1, 2))
-    assert quot == SitePoly.var(1, "x")
-    assert rem == SitePoly.var(2, "y")
-    # a leading coefficient 2 q^k is no unit of Z[q, 1/q]
-    with pytest.raises(ValueError, match="q\\^k"):
-        divide_once(p, f * 2, (1, 2))
-
-
 def test_divisibility_all_low_spin():
     for S in (1, 2, 3):
         rep = check_divisibility(S)
@@ -302,25 +291,58 @@ def test_divisibility_rejects_spin_below_one():
 
 
 def test_divisibility_negative_control():
-    # the top block J = 2S is not divisible by the bond product
-    _, ok = divide_by_bond_product(rep_basis(2, 4)[0], 2)
-    assert not ok
-    _, ok = divide_by_bond_product(rep_basis(1, 2)[1], 1)
-    assert not ok
+    # an orbit vector is a bond-product multiple exactly when J <= S: the
+    # top blocks J > S are the controls
+    assert all(divisible_by_bond_product(v, S) == (J <= S)
+               for S in (1, 2, 3, 4) for J in range(2 * S + 1)
+               for v in rep_basis(S, J))
 
 
 def test_spin2_quotients_match_published():
-    refs = spin2_reference_quotients()
-    for (j, t), ref in refs.items():
-        quot, ok = divide_by_bond_product(rep_basis(2, j)[t], 2)
-        assert ok
-        assert quot.proportional_to(ref)
+    # divisible with a quotient proportional to ref, as one product check
+    B = bond_product(2)
+    for (j, t), ref in spin2_reference_quotients().items():
+        assert rep_basis(2, j)[t].proportional_to(ref * B)
 
 
 def test_bond_product_divides_itself():
-    p = bond_product(3) * SitePoly.monomial({1: (2, 1), 2: (0, 3)})
-    quot, ok = divide_by_bond_product(p, 3)
-    assert ok and quot == SitePoly.monomial({1: (2, 1), 2: (0, 3)})
+    g = SitePoly.monomial({1: (2, 1), 2: (0, 3)})
+    assert divisible_by_bond_product(bond_product(3) * g, 3)
+    assert not divisible_by_bond_product(g, 1)
+
+
+def _cofactor():
+    return (SitePoly.monomial({1: (2, 1), 2: (0, 3)})
+            + SitePoly.monomial({1: (0, 1), 2: (2, 0)}, LaurentQ.q_power(3))
+            + SitePoly.monomial({1: (1, 0), 2: (1, 1)}, 2))
+
+
+def test_divisibility_rejects_a_repeated_or_foreign_factor():
+    # f_1^2 g has f_1 twice but no f_2; f_1 f_3 has the right count of
+    # factors but not the right ones
+    f1, f3 = bond_factor(1, 1, 2), bond_factor(3, 1, 2)
+    assert not divisible_by_bond_product(f1 * f1 * _cofactor(), 2)
+    assert not divisible_by_bond_product(f1 * f3, 2)
+    assert divisible_by_bond_product(f1 * bond_factor(2, 1, 2) * f3, 2)
+
+
+def test_reduction_matches_the_bond_factor_of_weylrep():
+    # the reduction rule x_1 y_2 -> q^-2m y_1 x_2 must be the one written
+    # in weylrep.bond_factor: f_m g passes for m and fails for every other m'
+    for m in (1, 2, 3):
+        p = bond_factor(m, 1, 2) * _cofactor()
+        assert [_reduces_to_zero(p, k) for k in (1, 2, 3)] \
+            == [k == m for k in (1, 2, 3)]
+
+
+def test_divisibility_keeps_other_sites_apart():
+    # x_3 x_1 y_2 - q^-2 y_3 y_1 x_2 reduces to two terms that cancel only
+    # when the site-3 variables are dropped
+    x3, y3 = SitePoly.var(3, "x"), SitePoly.var(3, "y")
+    p = (x3 * SitePoly.monomial({1: (1, 0), 2: (0, 1)})
+         - y3 * SitePoly.monomial({1: (0, 1), 2: (1, 0)}, LaurentQ.q_power(-2)))
+    assert not divisible_by_bond_product(p, 1)
+    assert divisible_by_bond_product((x3 + y3) * bond_factor(1, 1, 2), 1)
 
 
 def test_raising_cancellation_up_to_spin4():

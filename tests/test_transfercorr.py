@@ -17,7 +17,6 @@ from qvbs.transfercorr import (
     Spectral,
     SpectralGapError,
     conjecture_exact_certificate,
-    conjecture_moment_identity,
     exact_trace_power,
     closed_form_szsz,
     conjecture_check,
@@ -36,6 +35,8 @@ from qvbs.transfercorr import (
     two_point_thermo,
     two_point_thermo_printed_form,
 )
+
+from oracles import conjecture_moment_identity, factors_annihilate
 
 Q_GRID = (Fraction(1, 2), Fraction(4, 5), Fraction(1), Fraction(5, 4), Fraction(2))
 
@@ -531,8 +532,7 @@ def patched_inputs(monkeypatch):
         transfercorr._core_block_powers.cache_clear()
         rep = conjecture_exact_certificate(S)
         roots = lams[::-1]
-        annihilate = transfercorr._factors_annihilate
-        oracle = (all(annihilate(b, roots) for b in blocks),
+        oracle = (all(factors_annihilate(b, roots) for b in blocks),
                   all(conjecture_moment_identity(S, k) for k in range(1, S + 2)))
         return (rep["characteristic_factors_annihilate"],
                 rep["moment_identities"]), oracle
@@ -573,13 +573,12 @@ def test_certificate_counts_its_arrays_against_the_budget(monkeypatch):
 def test_characteristic_factors_need_every_level():
     # negative control for the blockwise annihilation check: the delta = 0
     # block carries every level, so dropping one factor must leave it nonzero
-    from qvbs.transfercorr import _factors_annihilate, _rational_similar_core
     S = 3
     roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
-    blocks = _rational_similar_core(S)
-    assert all(_factors_annihilate(b, roots) for b in blocks)
+    blocks = transfercorr._rational_similar_core(S)
+    assert all(factors_annihilate(b, roots) for b in blocks)
     for drop in range(S + 1):
-        assert not _factors_annihilate(blocks[S], roots[:drop] + roots[drop + 1:])
+        assert not factors_annihilate(blocks[S], roots[:drop] + roots[drop + 1:])
 
 
 # -- the cached eigenbasis layer ------------------------------------------
