@@ -460,12 +460,14 @@ def _rational_similar_core(S):
 
 # -- modular certificate ------------------------------------------------
 #
-# Each identity the certificate checks says that a Laurent polynomial with
-# integer coefficients is zero; it is proved by the modular zero test of
-# qnum, with the degree bound D and height bound H carried through the same
-# block products in Python ints. The exact traces above (`exact_trace_power`)
-# are an independent route to the same moments; the tests hold the exact
-# annihilation and moment checks built on them.
+# The certificate checks one identity family, the power sums of each core
+# block: Tr N_delta^k = sum_{l >= |delta|} lambda_l^k for k up to the
+# block's size. Each identity says that a Laurent polynomial with integer
+# coefficients is zero; it is proved by the modular zero test of qnum, with
+# the degree bound D and height bound H carried through the same block
+# powers in Python ints. The tests hold the exact power sums, the
+# annihilation products and the summed moment rule (on `exact_trace_power`
+# above) as oracles.
 
 
 # points per evaluation; bounds the arrays a certificate holds at once
@@ -481,132 +483,92 @@ def _spans_mul(A, B):
 
 
 def _certificate_bounds(batch, offsets):
-    """Degree bound D and height bound H of every polynomial the modular
-    checks form: each running product of the annihilation factors, each
-    block power, and each moment identity (see _moments_vanish_mod), read
-    from the spans of the certificate's batch split at its block offsets."""
+    """Degree bound D and height bound H of every identity the modular check
+    zero-tests, Tr N^k minus the k-th powers of the first n roots (see
+    _power_sums_match_mod), read from the spans of the certificate's batch
+    split at its block offsets. The block powers over GF(p) are images of
+    exact products under q -> x, so they need no bound of their own."""
     D = H = 0
-
-    def see(lo, hi, l1):
-        nonlocal D, H
-        D, H = max(D, int(np.max(hi - lo))), max(H, int(np.max(l1)))
-
     # one (lo, hi, l1) piece per block, then one for the roots
-    *block_spans, root_spans = zip(*(np.split(a, offsets)
-                                     for a in (batch.lo, batch.hi, batch.l1)))
-    r_spans = list(zip(*root_spans))
-    S = len(r_spans) - 1
-    traces = [[] for _ in range(S + 1)]
+    *block_spans, (r_lo, r_hi, r_l1) = zip(*(
+        np.split(a, offsets) for a in (batch.lo, batch.hi, batch.l1)))
     for spans in block_spans:
         n = math.isqrt(len(spans[0]))
         N = tuple(a.reshape(n, n) for a in spans)
-        diag = np.arange(n)
-        work = None
-        for r_lo, r_hi, r_l1 in r_spans:
-            factor = tuple(a.copy() for a in N)
-            factor[0][diag, diag] = np.minimum(factor[0][diag, diag], r_lo)
-            factor[1][diag, diag] = np.maximum(factor[1][diag, diag], r_hi)
-            factor[2][diag, diag] += r_l1
-            work = factor if work is None else _spans_mul(work, factor)
-            see(*work)
         power = N
-        for k in range(S + 1):
-            if k:
+        for k in range(1, n + 1):
+            if k > 1:
                 power = _spans_mul(power, N)
-            see(*power)
-            traces[k].append(tuple(a.diagonal() for a in power))
-    for k, parts in enumerate(traces, start=1):
-        # roots run from lambda_S down to lambda_0
-        terms = [(k * lo, k * hi, (2 * (S - i) + 1) * l1 ** k)
-                 for i, (lo, hi, l1) in enumerate(r_spans)]
-        terms.append((min(int(lo.min()) for lo, _, _ in parts),
-                      max(int(hi.max()) for _, hi, _ in parts),
-                      sum(sum(l1) for _, _, l1 in parts)))
-        see(min(t[0] for t in terms), max(t[1] for t in terms),
-            sum(t[2] for t in terms))
+            lo, hi, l1 = (a.diagonal() for a in power)
+            D = max(D, int(max(hi.max(), k * r_hi[:n].max())
+                           - min(lo.min(), k * r_lo[:n].min())))
+            H = max(H, sum(l1) + sum(r_l1[:n] ** k))
     return D, H
 
 
-def _annihilated_mod(N, roots, p):
-    """prod_r (N - r I) vanishes at every point mod p; like the dict path,
-    the running product stops at its first zero."""
-    diag = np.arange(len(N))
-    work = None
-    for r in roots:
-        factor = N.copy()
-        factor[diag, diag] = (factor[diag, diag] - r) % p
-        work = factor if work is None else mat_mul_mod(work, factor, p)
-        if not work.any():
-            return True
-    return False
-
-
-def _moments_vanish_mod(blocks, roots, p):
-    """The first S+1 moment sum rules, Tr N^k - sum_l (2l+1) lambda_l^k = 0,
-    vanish at every point mod p; roots holds the values of lambda_S down to
-    lambda_0, one column a point."""
-    traces = np.zeros_like(roots)
+def _power_sums_match_mod(blocks, roots, p):
+    """Whether each block N of size n has Tr N^k = the sum of the k-th powers
+    of the first n roots for k = 1..n, at every point mod p; roots holds the
+    values of lambda_S down to lambda_0, one column a point."""
     for N in blocks:
-        power = N
-        for k in range(len(roots)):
+        lam = roots[:len(N)]
+        power, lam_pow = N, lam
+        for k in range(len(N)):
             if k:
                 power = mat_mul_mod(power, N, p)
-            traces[k] = (traces[k] + power.trace()) % p
-    weights = np.arange(2 * len(roots) - 1, 0, -2)[:, None]
-    lam_pow = np.ones_like(roots)
-    for trace in traces:
-        lam_pow = lam_pow * roots % p
-        if ((trace - (weights * lam_pow).sum(axis=0)) % p).any():
-            return False
+                lam_pow = lam_pow * lam % p
+            if ((power.trace() - lam_pow.sum(axis=0)) % p).any():
+                return False
     return True
 
 
 def conjecture_exact_certificate(S):
     """Exact proof of the closed-form spectrum at one S.
 
-    Checks (i) the conjectured characteristic factors annihilate the rational
-    similar core, block by block, so every eigenvalue of G is one of the
-    closed-form values, and (ii) the first S+1 moment identities, which
-    pin the multiplicities 2l+1 through an invertible Vandermonde system
-    wherever the values are distinct. Both are identities in q, proved as
-    zero tests at D+1 points modulo enough fixed primes that their product
-    exceeds twice the height bound H; the report carries D, the bit length
-    of H, the prime count and the point count.
+    Checks that every block N_delta of the rational similar core, of size
+    n = S+1-|delta|, has the power sums Tr N_delta^k = sum_{l=|delta|..S}
+    lambda_l^k for k = 1..n. Q(q) has characteristic 0, so by Newton's
+    identities the first n power sums fix an n x n matrix's characteristic
+    polynomial: each block's is prod_{l >= |delta|} (x - lambda_l). So
+    lambda_l has algebraic multiplicity 2l+1, the number of blocks with
+    |delta| <= l, with no distinctness or Vandermonde step; G is symmetric
+    for real q > 0, so that is also its geometric multiplicity. Each
+    identity is proved as a zero test at D+1 points modulo enough fixed
+    primes that their product exceeds twice the height bound H; the report
+    carries D, the bit length of H, the prime count and the point count.
     """
     if S < 1:
         raise ValueError("need S >= 1")
+    what = "conjecture_exact_certificate(S=%d)" % S
+    # the delta = 0, k = S+1 identity holds lambda_0^(S+1), so H is at least
+    # l1(lambda_0)^(S+1): an S the primes cannot cover fails before the core
+    lam0 = conjectured_eigenvalue(S, 0)
+    primes_for_height(sum(abs(c) for _, c in lam0.items()) ** (S + 1), what)
     blocks = _rational_similar_core(S)
-    # descending l: the block delta holds the levels l >= |delta|, so its
-    # product vanishes after S+1-|delta| factors
+    # descending l: the block delta holds the levels l >= |delta|, the first
+    # S+1-|delta| roots
     roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
     batch = Batch([e for b in blocks for row in b for e in row] + roots)
     offsets = np.cumsum([len(block) ** 2 for block in blocks])
     D, H = _certificate_bounds(batch, offsets)
-    primes = primes_for_height(H, "conjecture_exact_certificate(S=%d)" % S)
+    primes = primes_for_height(H, what)
     width = int(batch.hi.max() - batch.lo.min()) + 1
     # per chunk of points: at most eight polynomials x chunk arrays (the
-    # values, the limb products and the block products) and three
+    # values, the limb products and the block powers) and three
     # width x chunk ones (the power table's limbs)
-    check_budget(8 * _CHUNK * (8 * len(batch.lo) + 3 * width),
-                 "conjecture_exact_certificate(S=%d)" % S)
-    annihilates = moments = True
+    check_budget(8 * _CHUNK * (8 * len(batch.lo) + 3 * width), what)
     # every check is pointwise, so the D+1 points run in chunks
-    chunks = range(1, D + 2, _CHUNK)
-    for p, start in itertools.product(primes, chunks):
+    proved = True
+    for p, start in itertools.product(primes, range(1, D + 2, _CHUNK)):
         points = np.arange(start, min(start + _CHUNK, D + 2))
-        values = batch.eval_mod(points, p)
-        *core, root_v = np.split(values, offsets)
+        *core, root_v = np.split(batch.eval_mod(points, p), offsets)
         core = [v.reshape(len(b), len(b), -1) for v, b in zip(core, blocks)]
-        annihilates = annihilates and all(
-            _annihilated_mod(N, root_v, p) for N in core)
-        moments = moments and _moments_vanish_mod(core, root_v, p)
-        if not (annihilates or moments):
+        proved = _power_sums_match_mod(core, root_v, p)
+        if not proved:
             break
     return {
         "S": S,
-        "characteristic_factors_annihilate": annihilates,
-        "moment_identities": moments,
-        "proved": annihilates and moments,
+        "proved": proved,
         "degree_bound": D,
         "height_bits": H.bit_length(),
         "primes": len(primes),

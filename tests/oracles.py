@@ -1,13 +1,28 @@
 """Exact dict oracles for the modular spectrum certificate.
 
-They form the certificate's identities as exact Laurent products, so the
-tests can compare verdicts with `transfercorr.conjecture_exact_certificate`.
-Both read `transfercorr` through the module, so a test that patches its core
-or its eigenvalues patches them here too.
+`power_sums_match` forms the certificate's identities as exact Laurent
+products, so the tests can compare verdicts with
+`transfercorr.conjecture_exact_certificate`. `factors_annihilate` and
+`conjecture_moment_identity` check what the proof implies (Cayley-Hamilton
+and the summed moment rule) by an independent route. They read
+`transfercorr` through the module, so a test that patches its core or its
+eigenvalues patches them here too.
 """
 
 from qvbs import transfercorr
 from qvbs.qnum import LaurentQ
+
+
+def power_sums_match(block, roots):
+    """True when Tr block^k equals the sum of r^k over the first n roots for
+    k = 1..n, n the block's size, with exact `_mat_mul` powers."""
+    n = len(block)
+    power = None
+    for k in range(1, n + 1):
+        power = block if power is None else transfercorr._mat_mul(power, block)
+        if sum(power[i][i] for i in range(n)) != sum(r ** k for r in roots[:n]):
+            return False
+    return True
 
 
 def factors_annihilate(block, roots):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ from qvbs.transfercorr import (
     two_point_thermo_printed_form,
 )
 
-from oracles import conjecture_moment_identity, factors_annihilate
+from oracles import (conjecture_moment_identity, factors_annihilate,
+                     power_sums_match)
 
 Q_GRID = (Fraction(1, 2), Fraction(4, 5), Fraction(1), Fraction(5, 4), Fraction(2))
 
@@ -440,9 +442,9 @@ def test_conjecture_exact_certificates():
     # `qvbs verify --suite certificates --spin S`
     for S in (1, 2, 3, 5):
         rep = conjecture_exact_certificate(S)
-        assert rep["characteristic_factors_annihilate"]
-        assert rep["moment_identities"]
-        assert rep["proved"]
+        assert set(rep) == {"S", "proved", "degree_bound", "height_bits",
+                            "primes", "points"}
+        assert rep["S"] == S and rep["proved"] is True
         assert rep["points"] == rep["degree_bound"] + 1
         assert math.prod(PRIMES[:rep["primes"]]).bit_length() \
             > rep["height_bits"] + 1
@@ -468,6 +470,19 @@ def test_conjecture_exact_certificate_rejects_spin_below_one(S):
         conjecture_exact_certificate(S)
 
 
+def test_certificate_rejects_uncoverable_spin_before_the_core(monkeypatch):
+    # l1(lambda_0)^13 already needs 1040 bits at S=12, past the 992 bits of
+    # the 32 primes, so the core (about 4 s to build and bound) is skipped
+    def core(S):
+        raise AssertionError("core built")
+
+    monkeypatch.setattr(transfercorr, "_rational_similar_core", core)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="needs more than the 32 fixed primes"):
+        conjecture_exact_certificate(12)
+    assert time.perf_counter() - start < 1
+
+
 def test_certificate_moduli_are_prime():
     assert len(set(PRIMES)) == len(PRIMES)
     for p in PRIMES:
@@ -483,11 +498,10 @@ def _coefficient_span(f):
 
 @pytest.mark.parametrize("S", (1, 2, 3))
 def test_certificate_bounds_cover_dict_products(S):
-    # every product the dict oracle forms: the running annihilation
-    # products, the block powers, the traces and the moment identities
+    # every polynomial the check zero-tests: for each block and k <= n, the
+    # trace Tr N^k and each partial sum Tr N^k - sum of the first roots^k
     blocks = transfercorr._rational_similar_core(S)
-    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
-    roots = lams[::-1]
+    roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
     batch = Batch([e for block in blocks for row in block for e in row]
                   + roots)
     offsets = np.cumsum([len(block) ** 2 for block in blocks])
@@ -496,25 +510,19 @@ def test_certificate_bounds_cover_dict_products(S):
     assert (rep["degree_bound"], rep["height_bits"]) == (D, H.bit_length())
     seen = []
     for block in blocks:
-        work = None
-        for r in roots:
-            factor = [[e - r if i == j else e for j, e in enumerate(row)]
-                      for i, row in enumerate(block)]
-            work = (factor if work is None
-                    else transfercorr._mat_mul(work, factor))
-            seen.extend(e for row in work for e in row)
-    for k in range(1, S + 2):
-        seen.extend(e for P in transfercorr._core_block_powers(S, k)
-                    for row in P for e in row)
-        trace = exact_trace_power(S, k)
-        seen.append(trace)
-        for l, lam in enumerate(lams):
-            # every closed-form eigenvalue is a Laurent polynomial here, so
-            # the identity is Tr N^k minus the terms (2l+1) lambda_l^k
-            assert isinstance(lam, LaurentQ)
-            term = (2 * l + 1) * lam ** k
-            trace = trace - term
-            seen += [term, trace]
+        n = len(block)
+        power = None
+        for k in range(1, n + 1):
+            power = (block if power is None
+                     else transfercorr._mat_mul(power, block))
+            identity = sum(power[i][i] for i in range(n))
+            seen.append(identity)
+            for r in roots[:n]:
+                # every closed-form eigenvalue is a Laurent polynomial here
+                assert isinstance(r, LaurentQ)
+                identity = identity - r ** k
+                seen.append(identity)
+            assert identity.is_zero
     for f in seen:
         span, height = _coefficient_span(f)
         assert span <= D and height <= H
@@ -522,22 +530,17 @@ def test_certificate_bounds_cover_dict_products(S):
 
 @pytest.fixture
 def patched_inputs(monkeypatch):
-    """Run the certificate and its dict oracles on given core blocks and
+    """Run the certificate and its dict oracle on given core blocks and
     eigenvalues, through the module functions both paths read."""
     def verdicts(S, blocks, lams):
         monkeypatch.setattr(transfercorr, "_rational_similar_core",
                             lambda S: blocks)
         monkeypatch.setattr(transfercorr, "conjectured_eigenvalue",
                             lambda S, l: lams[l])
-        transfercorr._core_block_powers.cache_clear()
         rep = conjecture_exact_certificate(S)
         roots = lams[::-1]
-        oracle = (all(factors_annihilate(b, roots) for b in blocks),
-                  all(conjecture_moment_identity(S, k) for k in range(1, S + 2)))
-        return (rep["characteristic_factors_annihilate"],
-                rep["moment_identities"]), oracle
-    yield verdicts
-    transfercorr._core_block_powers.cache_clear()
+        return rep["proved"], all(power_sums_match(b, roots) for b in blocks)
+    return verdicts
 
 
 @pytest.mark.parametrize("S", (1, 2, 3, 4))
@@ -545,23 +548,51 @@ def test_modular_and_dict_verdicts_agree(patched_inputs, S):
     rng = random.Random(S)
     blocks = transfercorr._rational_similar_core(S)
     lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
-    modular, oracle = patched_inputs(S, blocks, lams)
-    assert modular == oracle == (True, True)
+    assert patched_inputs(S, blocks, lams) == (True, True)
 
     def bump(l, poly):
         return [lam + poly if i == l else lam for i, lam in enumerate(lams)]
 
-    modular, oracle = patched_inputs(S, blocks, bump(rng.randrange(S + 1), 1))
-    assert modular == oracle and not any(modular)
-    modular, oracle = patched_inputs(
-        S, blocks, bump(rng.randrange(S + 1), LaurentQ.q_power(3)))
-    assert modular == oracle and modular[1] is False
+    assert patched_inputs(S, blocks, bump(rng.randrange(S + 1), 1)) \
+        == (False, False)
+    assert patched_inputs(
+        S, blocks, bump(rng.randrange(S + 1), LaurentQ.q_power(3))) \
+        == (False, False)
     d = rng.randrange(len(blocks))
     i, j = rng.randrange(len(blocks[d])), rng.randrange(len(blocks[d]))
     mutant = [[list(row) for row in b] for b in blocks]
     mutant[d][i][j] = mutant[d][i][j] + LaurentQ.q_power(2)
-    modular, oracle = patched_inputs(S, mutant, lams)
-    assert modular == oracle and not all(modular)
+    assert patched_inputs(S, mutant, lams) == (False, False)
+
+
+@pytest.mark.parametrize("S", (1, 2, 3, 4))
+def test_certificate_rejects_trace_preserving_block(patched_inputs, S):
+    # +c and -c on the diagonal keep Tr N; only k = n can see it in a block
+    # of size 2, so a check that stopped at k = n-1 would pass this one
+    blocks = transfercorr._rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
+    # delta = 1 - S (size 2) and delta = 0 (size S+1)
+    for d in sorted({1, S}):
+        mutant = [[list(row) for row in b] for b in blocks]
+        c = LaurentQ.q_power(1)
+        mutant[d][0][0] = mutant[d][0][0] + c
+        mutant[d][1][1] = mutant[d][1][1] - c
+        assert sum(mutant[d][i][i] for i in range(len(mutant[d]))) \
+            == sum(blocks[d][i][i] for i in range(len(blocks[d])))
+        assert patched_inputs(S, mutant, lams) == (False, False)
+
+
+@pytest.mark.parametrize("S", (1, 2, 3, 4))
+def test_certificate_rejects_misplaced_levels(patched_inputs, S):
+    # lambda_0 and lambda_S swapped: the same values, with the wrong
+    # multiplicities, so the delta = 0 block alone would still pass
+    blocks = transfercorr._rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
+    swapped = [lams[S]] + lams[1:S] + [lams[0]]
+    assert power_sums_match(blocks[S], swapped[::-1])
+    assert patched_inputs(S, blocks, swapped) == (False, False)
+    # every block reading its roots from the wrong end, lambda_0 upwards
+    assert patched_inputs(S, blocks, lams[::-1]) == (False, False)
 
 
 def test_certificate_counts_its_arrays_against_the_budget(monkeypatch):
