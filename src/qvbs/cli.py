@@ -113,6 +113,8 @@ def cmd_correlator(args):
     q0 = parse_q(args.q)
     if args.op != "sz":
         raise ValueError("only the sz correlator is implemented")
+    if args.mode == "thermo" and args.length is not None:
+        raise ValueError("--length applies only to --mode finite")
     if args.r_min < 2:
         raise ValueError("r starts at 2")
     if args.r_max < args.r_min:

@@ -11,11 +11,13 @@ square root, the state's prefactor.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .cgproj import check_budget
-from .qnum import LaurentQ, q_binomial, radical_float
+from .qnum import LaurentQ, q_binomial, q_factorial, radical_pairs
 from .weylrep import StateVector, weight_radicand
 
 
@@ -41,17 +43,73 @@ class MPSTensor:
     def phys_matrices(self, q0):
         """Spin-gauge entries as floats: array [m_index, i-1, j-1], each
         entry dressed with the sqrt-factorial normalization of its basis
-        vector. m_index runs over the digit convention S - m."""
+        vector. m_index runs over the digit convention S - m.
+
+        Each entry is radical_float of its factors: the paired part rounded
+        once from its exact value, then times each kept factor's root in
+        the normal form's order. The normal forms do not depend on q, so
+        they come from _radical_layout, and each distinct radicand is
+        evaluated once per call."""
         S = self.S
+        q0 = Fraction(q0)
+        radicands, rows = _radical_layout(S, tuple(self._entries.items()))
+        ratios = [_product_ratio(parts, q0) for parts in radicands]
+        roots = [None] * len(radicands)
         out = np.zeros((2 * S + 1, S + 1, S + 1))
-        for (i, j), (sign, e2) in self._entries.items():
-            m = j - i
-            # an odd e2 leaves one factor q under the radical
-            factors = (q_binomial(S, i - 1), q_binomial(S, j - 1),
-                       weight_radicand(S, m)) + (LaurentQ.q_power(1),) * (e2 % 2)
-            out[S - m, i - 1, j - 1] = radical_float(
-                factors, q0, LaurentQ.q_power(e2 // 2, sign))
+        for slot, i, j, sign, k, paired, kept in rows:
+            num, den = LaurentQ.q_power(k, sign).eval_ratio(q0)
+            for t in paired:
+                num, den = num * ratios[t][0], den * ratios[t][1]
+            acc = num / den
+            for t in kept:
+                if roots[t] is None:
+                    # the root of the radicand's eval_float
+                    roots[t] = math.sqrt(ratios[t][0] / ratios[t][1])
+                acc *= roots[t]
+            out[slot, i, j] = acc
         return out
+
+
+def _product_ratio(polys, q0):
+    """The exact value of a product of Laurent polynomials at q0, as an
+    unreduced (num, den) pair of ints."""
+    num = den = 1
+    for f in polys:
+        fn, fd = f.eval_ratio(q0)
+        num, den = num * fn, den * fd
+    return num, den
+
+
+@lru_cache(maxsize=None)
+def _radical_layout(S, entries):
+    """The q-free part of phys_matrices for the site tensor with these
+    entries ((i, j), (sign, e2)), as (radicands, rows).
+
+    A row holds an entry's slot S - m, i-1 and j-1, its sign, its q exponent
+    e2 // 2 and the radical_pairs of its factors [S, i-1], [S, j-1], the
+    weight radicand of m = j - i and, for odd e2, q, as indices into the
+    distinct radicands. Each radicand is held as the polynomials whose
+    product it is: [S, k], or [S+m]! and [S-m]!, from the lru-cached
+    constructors, or q. So a layout holds references, not polynomials of
+    its own.
+    """
+    q = LaurentQ.q_power(1)
+    binom = [q_binomial(S, k) for k in range(S + 1)]
+    weight = {m: weight_radicand(S, m) for m in range(-S, S + 1)}
+    parts = {f: (f,) for f in binom + [q]}
+    parts.update((weight[m], (q_factorial(S + m), q_factorial(S - m)))
+                 for m in weight)
+    index = {}  # radicand -> its position, equal radicands sharing one
+    rows = []
+    for (i, j), (sign, e2) in entries:
+        m = j - i
+        # an odd e2 leaves one factor q under the radical
+        paired, kept = radical_pairs(
+            (binom[i - 1], binom[j - 1], weight[m]) + (q,) * (e2 % 2))
+        rows.append((S - m, i - 1, j - 1, sign, e2 // 2,
+                     *(tuple(index.setdefault(f, len(index)) for f in fs)
+                       for fs in (paired, kept))))
+    return tuple(parts[f] for f in index), tuple(rows)
 
 
 def _site_tensor(S, e2, signed):

@@ -241,22 +241,32 @@ class LaurentQ:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval_fraction(self, q0):
-        """Exact evaluation at a positive rational point."""
-        q0 = Fraction(q0)
+    def eval_ratio(self, q0):
+        """(num, den), integers with den > 0 and num / den the exact value at
+        a positive rational q0 = n/d, not reduced: the sum of
+        v n^(e-lo) d^(hi-e) runs in integers and n^lo / d^hi joins it once."""
+        if not isinstance(q0, Fraction):
+            q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("evaluation point must be > 0")
         if not self._c:
-            return Fraction(0)
-        # q0^e = n^(e-lo) d^(hi-e) * n^lo / d^hi with q0 = n/d: the sum runs
-        # in integers and is reduced once at the end, not once per term
+            return 0, 1
         n, d = q0.numerator, q0.denominator
         lo, hi = min(self._c), max(self._c)
         acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in self._c.items())
-        return acc * q0 ** lo / d ** (hi - lo)
+        return (acc * n ** max(lo, 0) * d ** max(-hi, 0),
+                n ** max(-lo, 0) * d ** max(hi, 0))
+
+    def eval_fraction(self, q0):
+        """Exact evaluation at a positive rational point."""
+        return Fraction(*self.eval_ratio(q0))
 
     def eval_float(self, q0):
-        return float(self.eval_fraction(Fraction(q0)))
+        """The value at q0 rounded once: CPython's int true division is
+        correctly rounded, and float(Fraction) is that same division, so this
+        equals float(eval_fraction(q0)) bit for bit, OverflowError included."""
+        num, den = self.eval_ratio(q0)
+        return num / den
 
     # -- misc ---------------------------------------------------------
 
@@ -409,32 +419,37 @@ class RatQ:
 # -- radicals ---------------------------------------------------------
 
 
-def radical_form(factors):
-    """sqrt(prod factors) as (r, kept) with r * sqrt(prod kept) the same value.
-
-    The normal form of a product of positive Laurent radicands: unit factors
-    dropped, equal factors paired into the Laurent part r, the rest sorted by
-    key(), so equal products of the same factors print and evaluate alike.
-    """
+def radical_pairs(factors):
+    """sqrt(prod factors) as (paired, kept), the value prod(paired) *
+    sqrt(prod kept): unit factors dropped, each pair of equal factors
+    represented once in paired, the rest sorted by key(), so equal products
+    of the same factors print and evaluate alike. Both tuples hold the
+    caller's factor objects, not copies."""
     fs = sorted((f for f in factors if f != 1), key=LaurentQ.key)
-    r, kept = LaurentQ.one(), []
+    paired, kept = [], []
     while fs:
         f = fs.pop(0)
         if fs and fs[0] == f:
-            r = r * fs.pop(0)
+            paired.append(fs.pop(0))
         else:
             kept.append(f)
-    return r, tuple(kept)
+    return tuple(paired), tuple(kept)
+
+
+def radical_form(factors):
+    """sqrt(prod factors) as (r, kept) with r * sqrt(prod kept) the same
+    value: the normal form of radical_pairs, the pairs multiplied out."""
+    paired, kept = radical_pairs(factors)
+    return math.prod(paired, start=LaurentQ.one()), kept
 
 
 def radical_float(factors, q0, rat=1):
-    """rat * sqrt(prod factors) at q0 > 0: the Laurent part in exact
-    rationals, then one square root per unpaired factor."""
-    q0 = Fraction(q0)
+    """rat * sqrt(prod factors) at q0 > 0: the Laurent part rounded once
+    from its exact value, then one square root per unpaired factor."""
     r, kept = radical_form(factors)
-    acc = float((r * rat).eval_fraction(q0))
+    acc = (r * rat).eval_float(q0)
     for f in kept:
-        acc *= math.sqrt(f.eval_fraction(q0))
+        acc *= math.sqrt(f.eval_float(q0))
     return acc
 
 

@@ -75,8 +75,8 @@ def _f_spin_scalars(S, q0):
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _q_floats(S, q0):
     """[n]! for n = 0..2S and [S, k] for k = 0..S at q0, as read-only arrays."""
-    fact = np.array([float(q_factorial(n).eval_fraction(q0)) for n in range(2 * S + 1)])
-    binom = np.array([float(q_binomial(S, k).eval_fraction(q0)) for k in range(S + 1)])
+    fact = np.array([q_factorial(n).eval_float(q0) for n in range(2 * S + 1)])
+    binom = np.array([q_binomial(S, k).eval_float(q0) for k in range(S + 1)])
     fact.flags.writeable = binom.flags.writeable = False
     return fact, binom
 
@@ -654,11 +654,31 @@ def closed_form_szsz(S, q0, r):
     """
     if r < 2:
         raise ValueError("closed forms are used for separations r >= 2 only")
-    q0 = Fraction(q0)
+    pref, terms = _closed_form_terms(S, Fraction(q0))
+    tiny = sys.float_info.min
+    powers = [b ** r for _, b in terms]
+    value = pref * sum(c * p for (c, _), p in zip(terms, powers))
+    if not math.isfinite(value):
+        raise OverflowError("closed form is not finite at r=%d" % r)
+    # a power below the normal range has lost digits; that matters when its
+    # term, sized by logarithms, is not negligible against the value
+    floor = math.log(max(abs(value) * sys.float_info.epsilon, tiny))
+    for (c, b), p in zip(terms, powers):
+        if abs(p) < tiny and c and (math.log(abs(pref)) + math.log(abs(c))
+                                    + r * math.log(abs(b))) > floor:
+            raise FloatingPointError("closed form underflows at r=%d" % r)
+    return value
+
+
+@lru_cache(maxsize=Q_CACHE_SIZE)
+def _closed_form_terms(S, q0):
+    """The r-free part of closed_form_szsz: the prefactor and the (c, b)
+    pairs of its terms at q0, each q-integer evaluated once."""
     qv = float(q0)
 
+    @lru_cache(maxsize=None)
     def qi(n):
-        return float(q_integer(n).eval_fraction(q0))
+        return q_integer(n).eval_float(q0)
 
     if S == 2:
         pref = -(qi(2) * qi(3) / qi(4))
@@ -678,19 +698,7 @@ def closed_form_szsz(S, q0, r):
                   -qi(7) * qi(6) * beta))
     else:
         raise ValueError("closed forms are available for S = 2 and S = 3 only")
-    tiny = sys.float_info.min
-    powers = [b ** r for _, b in terms]
-    value = pref * sum(c * p for (c, _), p in zip(terms, powers))
-    if not math.isfinite(value):
-        raise OverflowError("closed form is not finite at r=%d" % r)
-    # a power below the normal range has lost digits; that matters when its
-    # term, sized by logarithms, is not negligible against the value
-    floor = math.log(max(abs(value) * sys.float_info.epsilon, tiny))
-    for (c, b), p in zip(terms, powers):
-        if abs(p) < tiny and c and (math.log(abs(pref)) + math.log(abs(c))
-                                    + r * math.log(abs(b))) > floor:
-            raise FloatingPointError("closed form underflows at r=%d" % r)
-    return value
+    return pref, terms
 
 
 def isotropic_szsz_limit(S, r):

@@ -320,11 +320,11 @@ class StateVector:
         of per-site roots; a non-finite value raises ValueError."""
         q0 = Fraction(q0)
         pref = radical_float(self.prefactor, q0)
-        root = {m: float(weight_radicand(self.S, m).eval_fraction(q0)) ** 0.5
+        root = {m: weight_radicand(self.S, m).eval_float(q0) ** 0.5
                 for m in range(-self.S, self.S + 1)}
         out = {}
         for k, a in self.amps.items():
-            val = float(a.eval_fraction(q0)) * pref
+            val = a.eval_float(q0) * pref
             for m in k:
                 val *= root[m]
             if not math.isfinite(val):

@@ -65,6 +65,25 @@ def test_state_csv_matches_exact_amplitudes(capsys, argv, state):
         assert abs(float(value) - ref) <= 1e-14 * abs(ref)
 
 
+# sha256 of the CSV stdout: each value is a correctly rounded exact
+# amplitude times correctly rounded roots, so the bytes do not depend on the
+# platform
+STATE_CSV_DIGESTS = {
+    ("--spin", "2", "--length", "4", "--q", "4/5"):
+        "86073d1bbf2da954afff5fda1b20162e4d428007ffc45b73ba27ff033fb297ea",
+    ("--spin", "3", "--length", "3", "--bc", "open", "--p1", "2", "--p2", "4",
+     "--q", "7/3"):
+        "9d4a0e4b5199770058e285697721a0990783237c6c2ad5aab1d6eb14edd1f615",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STATE_CSV_DIGESTS))
+def test_state_csv_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, "state", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STATE_CSV_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("spin", ("-1", "0"))
 def test_state_rejects_spin_below_one(capsys, spin):
     # S = 0 printed an empty-bond state and S = -1 a degree error
@@ -178,6 +197,15 @@ def test_correlator_argument_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "correlator", "--spin", "2", "--op", "sx")
     assert code == 2
+
+
+@pytest.mark.parametrize("length", ("12", "0"))
+def test_correlator_thermo_rejects_length(capsys, length):
+    # thermo mode ignored --length and printed the infinite-chain values
+    code, out, err = run(capsys, "correlator", "--spin", "2", "--mode",
+                         "thermo", "--length", length, "--r-max", "4")
+    assert code == 2 and out == ""
+    assert err == "error: --length applies only to --mode finite\n"
 
 
 def test_correlator_former_nan_rows_are_finite(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +17,8 @@ from qvbs.mpscore import (
     tensor_g,
     tensor_g_start,
 )
-from qvbs.qnum import q_binomial, q_factorial
+from qvbs.qnum import LaurentQ, q_binomial, q_factorial, radical_float
+from qvbs.weylrep import weight_radicand
 from qvbs.transfercorr import two_point_finite
 from qvbs.vbsstate import build_open, build_pbc
 
@@ -68,6 +71,68 @@ def test_odd_exponent_keeps_q_under_the_radical():
     rad = q_binomial(2, 1) * q_factorial(3) * q_factorial(1)
     expect = float(Q0) ** -1.5 * float(rad.eval_fraction(Q0)) ** 0.5
     assert f.phys_matrices(Q0)[1, 0, 1] == pytest.approx(expect, rel=1e-14)
+
+
+# sha256 of phys_matrices(q).tobytes() over S = 1..6 and PINNED_Q in order;
+# every entry is a correctly rounded exact value times correctly rounded
+# roots, so the bytes do not depend on the platform
+PINNED_Q = ("1/2", "4/5", "1", "7/4", "1/1000")
+PHYS_DIGESTS = {
+    "f": "ad4bf6f68e4df313f4780995a55361ca7ec3392f45eec060ccaf161708c08ccb",
+    "g": "d3489f8f3e5f053236b58dd8d4fabd756f28b0ffa733db9d7152771465b780db",
+}
+
+
+@pytest.mark.parametrize("name, tensor", (("f", tensor_f), ("g", tensor_g)))
+def test_phys_matrices_bytes_are_pinned(name, tensor):
+    h = hashlib.sha256()
+    for S in range(1, 7):
+        for q in PINNED_Q:
+            h.update(tensor(S).phys_matrices(Fraction(q)).tobytes())
+    assert h.hexdigest() == PHYS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("tensor", (tensor_f, tensor_g, tensor_g_start))
+@pytest.mark.parametrize("q", ("1/1000", "3/7", "1", "13/4", "1000"))
+def test_phys_matrices_entry_is_radical_float(tensor, q):
+    # bit for bit the radical_float of the entry's factors
+    q0 = Fraction(q)
+    for S in (1, 2, 3, 4):
+        t = tensor(S)
+        phys = t.phys_matrices(q0)
+        for i in range(1, S + 2):
+            for j in range(1, S + 2):
+                sign, e2 = t.entry(i, j)
+                factors = ((q_binomial(S, i - 1), q_binomial(S, j - 1),
+                            weight_radicand(S, j - i))
+                           + (LaurentQ.q_power(1),) * (e2 % 2))
+                ref = radical_float(factors, q0,
+                                    LaurentQ.q_power(e2 // 2, sign))
+                assert phys[S - j + i, i - 1, j - 1].hex() == ref.hex()
+
+
+def test_phys_matrices_evaluates_each_radicand_once(monkeypatch):
+    # the normal forms are cached per tensor; a call evaluates each distinct
+    # radicand once, whether it is paired in one entry and kept in another
+    seen = []
+    real = mpscore._product_ratio
+
+    def spy(polys, q0):
+        seen.append(math.prod(polys, start=LaurentQ.one()))
+        return real(polys, q0)
+
+    monkeypatch.setattr(mpscore, "_product_ratio", spy)
+    for S in range(1, 7):
+        for tensor in (tensor_f, tensor_g):
+            t = tensor(S)
+            distinct = {f for (i, j), (_, e2) in t._entries.items()
+                        for f in (q_binomial(S, i - 1), q_binomial(S, j - 1),
+                                  weight_radicand(S, j - i))
+                        + (LaurentQ.q_power(1),) * (e2 % 2) if f != 1}
+            for q in ("1/2", "5/3"):
+                seen.clear()
+                t.phys_matrices(Fraction(q))
+                assert len(seen) == len(distinct) and set(seen) == distinct
 
 
 def test_trace_single_site_only_m0():

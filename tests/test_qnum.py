@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,74 @@ def test_eval_fraction_matches_termwise_sum():
         ref = sum((Fraction(v) * q0 ** e for e, v in coeffs.items()), Fraction(0))
         got = LaurentQ(coeffs).eval_fraction(q0)
         assert isinstance(got, Fraction) and got == ref
+
+
+def _outcome(fn):
+    """The float fn returns, as hex so that -0.0 and 0.0 differ, or the type
+    and text of the ArithmeticError it raises."""
+    try:
+        return fn().hex()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _kind(outcome):
+    if not isinstance(outcome, str):
+        return outcome[0].__name__
+    v = abs(float.fromhex(outcome))
+    return "zero" if v == 0 else "subnormal" if v < sys.float_info.min else "normal"
+
+
+def _far_point(rng):
+    """A positive rational from about 1e-200 to 1e200."""
+    return (Fraction(rng.randint(1, 999), rng.randint(1, 999))
+            * Fraction(10) ** rng.randint(-200, 200))
+
+
+def _random_laurent(rng, terms=5, span=6):
+    return LaurentQ({rng.randint(-span, span):
+                     rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+                     for _ in range(rng.randint(0, terms))})
+
+
+def test_eval_float_is_float_of_eval_fraction():
+    # one int division: bit for bit float(Fraction), through subnormals,
+    # signed zeros and the same OverflowError text
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(3000):
+        p = _random_laurent(rng)
+        q0 = _far_point(rng)
+        got = _outcome(lambda: p.eval_float(q0))
+        assert got == _outcome(lambda: float(p.eval_fraction(q0)))
+        kinds.add(_kind(got))
+    assert kinds == {"OverflowError", "zero", "subnormal", "normal"}
+
+
+def test_radical_float_matches_fraction_reference():
+    # the reference rounds the Laurent part from its Fraction value and
+    # takes each kept factor's root of float(Fraction)
+    def reference(factors, q0, rat):
+        r, kept = radical_form(factors)
+        acc = float((r * rat).eval_fraction(q0))
+        for f in kept:
+            acc *= math.sqrt(f.eval_fraction(q0))
+        return acc
+
+    rng = random.Random(31)
+    pool = [q_integer(n) for n in range(2, 9)] + [
+        LaurentQ({rng.randint(-8, 8): rng.randint(1, 10 ** 20)
+                  for _ in range(rng.randint(1, 4))}) for _ in range(8)]
+    kinds = set()
+    for _ in range(1500):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        factors += rng.sample(factors, rng.randint(0, len(factors)))
+        rat = _random_laurent(rng, terms=3)
+        q0 = _far_point(rng)
+        got = _outcome(lambda: radical_float(factors, q0, rat))
+        assert got == _outcome(lambda: reference(factors, q0, rat))
+        kinds.add(_kind(got))
+    assert kinds == {"OverflowError", "zero", "subnormal", "normal"}
 
 
 def test_ring_axioms_random():

@@ -382,6 +382,44 @@ def test_closed_form_at_far_q_raises_instead_of_printing():
         closed_form_szsz(2, Fraction(1, 10 ** 30), 2)
 
 
+@pytest.mark.parametrize("S, distinct", ((2, 5), (3, 8)))
+def test_closed_form_evaluates_q_integers_once_per_q(monkeypatch, S, distinct):
+    # the q-only terms sit in a cache keyed by (S, q): an r sweep evaluates
+    # each q-integer [2]..[6] (S=2) or [2]..[9] (S=3) once, a repeat none
+    seen = []
+    real = LaurentQ.eval_float
+
+    def spy(self, q0):
+        seen.append(self)
+        return real(self, q0)
+
+    monkeypatch.setattr(LaurentQ, "eval_float", spy)
+    transfercorr._closed_form_terms.cache_clear()
+    for q0 in (Fraction(1, 2), Fraction(9, 7)):
+        seen.clear()
+        values = [closed_form_szsz(S, q0, r) for r in range(2, 61)]
+        assert len(seen) == len(set(seen)) == distinct
+        assert [closed_form_szsz(S, q0, r) for r in range(2, 61)] == values
+        assert len(seen) == distinct
+
+
+def test_closed_form_errors_are_not_cached():
+    # the cache holds no failure, so a repeat raises again, with the text
+    # of the first
+    transfercorr._closed_form_terms.cache_clear()
+    for S, q0, r, exc in ((2, Fraction(10 ** 20), 8, FloatingPointError),
+                          (2, Fraction(1, 10 ** 30), 2, OverflowError),
+                          (3, Fraction(10 ** 80), 2, OverflowError),
+                          (4, Fraction(1), 3, ValueError)):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(exc) as info:
+                closed_form_szsz(S, q0, r)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+    assert transfercorr._closed_form_terms.cache_info().currsize == 2
+
+
 def test_closed_form_restrictions():
     with pytest.raises(ValueError):
         closed_form_szsz(2, 1, 1)
@@ -526,6 +564,20 @@ def test_certificate_bounds_cover_dict_products(S):
     for f in seen:
         span, height = _coefficient_span(f)
         assert span <= D and height <= H
+    # H covers the bound each identity needs, not just the products seen:
+    # the l1 norm of Tr N^k carried through the block powers plus the l1
+    # norms of the first n roots to the k-th power, each read from the
+    # batch's own norms
+    l1 = np.split(batch.l1, offsets)
+    root_l1 = l1.pop()
+    for block, norms in zip(blocks, l1):
+        n = len(block)
+        N = norms.reshape(n, n)
+        power = N
+        for k in range(1, n + 1):
+            if k > 1:
+                power = power @ N
+            assert H >= sum(power.diagonal()) + sum(root_l1[:n] ** k)
 
 
 @pytest.fixture
@@ -768,10 +820,11 @@ def test_two_transfer_matrices_per_spin_and_q(monkeypatch):
 def test_q_keyed_caches_are_bounded():
     assert Q_CACHE_SIZE > 96  # six spins on the sixteen-point grid fit
     caches = (transfercorr._spectral, transfercorr._f_spin_scalars,
-              transfercorr._q_floats)
+              transfercorr._q_floats, transfercorr._closed_form_terms)
     for k in range(300):
         q0 = Fraction(1000 + k, 1001)
         two_point_thermo("sz", "sz", 1, q0, 3)
+        closed_form_szsz(2, q0, 3)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == Q_CACHE_SIZE
