@@ -160,7 +160,7 @@ def cmd_verify(args):
         cert = transfercorr.conjecture_exact_certificate(args.spin)
         payload = {"suite": "certificates", "items": [cert],
                    "passed": cert["proved"],
-                   "source": "modular_spectrum_certificate"}
+                   "source": "lowering_operator_certificate"}
     elif args.spin is not None:
         raise ValueError(
             "--spin applies only to --suite divisibility or certificates")

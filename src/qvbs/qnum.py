@@ -527,17 +527,6 @@ def primes_for_height(H, what):
                      "fixed primes" % (H.bit_length(), what, len(PRIMES)))
 
 
-def mat_mul_mod(A, B, p):
-    """Product of (n, k, P) and (k, m, P) stacks of matrices over GF(p), one
-    matrix per point; each partial sum is reduced at once, so no entry
-    exceeds 2**62 + p."""
-    out = np.zeros((A.shape[0], B.shape[1], A.shape[2]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out += A[:, k, None] * B[None, k]
-        out %= p
-    return out
-
-
 @lru_cache(maxsize=64)
 def _powers(points, e, p):
     """x**e mod p for each point x; the Python pow inverts for e < 0, which

@@ -3,19 +3,19 @@
 The double-layer transfer matrix G is built two independent ways (from the
 site tensor, and from its printed closed form) and the two are compared on
 every construction. The printed entry rule is written once, in _entry_rule,
-and the exact similar core behind the spectrum certificate and the exact
-equal-index block read that same rule. Each (S, q) is built, checked and
-diagonalized once and kept in a bounded cache together with the S^z
-insertion in the eigenbasis;
-every numeric correlator is then a short sum in the eigenvalue ratios. An
-exact symbolic path exists for the equal-index block, which is all the
-spin-resolved probabilities need: its top eigenvector has the closed form
-v_a = q^a, proved by exact matrix products, so no elimination is needed.
+and the exact similar core and the exact equal-index block read that same
+rule. The spectrum certificate proves the closed-form spectrum on the core's
+blocks with a lowering operator, by exact block products and traces alone.
+Each (S, q) is built, checked and diagonalized once and kept in a bounded
+cache with the S^z insertion in the eigenbasis, so every numeric correlator
+is a short sum in the eigenvalue ratios. An exact symbolic path exists for
+the equal-index block, which is all the spin-resolved probabilities need:
+its top eigenvector has the closed form v_a = q^a, proved by exact matrix
+products, so no elimination is needed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,8 +26,7 @@ import numpy as np
 
 from .cgproj import check_budget, exact_dot
 from .mpscore import tensor_f
-from .qnum import (Batch, LaurentQ, RatQ, mat_mul_mod, primes_for_height,
-                   q_binomial, q_factorial, q_integer)
+from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -91,6 +90,8 @@ def _entry_rule(S):
     even), m = S-a+c and n = S+a-c. Returned as a read-only int array of
     rows a, b, c, d, sign, e, m, n, one column per coupled entry.
     """
+    # its index arrays peak at about 86 B per (a, b, c)
+    check_budget(88 * (S + 1) ** 3, "_entry_rule(S=%d)" % S)
     a, b, c = np.indices((S + 1,) * 3).reshape(3, -1)
     d = c - a + b
     a, b, c, d = (x[(0 <= d) & (d <= S)] for x in (a, b, c, d))
@@ -458,122 +459,81 @@ def _rational_similar_core(S):
     return blocks
 
 
-# -- modular certificate ------------------------------------------------
+# -- spectrum certificate ------------------------------------------------
 #
-# The certificate checks one identity family, the power sums of each core
-# block: Tr N_delta^k = sum_{l >= |delta|} lambda_l^k for k up to the
-# block's size. Each identity says that a Laurent polynomial with integer
-# coefficients is zero; it is proved by the modular zero test of qnum, with
-# the degree bound D and height bound H carried through the same block
-# powers in Python ints. The tests hold the exact power sums, the
-# annihilation products and the summed moment rule (on `exact_trace_power`
-# above) as oracles.
+# The tests hold the exact power sums, the annihilation products and the
+# summed moment rule (on `exact_trace_power` above) as oracles.
+
+# bytes charged per coefficient an entry's exponent span allows: about half
+# of the slots hold one, at a tracemalloc peak of about 120 B each, so this
+# bounds the certificate's peak with a margin of about 1.6 at S = 3..12
+_BYTES_PER_COEFF = 96
 
 
-# points per evaluation; bounds the arrays a certificate holds at once
-_CHUNK = 128
+def _lowering(S, delta):
+    """F_delta, the quantum-group lowering operator on the auxiliary space
+    (Kluemper, Schadschneider and Zittartz), from core block delta to block
+    delta-1 for 1 <= delta <= S. Its rows are the pairs (a, a-delta+1) and
+    its columns the pairs (a, a-delta), a ascending, so row i has b = i. Row
+    (a, b) has q^(b-2a) [S-a] in column (a+1, b) and -q^(2b-3a) [b] in
+    column (a, b-1), where those exist."""
+    n = S + 1 - delta
+    F = [[LaurentQ.zero()] * n for _ in range(n + 1)]
+    for i in range(n + 1):
+        a = delta - 1 + i
+        if i < n:
+            F[i][i] = LaurentQ.q_power(i - 2 * a) * q_integer(S - a)
+        if i:
+            F[i][i - 1] = LaurentQ.q_power(2 * i - 3 * a, -1) * q_integer(i)
+    return F
 
 
-def _spans_mul(A, B):
-    """Spans of a matrix product: each entry's exponents lie in the union of
-    the summed ranges, and its l1 norm is at most the sum of the products."""
-    return ((A[0][:, :, None] + B[0][None]).min(axis=1),
-            (A[1][:, :, None] + B[1][None]).max(axis=1),
-            A[2] @ B[2])
-
-
-def _certificate_bounds(batch, offsets):
-    """Degree bound D and height bound H of every identity the modular check
-    zero-tests, Tr N^k minus the k-th powers of the first n roots (see
-    _power_sums_match_mod), read from the spans of the certificate's batch
-    split at its block offsets. The block powers over GF(p) are images of
-    exact products under q -> x, so they need no bound of their own."""
-    D = H = 0
-    # one (lo, hi, l1) piece per block, then one for the roots
-    *block_spans, (r_lo, r_hi, r_l1) = zip(*(
-        np.split(a, offsets) for a in (batch.lo, batch.hi, batch.l1)))
-    for spans in block_spans:
-        n = math.isqrt(len(spans[0]))
-        N = tuple(a.reshape(n, n) for a in spans)
-        power = N
-        for k in range(1, n + 1):
-            if k > 1:
-                power = _spans_mul(power, N)
-            lo, hi, l1 = (a.diagonal() for a in power)
-            D = max(D, int(max(hi.max(), k * r_hi[:n].max())
-                           - min(lo.min(), k * r_lo[:n].min())))
-            H = max(H, sum(l1) + sum(r_l1[:n] ** k))
-    return D, H
-
-
-def _power_sums_match_mod(blocks, roots, p):
-    """Whether each block N of size n has Tr N^k = the sum of the k-th powers
-    of the first n roots for k = 1..n, at every point mod p; roots holds the
-    values of lambda_S down to lambda_0, one column a point."""
-    for N in blocks:
-        lam = roots[:len(N)]
-        power, lam_pow = N, lam
-        for k in range(len(N)):
-            if k:
-                power = mat_mul_mod(power, N, p)
-                lam_pow = lam_pow * lam % p
-            if ((power.trace() - lam_pow.sum(axis=0)) % p).any():
-                return False
-    return True
+def _injective(F):
+    """Whether the top n x n part of the (n+1) x n matrix F is lower
+    triangular with a nonzero diagonal, which gives F rank n over Q(q)."""
+    return all(not F[i][i].is_zero and all(e.is_zero for e in F[i][i + 1:])
+               for i in range(len(F) - 1))
 
 
 def conjecture_exact_certificate(S):
     """Exact proof of the closed-form spectrum at one S.
 
-    Checks that every block N_delta of the rational similar core, of size
-    n = S+1-|delta|, has the power sums Tr N_delta^k = sum_{l=|delta|..S}
-    lambda_l^k for k = 1..n. Q(q) has characteristic 0, so by Newton's
-    identities the first n power sums fix an n x n matrix's characteristic
-    polynomial: each block's is prod_{l >= |delta|} (x - lambda_l). So
+    On the blocks N_delta of the rational similar core it checks, in Q(q):
+    for delta = 1..S, N_{delta-1} F_delta = F_delta N_delta with F_delta
+    injective (see _lowering and _injective); for delta = 0..S,
+    Tr N_delta - Tr N_{delta+1} = lambda_delta, with Tr N_{S+1} = 0; and for
+    delta = 1..S, N_{-delta} = N_delta entry for entry. The image of F_delta
+    is then an N_{delta-1}-invariant copy of N_delta, so char(N_{delta-1}) =
+    char(N_delta) (x - lambda_{delta-1}), and induction from N_S = (lambda_S)
+    gives each block delta >= 0, and by the mirror each -delta, the
+    characteristic polynomial prod_{l >= |delta|} (x - lambda_l). So
     lambda_l has algebraic multiplicity 2l+1, the number of blocks with
     |delta| <= l, with no distinctness or Vandermonde step; G is symmetric
-    for real q > 0, so that is also its geometric multiplicity. Each
-    identity is proved as a zero test at D+1 points modulo enough fixed
-    primes that their product exceeds twice the height bound H; the report
-    carries D, the bit length of H, the prime count and the point count.
+    for real q > 0, so that is also its geometric multiplicity.
+
+    The core is charged to the memory budget before it is built. The report
+    carries the counts of commutations and trace identities checked.
     """
     if S < 1:
         raise ValueError("need S >= 1")
-    what = "conjecture_exact_certificate(S=%d)" % S
-    # the delta = 0, k = S+1 identity holds lambda_0^(S+1), so H is at least
-    # l1(lambda_0)^(S+1): an S the primes cannot cover fails before the core
-    lam0 = conjectured_eigenvalue(S, 0)
-    primes_for_height(sum(abs(c) for _, c in lam0.items()) ** (S + 1), what)
+    _, _, c, d, _, _, m, n = _entry_rule(S)
+    span = m * (m - 1) + n * (n - 1) + 2 * c * (S - c) + 2 * d * (S - d)
+    check_budget(_BYTES_PER_COEFF * int((span + 1).sum()),
+                 "conjecture_exact_certificate(S=%d)" % S)
     blocks = _rational_similar_core(S)
-    # descending l: the block delta holds the levels l >= |delta|, the first
-    # S+1-|delta| roots
-    roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
-    batch = Batch([e for b in blocks for row in b for e in row] + roots)
-    offsets = np.cumsum([len(block) ** 2 for block in blocks])
-    D, H = _certificate_bounds(batch, offsets)
-    primes = primes_for_height(H, what)
-    width = int(batch.hi.max() - batch.lo.min()) + 1
-    # per chunk of points: at most eight polynomials x chunk arrays (the
-    # values, the limb products and the block powers) and three
-    # width x chunk ones (the power table's limbs)
-    check_budget(8 * _CHUNK * (8 * len(batch.lo) + 3 * width), what)
-    # every check is pointwise, so the D+1 points run in chunks
-    proved = True
-    for p, start in itertools.product(primes, range(1, D + 2, _CHUNK)):
-        points = np.arange(start, min(start + _CHUNK, D + 2))
-        *core, root_v = np.split(batch.eval_mod(points, p), offsets)
-        core = [v.reshape(len(b), len(b), -1) for v, b in zip(core, blocks)]
-        proved = _power_sums_match_mod(core, root_v, p)
-        if not proved:
-            break
-    return {
-        "S": S,
-        "proved": proved,
-        "degree_bound": D,
-        "height_bits": H.bit_length(),
-        "primes": len(primes),
-        "points": D + 1,
-    }
+    commutes = []
+    for delta in range(1, S + 1):
+        F = _lowering(S, delta)
+        commutes.append(_injective(F) and _mat_mul(blocks[S + delta - 1], F)
+                        == _mat_mul(F, blocks[S + delta]))
+    traces = [sum((row[i] for i, row in enumerate(N)), LaurentQ.zero())
+              for N in blocks[S:]] + [LaurentQ.zero()]
+    levels = [traces[delta] - traces[delta + 1]
+              == conjectured_eigenvalue(S, delta) for delta in range(S + 1)]
+    mirrored = all(blocks[S - delta] == blocks[S + delta]
+                   for delta in range(1, S + 1))
+    return {"S": S, "proved": all(commutes) and all(levels) and mirrored,
+            "commutations": len(commutes), "trace_identities": len(levels)}
 
 
 # -- exact symbolic path for the equal-index block -----------------------

@@ -1,8 +1,9 @@
-"""Exact dict oracles for the modular spectrum certificate.
+"""Exact dict oracles for the spectrum certificate.
 
-`power_sums_match` forms the certificate's identities as exact Laurent
-products, so the tests can compare verdicts with
-`transfercorr.conjecture_exact_certificate`. `factors_annihilate` and
+`power_sums_match` checks the closed-form spectrum of one core block by its
+power sums, as exact Laurent products, so the tests can compare verdicts
+with `transfercorr.conjecture_exact_certificate`, which proves the same
+spectrum through a lowering operator. `factors_annihilate` and
 `conjecture_moment_identity` check what the proof implies (Cayley-Hamilton
 and the summed moment rule) by an independent route. They read
 `transfercorr` through the module, so a test that patches its core or its

@@ -134,7 +134,7 @@ EXACT_DIGESTS = {
 # sha256 of the full stdout of `verify --suite X --seed 1`, exact suites only
 EXACT_SUITE_DIGESTS = {
     "algebra": "54130e6fafab1d2a6f5f8e7b055fa0152841262c4b9805e8a66244a25f248e88",
-    "certificates": "214e05ff9c601ef88c07bf301d5b01f4302a9f829c251f3888bbac4c0e60347d",
+    "certificates": "f18e1f29693928d12d9ba2ceffc82008bfd7fc75cfdd3b2d4c6f5b69b2c1d3a4",
     "divisibility": "1abfe198362a5360a05b477323a6bc80ccbb3c2a9474a30f730575ffd0bb8a22",
     "groundstate": "3c31a4f5b84bd4ea9206904dc0a198211713c28de803a73f2112ce739852d056",
     "mps": "8bcdc0bb5697cc90c33562583fe4b0f0ee4c93d8d97cbd187f2ab1d972e01492",
@@ -295,15 +295,13 @@ def test_verify_spin_only_for_divisibility(capsys):
 
 def test_verify_certificates_spin(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "certificates",
-                       "--spin", "5")
+                       "--spin", "8")
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
-    [cert] = data["items"]
-    assert cert["S"] == 5 and cert["proved"] is True
-    assert {k: cert[k] for k in ("degree_bound", "height_bits", "primes",
-                                 "points")} == {
-        "degree_bound": 600, "height_bits": 138, "primes": 5, "points": 601}
+    assert data["source"] == "lowering_operator_certificate"
+    assert data["items"] == [{"S": 8, "proved": True, "commutations": 8,
+                              "trace_identities": 9}]
 
 
 @pytest.mark.parametrize("spin", ("-1", "0"))
@@ -323,7 +321,7 @@ def test_verify_certificates_spin_exit_codes(capsys, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("QVBS_BUDGET_MB", "0.1")
     code, out, err = run(capsys, "verify", "--suite", "certificates",
-                         "--spin", "3")
+                         "--spin", "4")
     assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
 
 

@@ -11,7 +11,7 @@ from qvbs import transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
-from qvbs.qnum import PRIMES, Batch, LaurentQ, RatQ, q_factorial, q_integer
+from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_factorial, q_integer
 from qvbs.transfercorr import (
     EigenSystem,
     Q_CACHE_SIZE,
@@ -476,29 +476,12 @@ def test_conjecture_moment_identities_exact():
 
 def test_conjecture_exact_certificates():
     # identity-level proof of the closed-form spectrum with multiplicities;
-    # S=4 runs in the certificates suite, S=5 here, larger S through
+    # S=4 runs in the certificates suite, the rest here, larger S through
     # `qvbs verify --suite certificates --spin S`
-    for S in (1, 2, 3, 5):
+    for S in (1, 2, 3, 5, 6, 8):
         rep = conjecture_exact_certificate(S)
-        assert set(rep) == {"S", "proved", "degree_bound", "height_bits",
-                            "primes", "points"}
-        assert rep["S"] == S and rep["proved"] is True
-        assert rep["points"] == rep["degree_bound"] + 1
-        assert math.prod(PRIMES[:rep["primes"]]).bit_length() \
-            > rep["height_bits"] + 1
-
-
-def test_certificate_flattens_its_polynomials_once(batches_built):
-    # every core entry and root goes into one batch, which serves the
-    # bounds, the budget and every (prime, chunk) evaluation
-    transfercorr._rational_similar_core.cache_clear()
-    transfercorr._core_block_powers.cache_clear()
-    rep = conjecture_exact_certificate(4)
-    assert rep["proved"] and rep["primes"] * rep["points"] > 128
-    blocks = transfercorr._rational_similar_core(4)
-    roots = [conjectured_eigenvalue(4, l) for l in range(4, -1, -1)]
-    assert batches_built == [[e for block in blocks for row in block
-                              for e in row] + roots]
+        assert rep == {"S": S, "proved": True, "commutations": S,
+                       "trace_identities": S + 1}
 
 
 @pytest.mark.parametrize("S", (0, -1))
@@ -509,15 +492,20 @@ def test_conjecture_exact_certificate_rejects_spin_below_one(S):
 
 
 def test_certificate_rejects_uncoverable_spin_before_the_core(monkeypatch):
-    # l1(lambda_0)^13 already needs 1040 bits at S=12, past the 992 bits of
-    # the 32 primes, so the core (about 4 s to build and bound) is skipped
+    # the core's estimate at S=30 is 50.6 million coefficient slots, about
+    # 4.6 GB, past the default budget of 1024 MB (S=23 is the first spin
+    # past it), so the core is never built
     def core(S):
         raise AssertionError("core built")
 
+    monkeypatch.delenv("QVBS_BUDGET_MB", raising=False)
     monkeypatch.setattr(transfercorr, "_rational_similar_core", core)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="needs more than the 32 fixed primes"):
-        conjecture_exact_certificate(12)
+    with pytest.raises(BudgetError, match=r"conjecture_exact_certificate\(S=30\)"):
+        conjecture_exact_certificate(30)
+    # far past that, the entry rule's own index arrays are refused first
+    with pytest.raises(BudgetError, match=r"_entry_rule\(S=10000\)"):
+        conjecture_exact_certificate(10 ** 4)
     assert time.perf_counter() - start < 1
 
 
@@ -528,61 +516,9 @@ def test_certificate_moduli_are_prime():
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _coefficient_span(f):
-    if f.is_zero:
-        return 0, 0
-    return f.max_exp() - f.min_exp(), max(abs(v) for _, v in f.items())
-
-
-@pytest.mark.parametrize("S", (1, 2, 3))
-def test_certificate_bounds_cover_dict_products(S):
-    # every polynomial the check zero-tests: for each block and k <= n, the
-    # trace Tr N^k and each partial sum Tr N^k - sum of the first roots^k
-    blocks = transfercorr._rational_similar_core(S)
-    roots = [conjectured_eigenvalue(S, l) for l in range(S, -1, -1)]
-    batch = Batch([e for block in blocks for row in block for e in row]
-                  + roots)
-    offsets = np.cumsum([len(block) ** 2 for block in blocks])
-    D, H = transfercorr._certificate_bounds(batch, offsets)
-    rep = conjecture_exact_certificate(S)
-    assert (rep["degree_bound"], rep["height_bits"]) == (D, H.bit_length())
-    seen = []
-    for block in blocks:
-        n = len(block)
-        power = None
-        for k in range(1, n + 1):
-            power = (block if power is None
-                     else transfercorr._mat_mul(power, block))
-            identity = sum(power[i][i] for i in range(n))
-            seen.append(identity)
-            for r in roots[:n]:
-                # every closed-form eigenvalue is a Laurent polynomial here
-                assert isinstance(r, LaurentQ)
-                identity = identity - r ** k
-                seen.append(identity)
-            assert identity.is_zero
-    for f in seen:
-        span, height = _coefficient_span(f)
-        assert span <= D and height <= H
-    # H covers the bound each identity needs, not just the products seen:
-    # the l1 norm of Tr N^k carried through the block powers plus the l1
-    # norms of the first n roots to the k-th power, each read from the
-    # batch's own norms
-    l1 = np.split(batch.l1, offsets)
-    root_l1 = l1.pop()
-    for block, norms in zip(blocks, l1):
-        n = len(block)
-        N = norms.reshape(n, n)
-        power = N
-        for k in range(1, n + 1):
-            if k > 1:
-                power = power @ N
-            assert H >= sum(power.diagonal()) + sum(root_l1[:n] ** k)
-
-
 @pytest.fixture
 def patched_inputs(monkeypatch):
-    """Run the certificate and its dict oracle on given core blocks and
+    """Run the certificate and its power-sum oracle on given core blocks and
     eigenvalues, through the module functions both paths read."""
     def verdicts(S, blocks, lams):
         monkeypatch.setattr(transfercorr, "_rational_similar_core",
@@ -596,7 +532,7 @@ def patched_inputs(monkeypatch):
 
 
 @pytest.mark.parametrize("S", (1, 2, 3, 4))
-def test_modular_and_dict_verdicts_agree(patched_inputs, S):
+def test_certificate_and_power_sum_oracle_verdicts_agree(patched_inputs, S):
     rng = random.Random(S)
     blocks = transfercorr._rational_similar_core(S)
     lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
@@ -647,10 +583,65 @@ def test_certificate_rejects_misplaced_levels(patched_inputs, S):
     assert patched_inputs(S, blocks, lams[::-1]) == (False, False)
 
 
+@pytest.fixture
+def patched_lowering(monkeypatch):
+    """Run the certificate with each F_delta replaced by change(delta, F)."""
+    lowering = transfercorr._lowering
+
+    def verdict(S, change):
+        monkeypatch.setattr(transfercorr, "_lowering",
+                            lambda S, delta: change(delta, lowering(S, delta)))
+        return conjecture_exact_certificate(S)["proved"]
+    return verdict
+
+
+@pytest.mark.parametrize("S", (2, 3, 4))
+def test_certificate_rejects_a_lowering_exponent_off_by_one(patched_lowering, S):
+    # one q exponent off in any entry of any F_delta breaks its commutation
+    for delta in range(1, S + 1):
+        n = S + 1 - delta
+        for i, j in [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n + 1)]:
+            def change(d, F):
+                if d == delta:
+                    F[i][j] = F[i][j] * LaurentQ.q_power(1)
+                return F
+            assert patched_lowering(S, change) is False
+
+
+@pytest.mark.parametrize("S", (2, 3, 4))
+def test_certificate_checks_the_lowering_diagonal(patched_lowering, S):
+    # F = 0 commutes with every block, so the rank of F_delta rests on its
+    # diagonal, which must be checked rather than assumed
+    zero = LaurentQ.zero()
+    for delta in range(1, S + 1):
+        assert patched_lowering(S, lambda d, F: [[zero] * len(row) for row in F]
+                                if d == delta else F) is False
+        for i in range(S + 1 - delta):
+            def change(d, F):
+                if d == delta:
+                    F[i][i] = zero
+                return F
+            assert patched_lowering(S, change) is False
+
+
+@pytest.mark.parametrize("S", (2, 3, 4))
+def test_certificate_checks_the_mirror(patched_inputs, S):
+    # the blocks of delta < 0 enter the proof only through the mirror, so a
+    # change to one of them, its mirror left as it was, must fail
+    blocks = transfercorr._rational_similar_core(S)
+    lams = [conjectured_eigenvalue(S, l) for l in range(S + 1)]
+    for d in range(S):
+        mutant = [[list(row) for row in b] for b in blocks]
+        mutant[d][0][-1] = mutant[d][0][-1] + LaurentQ.q_power(1)
+        assert patched_inputs(S, mutant, lams)[0] is False
+
+
 def test_certificate_counts_its_arrays_against_the_budget(monkeypatch):
+    # the estimate is about 0.08 MB at S=3 and 0.3 MB at S=4
     monkeypatch.setenv("QVBS_BUDGET_MB", "0.1")
+    conjecture_exact_certificate(3)
     with pytest.raises(BudgetError, match="conjecture_exact_certificate"):
-        conjecture_exact_certificate(3)
+        conjecture_exact_certificate(4)
 
 
 def test_characteristic_factors_need_every_level():
