@@ -52,12 +52,25 @@ def _radical_text(factors):
     return "(%s) * sqrt(%s)" % (r, " * ".join("(%s)" % f for f in kept))
 
 
+@lru_cache(maxsize=16)
+def _chain_state(S, L, bc, p1, p2):
+    """The exact chain state, which does not depend on q, kept across
+    queries; the caller checks the arguments and the budget first, so a
+    cached chain is still refused under a lowered QVBS_BUDGET_MB."""
+    if bc == "pbc":
+        return vbsstate.build_pbc(S, L)
+    return vbsstate.build_open(S, L, p1, p2)
+
+
 def cmd_state(args):
     q0 = parse_q(args.q)
-    if args.bc == "pbc":
-        st = vbsstate.build_pbc(args.spin, args.length)
-    else:
-        st = vbsstate.build_open(args.spin, args.length, args.p1, args.p2)
+    p1, p2 = args.p1, args.p2
+    if args.bc == "pbc" and (p1, p2) != (None, None):
+        raise ValueError("--p1 and --p2 apply only to --bc open")
+    if args.bc == "open":
+        p1, p2 = (1 if p is None else p for p in (p1, p2))
+    vbsstate._check_state_args(args.spin, args.length)
+    st = _chain_state(args.spin, args.length, args.bc, p1, p2)
     source = "chain_state_%s" % args.bc
     if args.exact:
         payload = {
@@ -75,7 +88,7 @@ def cmd_state(args):
             },
         }
         if args.bc == "open":
-            payload["p1"], payload["p2"] = args.p1, args.p2
+            payload["p1"], payload["p2"] = p1, p2
         _emit(_json_text(payload), args.output)
         return 0
     values = st.float_amplitudes(q0)
@@ -202,8 +215,12 @@ def build_parser():
     sp.add_argument("--spin", type=int, required=True)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--bc", choices=("pbc", "open"), default="pbc")
-    sp.add_argument("--p1", type=int, default=1)
-    sp.add_argument("--p2", type=int, default=1)
+    sp.add_argument("--p1", type=int,
+                    help="left boundary label, 1..S+1 (open chains only; "
+                         "default 1)")
+    sp.add_argument("--p2", type=int,
+                    help="right boundary label, 1..S+1 (open chains only; "
+                         "default 1)")
     sp.add_argument("--q", default="1")
     sp.add_argument("--exact", action="store_true",
                     help="emit exact Laurent amplitudes as JSON")

@@ -230,6 +230,13 @@ def conjectured_eigenvalue_float(S, l, q0):
     return conjectured_eigenvalue(S, l).eval_float(Fraction(q0))
 
 
+@lru_cache(maxsize=Q_CACHE_SIZE)
+def _conjectured_floats(S, q0):
+    """The closed-form eigenvalues of levels 0..S at q0, each rounded once,
+    kept per (S, q) like _closed_form_terms; a failure is not cached."""
+    return tuple(conjectured_eigenvalue_float(S, l, q0) for l in range(S + 1))
+
+
 def conjecture_check(S, q0):
     """Compare the diagonalized spectrum against the closed form, with
     multiplicities 2l+1, at one numeric point.
@@ -243,7 +250,7 @@ def conjecture_check(S, q0):
     q0 = Fraction(q0)
     es = spectral_data(S, q0).es
     bound = CONJECTURE_TOL * abs(es.top)
-    values = [conjectured_eigenvalue_float(S, l, q0) for l in range(S + 1)]
+    values = _conjectured_floats(S, q0)
     expected = sorted((values[l], l) for l in range(S + 1) for _ in range(2 * l + 1))
     worst = [0.0] * (S + 1)
     for (ev, l), cv in zip(expected, np.sort(es.eigenvalues)):

@@ -317,14 +317,20 @@ class StateVector:
 
     def float_amplitudes(self, q0):
         """Physical amplitudes as floats keyed by basis state, from one table
-        of per-site roots; a non-finite value raises ValueError."""
+        of per-site roots and one evaluation per distinct amplitude (a chain
+        state holds few distinct ones); a non-finite value raises
+        ValueError."""
         q0 = Fraction(q0)
         pref = radical_float(self.prefactor, q0)
         root = {m: weight_radicand(self.S, m).eval_float(q0) ** 0.5
                 for m in range(-self.S, self.S + 1)}
+        value = {}
         out = {}
         for k, a in self.amps.items():
-            val = a.eval_float(q0) * pref
+            val = value.get(a)
+            if val is None:
+                val = value[a] = a.eval_float(q0)
+            val *= pref
             for m in k:
                 val *= root[m]
             if not math.isfinite(val):

@@ -1,4 +1,5 @@
-"""Exact dict oracles for the spectrum certificate.
+"""Oracles kept beside the code they check: exact dict oracles for the
+spectrum certificate, and the per-amplitude float loop of chain states.
 
 `power_sums_match` checks the closed-form spectrum of one core block by its
 power sums, as exact Laurent products, so the tests can compare verdicts
@@ -8,10 +9,37 @@ spectrum through a lowering operator. `factors_annihilate` and
 and the summed moment rule) by an independent route. They read
 `transfercorr` through the module, so a test that patches its core or its
 eigenvalues patches them here too.
+
+`float_amplitudes` rounds every amplitude of a state on its own, with no
+sharing between equal amplitudes, so the tests can compare it bit for bit
+with `StateVector.float_amplitudes` and with the CLI's cached chains.
 """
 
+import math
+from fractions import Fraction
+
 from qvbs import transfercorr
-from qvbs.qnum import LaurentQ
+from qvbs.qnum import LaurentQ, radical_float
+from qvbs.weylrep import weight_radicand
+
+
+def float_amplitudes(state, q0):
+    """Physical amplitudes of state at q0 as floats keyed by basis state,
+    each exact amplitude evaluated anew and multiplied, in site order, by
+    the per-site roots; a non-finite value raises ValueError."""
+    q0 = Fraction(q0)
+    pref = radical_float(state.prefactor, q0)
+    root = {m: weight_radicand(state.S, m).eval_float(q0) ** 0.5
+            for m in range(-state.S, state.S + 1)}
+    out = {}
+    for k, a in state.amps.items():
+        val = a.eval_float(q0) * pref
+        for m in k:
+            val *= root[m]
+        if not math.isfinite(val):
+            raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
+        out[k] = val
+    return out
 
 
 def power_sums_match(block, roots):

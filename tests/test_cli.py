@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import qvbs
-from qvbs import suites, transfercorr, vbsstate
+from qvbs import cli, suites, transfercorr, vbsstate
 from qvbs.cli import main
 from qvbs.weylrep import weight_radicand
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -98,6 +100,82 @@ def test_state_determinism(capsys):
     a = run(capsys, "state", "--spin", "2", "--length", "3", "--q", "0.8")
     b = run(capsys, "state", "--spin", "2", "--length", "3", "--q", "4/5")
     assert a == b
+
+
+@pytest.mark.parametrize("labels", (["--p1", "9"], ["--p2", "1"],
+                                    ["--p1", "1", "--p2", "1"]))
+def test_state_pbc_rejects_boundary_labels(capsys, labels):
+    # a periodic chain has no ends: the labels used to be ignored, exit 0
+    for bc in ([], ["--bc", "pbc"]):
+        code, out, err = run(capsys, "state", "--spin", "1", "--length", "3",
+                             *bc, *labels)
+        assert code == 2 and out == ""
+        assert err == "error: --p1 and --p2 apply only to --bc open\n"
+
+
+def test_state_open_labels_default_to_one(capsys):
+    for tail in ([], ["--exact"]):
+        argv = ["state", "--spin", "2", "--length", "3", "--bc", "open",
+                "--q", "4/5"] + tail
+        bare = run(capsys, *argv)
+        assert bare[0] == 0
+        assert bare == run(capsys, *argv, "--p1", "1", "--p2", "1")
+        assert bare == run(capsys, *argv, "--p2", "1")
+
+
+def test_state_budget_is_checked_for_a_cached_chain(capsys, monkeypatch):
+    argv = ("state", "--spin", "1", "--length", "4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    # 3^4 amplitudes at 256 B each is about 0.02 MB
+    for value in ("nan", "0.01"):
+        monkeypatch.setenv("QVBS_BUDGET_MB", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
+    monkeypatch.delenv("QVBS_BUDGET_MB")
+    assert run(capsys, *argv)[0] == 0
+
+
+def _oracle_csv(state, bc, q0):
+    values = oracles.float_amplitudes(state, q0)
+    return "m,value,source\n" + "".join(
+        "%s,%r,chain_state_%s\n" % (";".join(map(str, k)), values[k], bc)
+        for k in sorted(values))
+
+
+def test_state_cache_is_invisible(capsys):
+    # numeric CSVs read from a cached chain, interleaved over two chains and
+    # two q and repeated, equal a fresh build through the per-amplitude loop
+    chains = (
+        (["--spin", "1", "--length", "6"], "pbc",
+         lambda: vbsstate.build_pbc(1, 6)),
+        (["--spin", "2", "--length", "4", "--bc", "open", "--p1", "2",
+          "--p2", "3"], "open", lambda: vbsstate.build_open(2, 4, 2, 3)),
+    )
+    for _ in range(2):
+        for q in ("4/5", "7/3"):
+            for argv, bc, build in chains:
+                code, out, err = run(capsys, "state", "--q", q, *argv)
+                assert code == 0 and err == ""
+                assert out == _oracle_csv(build(), bc, Fraction(q))
+    # the exact output after those numeric queries is the pinned one
+    for argv, bc, _ in chains:
+        code, out, _ = run(capsys, "state", "--exact", *argv)
+        digest = hashlib.sha256(
+            json.dumps(json.loads(out), sort_keys=True).encode()).hexdigest()
+        assert code == 0 and digest == EXACT_DIGESTS[("state", bc)]
+
+
+def test_chain_state_cache_is_bounded(capsys):
+    info = cli._chain_state.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 16
+    for L in range(2, 7):
+        for p1 in (1, 2):
+            for p2 in (1, 2):
+                assert run(capsys, "state", "--spin", "1", "--length", str(L),
+                           "--bc", "open", "--p1", str(p1),
+                           "--p2", str(p2))[0] == 0
+    assert cli._chain_state.cache_info().currsize <= info.maxsize
 
 
 def test_eigenvalues_json(capsys):

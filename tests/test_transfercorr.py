@@ -811,11 +811,13 @@ def test_two_transfer_matrices_per_spin_and_q(monkeypatch):
 def test_q_keyed_caches_are_bounded():
     assert Q_CACHE_SIZE > 96  # six spins on the sixteen-point grid fit
     caches = (transfercorr._spectral, transfercorr._f_spin_scalars,
-              transfercorr._q_floats, transfercorr._closed_form_terms)
+              transfercorr._q_floats, transfercorr._closed_form_terms,
+              transfercorr._conjectured_floats)
     for k in range(300):
         q0 = Fraction(1000 + k, 1001)
         two_point_thermo("sz", "sz", 1, q0, 3)
         closed_form_szsz(2, q0, 3)
+        conjecture_check(1, q0)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == Q_CACHE_SIZE
@@ -850,7 +852,26 @@ def test_conjecture_check_rejects_wrong_level(monkeypatch):
     monkeypatch.setattr(
         transfercorr, "conjectured_eigenvalue_float",
         lambda S, l, q0: true_value(S, l, q0) * (1.001 if l == 1 else 1.0))
-    for S in (1, 2, 3, 4, 5):
-        rep = conjecture_check(S, Fraction(4, 5))
-        assert rep["match"] is False
-        assert [lvl["l"] for lvl in rep["levels"] if not lvl["match"]] == [1]
+    # floats cached before the patch would hide it, and the patched ones
+    # must not outlive it
+    transfercorr._conjectured_floats.cache_clear()
+    try:
+        for S in (1, 2, 3, 4, 5):
+            rep = conjecture_check(S, Fraction(4, 5))
+            assert rep["match"] is False
+            assert [lvl["l"] for lvl in rep["levels"]
+                    if not lvl["match"]] == [1]
+    finally:
+        transfercorr._conjectured_floats.cache_clear()
+
+
+def test_conjectured_floats_cache_no_failure():
+    cache = transfercorr._conjectured_floats
+    before = cache.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            cache(3, Fraction(10 ** 40))
+        assert cache.cache_info().currsize == before
+    assert cache(3, Fraction(4, 5)) == tuple(
+        transfercorr.conjectured_eigenvalue_float(3, l, Fraction(4, 5))
+        for l in range(4))

@@ -22,7 +22,38 @@ from qvbs.vbsstate import (
 )
 from qvbs.weylrep import SitePoly, StateVector, poly_to_spin
 
+import oracles
+
 Q0 = Fraction(4, 5)
+
+
+def _float_outcome(fn, *args):
+    """The keys and float bits fn(*args) gives, or the error it raises."""
+    try:
+        values = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return list(values), [v.hex() for v in values.values()]
+
+
+@pytest.mark.parametrize("state", (
+    lambda: build_pbc(1, 8),
+    lambda: build_open(2, 4, 2, 3),
+    lambda: random_weight_zero_state(2, 3, seed=4),
+))
+def test_float_amplitudes_match_per_amplitude_loop(state):
+    # one evaluation per distinct amplitude, each product in the same order,
+    # so every float is the per-amplitude loop's bit for bit, and far from
+    # q = 1 the same error is raised
+    st = state()
+    assert len(set(st.amps.values())) < len(st.amps)
+    errors = 0
+    for q0 in (Q0, Fraction(7, 3), Fraction(1), Fraction(1, 10 ** 6),
+               Fraction(10 ** 30), Fraction(10 ** 60), Fraction(10 ** 400)):
+        got = _float_outcome(st.float_amplitudes, q0)
+        assert got == _float_outcome(oracles.float_amplitudes, st, q0)
+        errors += isinstance(got[0], type)
+    assert errors >= 2
 
 
 def test_pbc_two_site_expansion():
