@@ -23,14 +23,6 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _strip_elapsed(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_elapsed(v) for k, v in obj.items() if k != "elapsed_s"}
-    if isinstance(obj, list):
-        return [_strip_elapsed(v) for v in obj]
-    return obj
-
-
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -164,41 +156,25 @@ def cmd_prob(args):
 
 
 def cmd_verify(args):
-    if args.spin is not None and args.suite == "divisibility":
-        items = cgproj.check_divisibility(args.spin)
-        payload = {"suite": "divisibility", "items": items,
-                   "passed": all(r["remainder_zero"] for r in items),
-                   "source": "bond_product_divisibility"}
-    elif args.spin is not None and args.suite == "certificates":
-        cert = transfercorr.conjecture_exact_certificate(args.spin)
-        payload = {"suite": "certificates", "items": [cert],
-                   "passed": cert["proved"],
-                   "source": "lowering_operator_certificate"}
-    elif args.spin is not None:
-        raise ValueError(
-            "--spin applies only to --suite divisibility or certificates")
-    else:
-        fn = suites.SUITE_BY_NAME.get(args.suite)
-        if fn is None:
-            raise ValueError("unknown suite %r; choose from %s" % (
-                args.suite, ", ".join(sorted(suites.SUITE_BY_NAME))))
-        rep = fn(seed=args.seed) if fn is suites.suite_ground_state else fn()
-        payload = _strip_elapsed(rep)
+    payload = suites.run_suite(args.suite, seed=args.seed, spin=args.spin)
     _emit(_json_text(payload), args.output)
     return 0 if payload["passed"] else 1
+
+
+def _criterion_line(item):
+    return "criterion %d %-26s %s" % (item["criterion"], item["id"],
+                                      "PASS" if item["passed"] else "FAIL")
 
 
 def cmd_reproduce(args):
     rep = suites.run_acceptance(
         seed=args.seed,
-        progress=lambda line: print(line, file=sys.stderr))
-    payload = _strip_elapsed(rep)
+        progress=lambda item, seconds: print(
+            "%s  (%.1fs)" % (_criterion_line(item), seconds), file=sys.stderr))
     out = args.output or "qvbs_reproduce_paper.json"
-    _emit(_json_text(payload), out)
+    _emit(_json_text(rep), out)
     for item in rep["items"]:
-        print("criterion %d %-26s %s" % (
-            item["criterion"], item["id"],
-            "PASS" if item["passed"] else "FAIL"))
+        print(_criterion_line(item))
     print("report written to %s" % out)
     return 0 if rep["passed"] else 1
 

@@ -1,8 +1,9 @@
 """Verification suites: every closed form, lemma, and conjecture at desk scale.
 
 Each suite returns a plain dict with a `passed` flag and enough detail to see
-what was compared; the CLI serializes these and the acceptance tests assert
-on them. Suites are deterministic given the same seed.
+what was compared; `run_suite` is the one dispatcher, the CLI serializes what
+it returns and the acceptance tests assert on it. Reports hold no run time,
+so the same seed gives the same report, byte for byte once serialized.
 """
 
 from __future__ import annotations
@@ -26,20 +27,16 @@ from .weylrep import (
 FIVE_Q = (Fraction(1, 2), Fraction(4, 5), Fraction(1), Fraction(5, 4), Fraction(2))
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        out["elapsed_s"] = round(time.perf_counter() - t0, 3)
-        return out
-    return wrapper
+def _printed_s2():
+    """The paper's S=2 transfer eigenvalues of levels l = 0, 1, 2,
+    [5][4][2], -[5][2]^2 and [2]^2, with their multiplicities 1, 3, 5."""
+    i2, i4, i5 = q_integer(2), q_integer(4), q_integer(5)
+    return [(i5 * i4 * i2, 1), (-(i5 * i2 * i2), 3), (i2 * i2, 5)]
 
 
-@_timed
 def suite_spectrum_s2():
     """Numeric S=2 spectrum against the printed eigenvalues, 5 q points."""
-    i2, i4, i5 = q_integer(2), q_integer(4), q_integer(5)
-    printed = [(i5 * i4 * i2, 1), (-(i5 * i2 * i2), 3), (i2 * i2, 5)]
+    printed = _printed_s2()
     tol = 1e-10
     points = []
     passed = True
@@ -66,13 +63,10 @@ def suite_spectrum_s2():
     }
 
 
-@_timed
 def suite_eigenvalue_conjecture():
     """Exact S=2 identity plus numeric S=3..5 spectra with multiplicities."""
-    i2, i4, i5 = q_integer(2), q_integer(4), q_integer(5)
-    printed = {0: RatQ(i5 * i4 * i2), 1: RatQ(-(i5 * i2 * i2)), 2: RatQ(i2 * i2)}
-    exact_ok = all(transfercorr.conjectured_eigenvalue(2, l) == printed[l]
-                   for l in (0, 1, 2))
+    exact_ok = all(transfercorr.conjectured_eigenvalue(2, l) == p
+                   for l, (p, _) in enumerate(_printed_s2()))
     numeric = []
     passed = exact_ok
     for S in (3, 4, 5):
@@ -91,7 +85,6 @@ def suite_eigenvalue_conjecture():
     }
 
 
-@_timed
 def suite_divisibility():
     """Bond-product divisibility of every low-spin orbit vector, S<=4."""
     items = []
@@ -115,7 +108,6 @@ def suite_divisibility():
     }
 
 
-@_timed
 def suite_ground_state(seed=0):
     """Exact bond annihilation for closed and open chains plus a control."""
     cases = []
@@ -147,7 +139,6 @@ def suite_ground_state(seed=0):
     }
 
 
-@_timed
 def suite_mps_equivalence():
     """Boson and matrix product constructions agree up to one global scalar."""
     cases = []
@@ -190,7 +181,6 @@ def suite_mps_equivalence():
     }
 
 
-@_timed
 def suite_sz_distribution():
     """Exact S=2 distribution identities and numeric normalization."""
     exact = transfercorr.sz_distribution_exact(2)
@@ -221,7 +211,6 @@ def suite_sz_distribution():
     }
 
 
-@_timed
 def suite_closed_form_correlators():
     """Printed S=2/S=3 spin-spin correlators against the spectral route."""
     tol = 1e-9
@@ -269,7 +258,6 @@ def suite_closed_form_correlators():
     }
 
 
-@_timed
 def suite_oracle_closure():
     """Finite-size transfer traces against brute-force dense contraction."""
     rows = []
@@ -301,7 +289,6 @@ def suite_oracle_closure():
     }
 
 
-@_timed
 def suite_algebra():
     """Operator identities of the deformed algebra on the polynomial spaces."""
     comm_ok = True
@@ -355,7 +342,6 @@ def suite_algebra():
     }
 
 
-@_timed
 def suite_symmetries():
     """Measured structural symmetries; reported, asserted where exact."""
     # translation invariance of the closed chain, exact
@@ -434,7 +420,6 @@ def suite_symmetries():
     }
 
 
-@_timed
 def suite_exact_certificates():
     """Identity-level proofs beyond the numeric battery.
 
@@ -461,18 +446,6 @@ def suite_exact_certificates():
     }
 
 
-ACCEPTANCE_SUITES = (
-    suite_spectrum_s2,
-    suite_eigenvalue_conjecture,
-    suite_divisibility,
-    suite_ground_state,
-    suite_mps_equivalence,
-    suite_sz_distribution,
-    suite_closed_form_correlators,
-    suite_oracle_closure,
-    suite_algebra,
-)
-
 SUITE_BY_NAME = {
     "spectrum": suite_spectrum_s2,
     "conjecture": suite_eigenvalue_conjecture,
@@ -487,16 +460,51 @@ SUITE_BY_NAME = {
     "certificates": suite_exact_certificates,
 }
 
+# the acceptance criteria 1..9, in order
+ACCEPTANCE_SUITES = ("spectrum", "conjecture", "divisibility", "groundstate",
+                     "mps", "szdist", "correlators", "oracle", "algebra")
+
+
+def run_suite(name, seed=0, spin=None):
+    """The report of one suite, exactly as `qvbs verify` prints it.
+
+    With spin given, divisibility and certificates check that one S alone.
+    seed reaches only the ground-state suite's random control. The suite is
+    looked up in SUITE_BY_NAME on each call, so a replaced entry is run.
+    """
+    if spin is not None and name == "divisibility":
+        items = cgproj.check_divisibility(spin)
+        return {"suite": "divisibility", "items": items,
+                "passed": all(r["remainder_zero"] for r in items),
+                "source": "bond_product_divisibility"}
+    if spin is not None and name == "certificates":
+        cert = transfercorr.conjecture_exact_certificate(spin)
+        return {"suite": "certificates", "items": [cert],
+                "passed": cert["proved"],
+                "source": "lowering_operator_certificate"}
+    if spin is not None:
+        raise ValueError(
+            "--spin applies only to --suite divisibility or certificates")
+    fn = SUITE_BY_NAME.get(name)
+    if fn is None:
+        raise ValueError("unknown suite %r; choose from %s" % (
+            name, ", ".join(sorted(SUITE_BY_NAME))))
+    return fn(seed=seed) if name == "groundstate" else fn()
+
 
 def run_acceptance(seed=0, progress=None):
-    """Run the full acceptance battery; one report entry per criterion."""
+    """Run the full acceptance battery; one report entry per criterion.
+
+    progress(report, seconds), if given, sees each criterion as it ends,
+    with its wall time; the reports themselves hold no time.
+    """
     items = []
-    for i, fn in enumerate(ACCEPTANCE_SUITES, start=1):
-        rep = fn(seed=seed) if fn is suite_ground_state else fn()
+    for i, name in enumerate(ACCEPTANCE_SUITES, start=1):
+        t0 = time.perf_counter()
+        rep = run_suite(name, seed=seed)
+        seconds = time.perf_counter() - t0
         rep["criterion"] = i
         items.append(rep)
         if progress:
-            progress("criterion %d %-26s %s  (%.1fs)" % (
-                i, rep["id"], "PASS" if rep["passed"] else "FAIL",
-                rep["elapsed_s"]))
+            progress(rep, seconds)
     return {"items": items, "passed": all(r["passed"] for r in items)}

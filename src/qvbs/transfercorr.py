@@ -125,6 +125,12 @@ def _transfer_explicit(S, q0, with_sz):
     return G
 
 
+# bytes charged per entry of G: the broadcast, the closed-form cross-check
+# and eigh on the result peak at about 48 B per entry by tracemalloc, and
+# eigh's LAPACK workspace, 2 doubles per entry, is outside its view
+_BYTES_PER_ENTRY = 64
+
+
 def transfer_matrix(S, q0, A=None):
     """Double-layer transfer matrix G^A[(a,b),(c,d)] = s_ac A[m, m'] s_bd as
     a (S+1)^2 x (S+1)^2 array, with s the site tensor's spin scalars,
@@ -135,12 +141,15 @@ def transfer_matrix(S, q0, A=None):
     (plain G and the S^z insertion) the two constructions are compared and a
     mismatch aborts, guarding the entry rule the exact certificate reads too.
     G must be symmetric and G^sz antisymmetric (d - b = c - a flips sign).
+    The build, with the eigendecomposition it feeds, is charged to
+    QVBS_BUDGET_MB first.
     """
     if S < 1:
         raise ValueError("need S >= 1")
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("q must be positive")
+    check_budget(_BYTES_PER_ENTRY * (S + 1) ** 4, "transfer_matrix(S=%d)" % S)
     printed = A is None or isinstance(A, str)
     with np.errstate(over="ignore", invalid="ignore"):
         G = _transfer_generic(S, q0, _site_op(S, A))
@@ -409,38 +418,18 @@ def _mat_mul(A, B):
     return [[exact_dot(row, col) for col in cols] for row in A]
 
 
-@lru_cache(maxsize=32)
-def _core_block_powers(S, k):
-    """N_delta^k for every block of the rational similar core, k >= 1,
-    each power built from the one below it."""
-    blocks = _rational_similar_core(S)
-    if k == 1:
-        return blocks
-    return [_mat_mul(P, N) for P, N in zip(_core_block_powers(S, k - 1), blocks)]
-
-
 def exact_trace_power(S, k):
-    """Tr G^k as an exact Laurent polynomial, summed over the a-b blocks.
-
-    Tr G^k = Tr N^k = sum_delta Tr(N_delta^h N_delta^(k-h)) with h = k // 2,
-    so only powers up to ceil(k/2) are formed, and consecutive moments share
-    them through the power cache.
-    """
+    """Tr G^k = sum_delta Tr N_delta^k as an exact Laurent polynomial, each
+    power of a block of the rational similar core a direct product."""
     if k < 1:
         raise ValueError("need k >= 1")
     acc = LaurentQ.zero()
-    if k == 1:
-        for block in _rational_similar_core(S):
-            for i, row in enumerate(block):
-                acc = acc + row[i]
-        return acc
-    h = k // 2
-    for P, Q in zip(_core_block_powers(S, h), _core_block_powers(S, k - h)):
-        for i, row in enumerate(P):
-            for j, a in enumerate(row):
-                b = Q[j][i]
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
+    for block in _rational_similar_core(S):
+        power = block
+        for _ in range(k - 1):
+            power = _mat_mul(power, block)
+        for i, row in enumerate(power):
+            acc = acc + row[i]
     return acc
 
 

@@ -7,10 +7,11 @@ from qvbs.qnum import Batch
 @pytest.fixture(scope="session")
 def acceptance_run():
     """One run of the full acceptance battery, shared by every test that
-    reads it: (report, progress lines)."""
-    lines = []
-    rep = suites.run_acceptance(seed=0, progress=lines.append)
-    return rep, lines
+    reads it: (report, each criterion's seconds as the runner timed it)."""
+    seconds = []
+    rep = suites.run_acceptance(
+        seed=0, progress=lambda item, s: seconds.append(s))
+    return rep, seconds
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -355,6 +356,18 @@ def test_verify_suite_json_and_exit(capsys):
     assert "elapsed_s" not in json.dumps(data)
 
 
+@pytest.mark.parametrize("name, option, value", [
+    (name, "seed", 1) for name in sorted(suites.SUITE_BY_NAME)
+] + [("divisibility", "spin", 2), ("certificates", "spin", 3)])
+def test_verify_prints_the_runner_report(capsys, name, option, value):
+    code, out, _ = run(capsys, "verify", "--suite", name,
+                       "--" + option, str(value))
+    rep = suites.run_suite(name, **{option: value})
+    assert out == cli._json_text(rep)
+    assert code == 0 and rep["passed"] is True
+    assert "elapsed_s" not in out
+
+
 def test_verify_symmetries_serializes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "symmetries")
     assert code == 0
@@ -369,6 +382,9 @@ def test_verify_spin_only_for_divisibility(capsys):
     assert code == 2 and out == ""
     assert err == ("error: --spin applies only to --suite divisibility "
                    "or certificates\n")
+    # --spin is checked before the suite name
+    assert run(capsys, "verify", "--suite", "nope", "--spin", "3") == (
+        code, out, err)
 
 
 def test_verify_certificates_spin(capsys):
@@ -401,6 +417,17 @@ def test_verify_certificates_spin_exit_codes(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "certificates",
                          "--spin", "4")
     assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
+
+
+@pytest.mark.parametrize("command", ("eigenvalues", "correlator", "prob"))
+def test_transfer_build_is_charged_to_the_budget(capsys, monkeypatch, command):
+    # S=30 builds 961x961 matrices and their eigensystem, about 60 MB of
+    # resident memory that the budget did not count
+    monkeypatch.setenv("QVBS_BUDGET_MB", "3")
+    code, out, err = run(capsys, command, "--spin", "30", "--q", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: transfer_matrix(S=30) needs")
+    assert "QVBS_BUDGET_MB" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ("nan", "inf", "-1", "abc", ""))
@@ -467,23 +494,21 @@ def test_bad_q_is_argument_error(capsys):
     assert code == 2
 
 
-def test_reproduce_paper_writes_report(tmp_path, capsys):
+def test_reproduce_paper_writes_report(tmp_path, capsys, monkeypatch):
     # patch the battery down to two fast suites; the full battery runs in
     # the acceptance tests
-    fast = (suites.suite_spectrum_s2, suites.suite_algebra)
-    import qvbs.suites as s
-    orig = s.ACCEPTANCE_SUITES
-    s.ACCEPTANCE_SUITES = fast
-    try:
-        out_path = tmp_path / "report.json"
-        code, out, err = run(capsys, "reproduce-paper", "--output", str(out_path))
-    finally:
-        s.ACCEPTANCE_SUITES = orig
+    monkeypatch.setattr(suites, "ACCEPTANCE_SUITES", ("spectrum", "algebra"))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "reproduce-paper", "--output", str(out_path))
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["passed"] is True
     assert [it["id"] for it in data["items"]] == ["spectrum_s2", "algebra"]
     assert "PASS" in out
+    # the run time goes to the progress lines on stderr, not to the report
+    assert re.fullmatch(r"criterion 1 spectrum_s2 {16}PASS  \(\d+\.\ds\)\n"
+                        r"criterion 2 algebra {20}PASS  \(\d+\.\ds\)\n", err)
+    assert "elapsed_s" not in out_path.read_text()
 
 
 def test_package_imports_without_scipy():

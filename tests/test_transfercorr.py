@@ -118,18 +118,17 @@ def test_transfer_matrix_rejects_non_finite_entries(A):
 @pytest.fixture
 def slipped_rule(monkeypatch):
     """Serve a copy of _entry_rule(S) with one entry of one row changed, to
-    every consumer of the shared closed form, with their caches cleared."""
-    caches = (transfercorr._rational_similar_core, transfercorr._core_block_powers)
+    every consumer of the shared closed form, with the exact core's cache
+    cleared."""
+    core = transfercorr._rational_similar_core
 
     def slip(S, row, col, change):
         rule = transfercorr._entry_rule(S).copy()
         rule[row, col] = change(rule[row, col])
         monkeypatch.setattr(transfercorr, "_entry_rule", lambda S: rule)
-        for cache in caches:
-            cache.cache_clear()
+        core.cache_clear()
     yield slip
-    for cache in caches:
-        cache.cache_clear()
+    core.cache_clear()
 
 
 @pytest.mark.parametrize("row, change", ((4, lambda sign: -sign),
