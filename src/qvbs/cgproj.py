@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qnum import LaurentQ, laurent_gcd, q_integer
+from .qnum import LaurentQ, laurent_gcd, q_factorials, q_integer
 from .weylrep import (
     XMINUS,
     XPLUS,
@@ -225,11 +225,14 @@ class Projector:
 
     def to_dense(self, q0):
         """Physical-basis matrix at a numeric point q0."""
-        d = 2 * self.S + 1
+        S = self.S
+        d = 2 * S + 1
         out = np.zeros((d * d, d * d))
+        table = q_factorials(q0)
         for w, (pairs, col, dual, norm) in self._cores.items():
-            roots = np.array([_pair_weight(self.S, p).eval_float(q0) ** 0.5
-                              for p in pairs])
+            # the _pair_weight of each pair, from its q-factorials
+            roots = np.array([table.eval_float((S + m1, S - m1, S + m2, S - m2))
+                              ** 0.5 for m1, m2 in pairs])
             u = np.array([c.eval_float(q0) for c in col]) * roots
             v = np.array([c.eval_float(q0) for c in dual]) / roots
             idx = [self.pair_index(p) for p in pairs]

@@ -5,8 +5,6 @@ reported number."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from functools import lru_cache
@@ -28,12 +26,9 @@ def _json_text(obj):
 
 
 def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+    """Lines of comma-joined string fields. No field holds a comma, a quote
+    or a line break, so these are the bytes of csv's minimal quoting."""
+    return "\n".join(map(",".join, (header, *rows))) + "\n"
 
 
 def _radical_text(factors):
@@ -52,6 +47,18 @@ def _chain_state(S, L, bc, p1, p2):
     if bc == "pbc":
         return vbsstate.build_pbc(S, L)
     return vbsstate.build_open(S, L, p1, p2)
+
+
+@lru_cache(maxsize=16)
+def _state_rows(S, L, bc, p1, p2):
+    """The q-free part of a state query, kept beside _chain_state: the
+    chain's float_layout and its CSV rows as (key text, position in amps),
+    sorted by key."""
+    st = _chain_state(S, L, bc, p1, p2)
+    keys = list(st.amps)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return st.float_layout(), tuple((";".join(map(str, keys[i])), i)
+                                    for i in order)
 
 
 def cmd_state(args):
@@ -83,10 +90,11 @@ def cmd_state(args):
             payload["p1"], payload["p2"] = p1, p2
         _emit(_json_text(payload), args.output)
         return 0
-    values = st.float_amplitudes(q0)
-    rows = [[";".join(str(m) for m in k), repr(values[k]), source]
-            for k in sorted(values)]
-    _emit(_csv_text(["m", "value", "source"], rows), args.output)
+    layout, rows = _state_rows(args.spin, args.length, args.bc, p1, p2)
+    values = st.float_values(q0, layout).tolist()
+    _emit(_csv_text(["m", "value", "source"],
+                    ([key, repr(values[i]), source] for key, i in rows)),
+          args.output)
     return 0
 
 
@@ -124,23 +132,26 @@ def cmd_correlator(args):
         raise ValueError("r starts at 2")
     if args.r_max < args.r_min:
         raise ValueError("empty r range")
-    rows = []
+    rs = range(args.r_min, args.r_max + 1)
+    if args.mode == "thermo":
+        values = transfercorr.two_point_thermo_range(
+            "sz", "sz", args.spin, q0, rs)
+        source = "two_point_spectral_thermo"
+    else:
+        if not args.length:
+            raise ValueError("finite mode needs --length")
+        values = transfercorr.two_point_finite_range(
+            "sz", "sz", args.spin, q0, args.length, rs)
+        source = "two_point_trace_finite"
     closed_available = args.mode == "thermo" and args.spin in (2, 3)
-    for r in range(args.r_min, args.r_max + 1):
-        if args.mode == "thermo":
-            val = transfercorr.two_point_thermo("sz", "sz", args.spin, q0, r)
-            source = "two_point_spectral_thermo"
-        else:
-            if not args.length:
-                raise ValueError("finite mode needs --length")
-            val = transfercorr.two_point_finite(
-                "sz", "sz", args.spin, q0, args.length, r)
-            source = "two_point_trace_finite"
+    rows = []
+    for r, val in zip(rs, values):
         if closed_available:
             cf = transfercorr.closed_form_szsz(args.spin, q0, r)
-            rows.append([r, repr(val), repr(cf), repr(abs(val - cf)), source])
+            rows.append([str(r), repr(val), repr(cf), repr(abs(val - cf)),
+                         source])
         else:
-            rows.append([r, repr(val), "", "", source])
+            rows.append([str(r), repr(val), "", "", source])
     _emit(_csv_text(["r", "value", "closed_form_value", "abs_diff", "source"],
                     rows), args.output)
     return 0
@@ -149,7 +160,7 @@ def cmd_correlator(args):
 def cmd_prob(args):
     q0 = parse_q(args.q)
     probs = transfercorr.sz_distribution(args.spin, q0)
-    rows = [[m, repr(p), "sz_probability_thermo"]
+    rows = [[str(m), repr(p), "sz_probability_thermo"]
             for m, p in zip(range(-args.spin, args.spin + 1), probs)]
     _emit(_csv_text(["m", "probability", "source"], rows), args.output)
     return 0

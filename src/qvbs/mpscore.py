@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cgproj import check_budget
-from .qnum import LaurentQ, q_binomial, q_factorial, radical_pairs
+from .qnum import LaurentQ, q_binomial, q_factorials, radical_pairs
 from .weylrep import StateVector, weight_radicand
 
 
@@ -49,15 +49,19 @@ class MPSTensor:
         once from its exact value, then times each kept factor's root in
         the normal form's order. The normal forms do not depend on q, so
         they come from _radical_layout, and each distinct radicand is
-        evaluated once per call."""
+        evaluated once per call, from its q-factorials."""
         S = self.S
         q0 = Fraction(q0)
         radicands, rows = _radical_layout(S, tuple(self._entries.items()))
-        ratios = [_product_ratio(parts, q0) for parts in radicands]
+        table = q_factorials(q0)
+        ratios = [table.ratio(*name) for name in radicands]
         roots = [None] * len(radicands)
         out = np.zeros((2 * S + 1, S + 1, S + 1))
+        n, d = q0.numerator, q0.denominator
         for slot, i, j, sign, k, paired, kept in rows:
-            num, den = LaurentQ.q_power(k, sign).eval_ratio(q0)
+            # sign * q0^k, as LaurentQ.q_power(k, sign).eval_ratio gives it
+            num, den = ((sign * n ** k, d ** k) if k >= 0
+                        else (sign * d ** -k, n ** -k))
             for t in paired:
                 num, den = num * ratios[t][0], den * ratios[t][1]
             acc = num / den
@@ -70,16 +74,6 @@ class MPSTensor:
         return out
 
 
-def _product_ratio(polys, q0):
-    """The exact value of a product of Laurent polynomials at q0, as an
-    unreduced (num, den) pair of ints."""
-    num = den = 1
-    for f in polys:
-        fn, fd = f.eval_ratio(q0)
-        num, den = num * fn, den * fd
-    return num, den
-
-
 @lru_cache(maxsize=None)
 def _radical_layout(S, entries):
     """The q-free part of phys_matrices for the site tensor with these
@@ -88,17 +82,16 @@ def _radical_layout(S, entries):
     A row holds an entry's slot S - m, i-1 and j-1, its sign, its q exponent
     e2 // 2 and the radical_pairs of its factors [S, i-1], [S, j-1], the
     weight radicand of m = j - i and, for odd e2, q, as indices into the
-    distinct radicands. Each radicand is held as the polynomials whose
-    product it is: [S, k], or [S+m]! and [S-m]!, from the lru-cached
-    constructors, or q. So a layout holds references, not polynomials of
-    its own.
+    distinct radicands. Each radicand is named by the arguments of
+    QFactorials.ratio that give it: [S, k] as ((S,), (k, S-k)), [S+m]! [S-m]!
+    as ((S+m, S-m),) and q as ((), (), 1).
     """
     q = LaurentQ.q_power(1)
     binom = [q_binomial(S, k) for k in range(S + 1)]
     weight = {m: weight_radicand(S, m) for m in range(-S, S + 1)}
-    parts = {f: (f,) for f in binom + [q]}
-    parts.update((weight[m], (q_factorial(S + m), q_factorial(S - m)))
-                 for m in weight)
+    names = {q: ((), (), 1)}
+    names.update((binom[k], ((S,), (k, S - k))) for k in range(S + 1))
+    names.update((weight[m], ((S + m, S - m),)) for m in weight)
     index = {}  # radicand -> its position, equal radicands sharing one
     rows = []
     for (i, j), (sign, e2) in entries:
@@ -109,7 +102,7 @@ def _radical_layout(S, entries):
         rows.append((S - m, i - 1, j - 1, sign, e2 // 2,
                      *(tuple(index.setdefault(f, len(index)) for f in fs)
                        for fs in (paired, kept))))
-    return tuple(parts[f] for f in index), tuple(rows)
+    return tuple(names[f] for f in index), tuple(rows)
 
 
 def _site_tensor(S, e2, signed):

@@ -1,8 +1,10 @@
 """Exact arithmetic in the deformation parameter q.
 
 Laurent polynomials in q over the integers, ratios of those, the normal form
-of square roots of positive Laurent radicands, and the q-integer /
-q-factorial / q-binomial constructions. A Fraction enters only as a value of
+of square roots of positive Laurent radicands, the q-integer /
+q-factorial / q-binomial constructions, and the q-factorials at one rational
+point as an exact integer table (QFactorials), which evaluates a product of
+them from its factors. A Fraction enters only as a value of
 q or as a rational constant that RatQ splits into its integer numerator and
 denominator; floating point enters only through the eval helpers. Every
 other operation is exact in the integers, so zero tests are decisive.
@@ -485,6 +487,71 @@ def q_binomial(n, k):
         num = num * q_integer(j)
     # exact division doubles as a self-test: a nonzero remainder raises
     return num.divide_exact(q_factorial(k))
+
+
+# Bound of every q-keyed cache: a constant well above the (S, q) pairs one
+# session revisits (six spins on a sixteen-point q grid make 96), so that
+# sweeping q cannot grow memory without limit.
+Q_CACHE_SIZE = 256
+
+
+class QFactorials:
+    """The q-factorials at one point q0 = n/d > 0, exact in the integers.
+
+    [j] = (n^2j - d^2j) / ((n^2 - d^2) (nd)^(j-1)), or j at q0 = 1, and the
+    first quotient is exact, so [k]! = N_k / (nd)^(k(k-1)/2) with N_k the
+    product of those numerators. The N_k are kept in a table that grows to
+    the largest k asked for. A product of q-factorials then costs a few
+    integer products, where its expanded polynomial costs one term each.
+    """
+
+    __slots__ = ("n", "d", "_nums")
+
+    def __init__(self, q0):
+        q0 = Fraction(q0)
+        if q0 <= 0:
+            raise ValueError("evaluation point must be > 0")
+        self.n, self.d = q0.numerator, q0.denominator
+        self._nums = [1]
+
+    def _table(self, k):
+        nums, n, d = self._nums, self.n, self.d
+        for j in range(len(nums), k + 1):
+            nums.append(nums[-1] * ((n ** (2 * j) - d ** (2 * j))
+                                    // (n * n - d * d) if n != d else j))
+        return nums
+
+    def ratio(self, top=(), bottom=(), e=0):
+        """q0^e prod_{a in top} [a]! / prod_{b in bottom} [b]! as (num, den),
+        integers with den > 0, not reduced."""
+        nums = self._table(max(top + bottom, default=0))
+        num = den = 1
+        for a in top:
+            num *= nums[a]
+        for b in bottom:
+            den *= nums[b]
+        n, d = self.n, self.d
+        # the (nd)^(k(k-1)/2) of every factorial, joined into one power
+        k = sum(a * (a - 1) for a in top) - sum(b * (b - 1) for b in bottom)
+        if k > 0:
+            den *= (n * d) ** (k // 2)
+        else:
+            num *= (n * d) ** (-k // 2)
+        if e > 0:
+            return num * n ** e, den * d ** e
+        return num * d ** -e, den * n ** -e
+
+    def eval_float(self, top=(), bottom=(), e=0):
+        """ratio() rounded once: bit for bit the eval_float of the same
+        product as an expanded Laurent polynomial, OverflowError included."""
+        num, den = self.ratio(top, bottom, e)
+        return num / den
+
+
+@lru_cache(maxsize=Q_CACHE_SIZE)
+def q_factorials(q0):
+    """The QFactorials of q0, kept per q; an invalid q0 raises, uncached."""
+    return QFactorials(q0)
 
 
 def parse_q(text):

@@ -26,7 +26,8 @@ import numpy as np
 
 from .cgproj import check_budget, exact_dot
 from .mpscore import tensor_f
-from .qnum import LaurentQ, RatQ, q_binomial, q_factorial, q_integer
+from .qnum import (Q_CACHE_SIZE, LaurentQ, RatQ, q_binomial, q_factorial,
+                   q_factorials, q_integer)
 
 _GAP_TOL = 1e-9
 _CROSS_TOL = 1e-12
@@ -56,12 +57,6 @@ def _site_op(S, A):
     return A
 
 
-# Bound of every q-keyed cache: a constant well above the (S, q) pairs one
-# session revisits (six spins on a sixteen-point q grid make 96), so that
-# sweeping q cannot grow memory without limit.
-Q_CACHE_SIZE = 256
-
-
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _f_spin_scalars(S, q0):
     """s[i, j]: the spin-gauge scalar of entry (i+1, j+1) of the site tensor
@@ -73,9 +68,11 @@ def _f_spin_scalars(S, q0):
 
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _q_floats(S, q0):
-    """[n]! for n = 0..2S and [S, k] for k = 0..S at q0, as read-only arrays."""
-    fact = np.array([q_factorial(n).eval_float(q0) for n in range(2 * S + 1)])
-    binom = np.array([q_binomial(S, k).eval_float(q0) for k in range(S + 1)])
+    """[n]! for n = 0..2S and [S, k] for k = 0..S at q0, as read-only arrays,
+    each rounded once from its factored exact value."""
+    t = q_factorials(q0)
+    fact = np.array([t.eval_float((n,)) for n in range(2 * S + 1)])
+    binom = np.array([t.eval_float((S,), (k, S - k)) for k in range(S + 1)])
     fact.flags.writeable = binom.flags.writeable = False
     return fact, binom
 
@@ -236,7 +233,12 @@ def conjectured_eigenvalue(S, l):
 
 
 def conjectured_eigenvalue_float(S, l, q0):
-    return conjectured_eigenvalue(S, l).eval_float(Fraction(q0))
+    """conjectured_eigenvalue(S, l) at q0, rounded once from its factorial
+    form (-1)^l [2S+1]! [S]!^2 / ([S-l]! [S+l+1]!), the same rational."""
+    if not 0 <= l <= S:
+        raise ValueError("need 0 <= l <= S")
+    value = q_factorials(q0).eval_float((2 * S + 1, S, S), (S - l, S + l + 1))
+    return -value if l % 2 else value
 
 
 @lru_cache(maxsize=Q_CACHE_SIZE)
@@ -347,27 +349,49 @@ def _finite(value, what, S, q0):
     return value
 
 
+def two_point_finite_range(A, B, S, q0, L, rs):
+    """two_point_finite at each r of rs in turn, lazily, from one cached
+    Spectral, one pair of images and one sum_n w_n^L. An r outside 2..L
+    raises when it is reached, and before the spectral data only when it
+    comes first."""
+    data = None
+    for r in rs:
+        if not (2 <= r <= L):
+            raise ValueError("need 2 <= r <= L")
+        if data is None:
+            q0 = Fraction(q0)
+            data = spectral_data(S, q0, require_gap=False)
+            a, b = _image(data, S, q0, A), _image(data, S, q0, B)
+            w = data.w
+            z = np.sum(w ** L)
+        num = np.sum(a * w ** (r - 2) * b.T * (w ** (L - r))[:, None])
+        yield _finite(num / z, "two-point function", S, q0)
+
+
 def two_point_finite(A, B, S, q0, L, r):
     """Two-point function with the operators r-1 sites apart on L sites,
     sum_{n,m} a_nm w_m^(r-2) b_mn w_n^(L-r) / sum_n w_n^L."""
-    if not (2 <= r <= L):
-        raise ValueError("need 2 <= r <= L")
-    q0 = Fraction(q0)
-    data = spectral_data(S, q0, require_gap=False)
-    a, b = _image(data, S, q0, A), _image(data, S, q0, B)
-    w = data.w
-    num = np.sum(a * w ** (r - 2) * b.T * (w ** (L - r))[:, None])
-    return _finite(num / np.sum(w ** L), "two-point function", S, q0)
+    return next(two_point_finite_range(A, B, S, q0, L, (r,)))
 
 
-def _thermo_terms(A, B, S, q0, r):
-    """a_1n and w_n^(r-2) b_n1, the factors of the infinite-chain sums."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    q0 = Fraction(q0)
+def _thermo_terms(A, B, S, q0):
+    """a_1n, w_n and b_n1, the factors of the infinite-chain sums."""
     data = spectral_data(S, q0)
     a, b = _image(data, S, q0, A), _image(data, S, q0, B)
-    return a[0], data.w ** (r - 2) * b[:, 0]
+    return a[0], data.w, b[:, 0]
+
+
+def two_point_thermo_range(A, B, S, q0, rs):
+    """two_point_thermo at each r of rs in turn, lazily, from one cached
+    Spectral and one pair of images; r < 2 raises when it is reached."""
+    first = None
+    for r in rs:
+        if r < 2:
+            raise ValueError("need r >= 2")
+        if first is None:
+            q0 = Fraction(q0)
+            first, w, b0 = _thermo_terms(A, B, S, q0)
+        yield _finite(first @ (w ** (r - 2) * b0), "two-point function", S, q0)
 
 
 def two_point_thermo(A, B, S, q0, r):
@@ -376,15 +400,18 @@ def two_point_thermo(A, B, S, q0, r):
     This is the L -> infinity limit of two_point_finite: the site-1 matrix
     element runs over the full eigenbasis, <e1|G^A|e_n><e_n|G^B|e1>.
     """
-    first, rest = _thermo_terms(A, B, S, q0, r)
-    return _finite(first @ rest, "two-point function", S, q0)
+    return next(two_point_thermo_range(A, B, S, q0, (r,)))
 
 
 def two_point_thermo_printed_form(A, B, S, q0, r):
     """The printed variant with an n-independent site-1 factor a_11, kept for
     the discrepancy report; it does not reduce to the finite-size formula."""
-    first, rest = _thermo_terms(A, B, S, q0, r)
-    return _finite(first[0] * rest.sum(), "two-point function", S, q0)
+    if r < 2:
+        raise ValueError("need r >= 2")
+    q0 = Fraction(q0)
+    first, w, b0 = _thermo_terms(A, B, S, q0)
+    return _finite(first[0] * (w ** (r - 2) * b0).sum(), "two-point function",
+                   S, q0)
 
 
 def sz_distribution(S, q0):

@@ -9,12 +9,12 @@ arithmetic is ever needed here. The two-site coproduct composes those maps.
 
 from __future__ import annotations
 
-import math
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from .qnum import LaurentQ, q_factorial, q_integer, radical_float
+from .qnum import LaurentQ, q_factorial, q_factorials, q_integer, radical_float
 
 XPLUS = "X+"
 XMINUS = "X-"
@@ -277,6 +277,14 @@ def weight_radicand(S, m):
     return q_factorial(S + m) * q_factorial(S - m)
 
 
+def site_roots(S, q0):
+    """sqrt([S+m]! [S-m]!) at q0 for m = -S..S, each root of the radicand
+    rounded once from its q-factorials: the spin-basis normalization."""
+    table = q_factorials(q0)
+    return np.array([table.eval_float((S + m, S - m)) ** 0.5
+                     for m in range(-S, S + 1)])
+
+
 class StateVector:
     """Chain state over the product spin basis, stored exactly.
 
@@ -315,28 +323,58 @@ class StateVector:
             idx = idx * d + (self.S - m)
         return idx
 
-    def float_amplitudes(self, q0):
-        """Physical amplitudes as floats keyed by basis state, from one table
-        of per-site roots and one evaluation per distinct amplitude (a chain
-        state holds few distinct ones); a non-finite value raises
-        ValueError."""
+    def float_layout(self):
+        """The q-free part of float_values: the distinct amplitudes in order
+        of first appearance, and per key of amps, in its order, the index of
+        its amplitude and the row of its sites' m + S, as intp arrays."""
+        index = {}
+        which = np.array([index.setdefault(a, len(index))
+                          for a in self.amps.values()], dtype=np.intp)
+        sites = np.array(list(self.amps), dtype=np.intp).reshape(-1, self.L)
+        sites += self.S
+        # read-only, since a caller may keep the layout in a cache
+        which.flags.writeable = sites.flags.writeable = False
+        return tuple(index), which, sites
+
+    def float_values(self, q0, layout=None):
+        """Physical amplitudes as a float array in the order of amps, from
+        one table of per-site roots and one evaluation per distinct
+        amplitude. Each is the exact amplitude rounded once, times the
+        prefactor, times its sites' roots in site order. The first key, in
+        that order, whose amplitude does not evaluate or is not finite
+        raises: OverflowError, or ValueError naming the key. `layout` is
+        this state's float_layout(), which a caller may keep."""
+        distinct, which, sites = layout or self.float_layout()
         q0 = Fraction(q0)
         pref = radical_float(self.prefactor, q0)
-        root = {m: weight_radicand(self.S, m).eval_float(q0) ** 0.5
-                for m in range(-self.S, self.S + 1)}
-        value = {}
-        out = {}
-        for k, a in self.amps.items():
-            val = value.get(a)
-            if val is None:
-                val = value[a] = a.eval_float(q0)
-            val *= pref
-            for m in k:
-                val *= root[m]
-            if not math.isfinite(val):
-                raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
-            out[k] = val
+        root = site_roots(self.S, q0)
+        values = []
+        try:
+            for a in distinct:
+                values.append(a.eval_float(q0))
+        except ArithmeticError:
+            # the keys before the first that needs this amplitude come first
+            self._products(values, pref, root, which, sites,
+                           int(np.argmax(which == len(values))), q0)
+            raise
+        return self._products(values, pref, root, which, sites, len(which), q0)
+
+    def _products(self, values, pref, root, which, sites, n, q0):
+        """The first n physical amplitudes of float_values."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.array(values, dtype=float)[which[:n]] * pref
+            for col in sites[:n].T:
+                out *= root[col]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            k = next(itertools.islice(self.amps, int(bad.argmax()), None))
+            raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         return out
+
+    def float_amplitudes(self, q0):
+        """float_values keyed by basis state; a non-finite value raises
+        ValueError."""
+        return dict(zip(self.amps, self.float_values(q0).tolist()))
 
     def to_dense(self, q0):
         """Physical amplitudes as a float vector, product-basis ordering."""

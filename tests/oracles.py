@@ -13,10 +13,17 @@ eigenvalues patches them here too.
 `float_amplitudes` rounds every amplitude of a state on its own, with no
 sharing between equal amplitudes, so the tests can compare it bit for bit
 with `StateVector.float_amplitudes` and with the CLI's cached chains.
+
+`two_point_finite` and `two_point_thermo` are the per-r correlators: each r
+looks up the spectral data, forms both images and, on the finite chain,
+sum_n w_n^L anew, so the tests can compare the one-pass r ranges of
+`transfercorr` with them bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from qvbs import transfercorr
 from qvbs.qnum import LaurentQ, radical_float
@@ -40,6 +47,32 @@ def float_amplitudes(state, q0):
             raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         out[k] = val
     return out
+
+
+def two_point_finite(A, B, S, q0, L, r):
+    """sum_{n,m} a_nm w_m^(r-2) b_mn w_n^(L-r) / sum_n w_n^L at one r."""
+    if not (2 <= r <= L):
+        raise ValueError("need 2 <= r <= L")
+    q0 = Fraction(q0)
+    data = transfercorr.spectral_data(S, q0, require_gap=False)
+    a = transfercorr._image(data, S, q0, A)
+    b = transfercorr._image(data, S, q0, B)
+    w = data.w
+    num = np.sum(a * w ** (r - 2) * b.T * (w ** (L - r))[:, None])
+    return transfercorr._finite(num / np.sum(w ** L), "two-point function",
+                                S, q0)
+
+
+def two_point_thermo(A, B, S, q0, r):
+    """sum_n a_1n w_n^(r-2) b_n1 at one r."""
+    if r < 2:
+        raise ValueError("need r >= 2")
+    q0 = Fraction(q0)
+    data = transfercorr.spectral_data(S, q0)
+    a = transfercorr._image(data, S, q0, A)
+    b = transfercorr._image(data, S, q0, B)
+    return transfercorr._finite(a[0] @ (data.w ** (r - 2) * b[:, 0]),
+                                "two-point function", S, q0)
 
 
 def power_sums_match(block, roots):

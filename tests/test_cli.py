@@ -179,6 +179,19 @@ def test_chain_state_cache_is_bounded(capsys):
     assert cli._chain_state.cache_info().currsize <= info.maxsize
 
 
+def test_state_rows_cache_is_bounded(capsys):
+    # the q-free rows sit beside the chains, in a cache of the same bound
+    info = cli._state_rows.cache_info()
+    assert info.maxsize == cli._chain_state.cache_info().maxsize
+    for L in range(2, 7):
+        for p1 in (1, 2):
+            for p2 in (1, 2):
+                assert run(capsys, "state", "--spin", "1", "--length", str(L),
+                           "--bc", "open", "--p1", str(p1), "--p2", str(p2),
+                           "--q", "4/5")[0] == 0
+    assert cli._state_rows.cache_info().currsize <= info.maxsize
+
+
 def test_eigenvalues_json(capsys):
     code, out, _ = run(capsys, "eigenvalues", "--spin", "2", "--q", "1",
                        "--check-conjecture")
@@ -562,3 +575,66 @@ def test_numeric_commands_reject_negative_spin(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: need S >= 1\n"
+
+
+# the benchmark's sixteen-point q grid
+CORRELATOR_Q = ("1/2", "4/7", "3/5", "2/3", "5/7", "4/5", "9/10", "1", "10/9",
+                "5/4", "7/5", "3/2", "5/3", "7/4", "9/5", "2")
+
+
+def _oracle_correlator_csv(S, q, L, rs):
+    """The correlator CSV from the per-r oracles, closed-form columns at
+    S = 2 and 3 in thermo mode."""
+    q0 = Fraction(q)
+    rows = []
+    for r in rs:
+        if L is None:
+            val = oracles.two_point_thermo("sz", "sz", S, q0, r)
+            if S in (2, 3):
+                cf = transfercorr.closed_form_szsz(S, q0, r)
+                rows.append("%d,%r,%r,%r,two_point_spectral_thermo\n"
+                            % (r, val, cf, abs(val - cf)))
+            else:
+                rows.append("%d,%r,,,two_point_spectral_thermo\n" % (r, val))
+        else:
+            val = oracles.two_point_finite("sz", "sz", S, q0, L, r)
+            rows.append("%d,%r,,,two_point_trace_finite\n" % (r, val))
+    return "r,value,closed_form_value,abs_diff,source\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("S", range(1, 7))
+def test_correlator_csv_matches_the_per_r_oracle(capsys, S):
+    for q in CORRELATOR_Q:
+        for L, r_min, r_max in ((None, 2, 60), (4000, 2, 60), (37, 20, 37)):
+            mode = (["--mode", "thermo"] if L is None
+                    else ["--mode", "finite", "--length", str(L)])
+            code, out, err = run(capsys, "correlator", "--spin", str(S),
+                                 "--q", q, *mode, "--r-min", str(r_min),
+                                 "--r-max", str(r_max))
+            assert (code, err) == (0, "")
+            assert out == _oracle_correlator_csv(S, q, L,
+                                                 range(r_min, r_max + 1))
+
+
+@pytest.mark.parametrize("argv, err", (
+    # an invalid first r comes before the spin, a later one after it
+    (("--spin", "-1", "--mode", "finite", "--length", "1", "--r-min", "2",
+      "--r-max", "3"), "need 2 <= r <= L"),
+    (("--spin", "-1", "--mode", "finite", "--length", "30", "--r-min", "25",
+      "--r-max", "40"), "need S >= 1"),
+    (("--spin", "0", "--mode", "thermo"), "need S >= 1"),
+    (("--spin", "3", "--q", "1/2", "--mode", "finite", "--length", "30",
+      "--r-min", "25", "--r-max", "40"), "need 2 <= r <= L"),
+    # the overflow comes at the first r, before the r past L
+    (("--spin", "3", "--q", "1e30", "--mode", "finite", "--length", "30",
+      "--r-min", "25", "--r-max", "40"), "correlator at q=1e30: float overflow "
+     "(integer division result too large for a float)"),
+    (("--spin", "6", "--q", "1e-30", "--mode", "thermo"), "correlator at "
+     "q=1e-30: float overflow (integer division result too large for a float)"),
+    # the closed form fails at one r of the range, after the rows before it
+    (("--spin", "3", "--q", "1/1000", "--r-max", "60"), "correlator at "
+     "q=1/1000: FloatingPointError (closed form underflows at r=52)"),
+))
+def test_correlator_range_errors(capsys, argv, err):
+    code, out, got = run(capsys, "correlator", *argv)
+    assert (code, out, got) == (2, "", "error: %s\n" % err)

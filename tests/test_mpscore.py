@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from qvbs import mpscore
+from qvbs import mpscore, transfercorr
 from qvbs.cgproj import BudgetError
 from qvbs.mpscore import (
     contract_open,
@@ -17,8 +17,9 @@ from qvbs.mpscore import (
     tensor_g,
     tensor_g_start,
 )
-from qvbs.qnum import LaurentQ, q_binomial, q_factorial, radical_float
-from qvbs.weylrep import weight_radicand
+from qvbs.qnum import (LaurentQ, QFactorials, q_binomial, q_factorial,
+                       radical_float)
+from qvbs.weylrep import site_roots, weight_radicand
 from qvbs.transfercorr import two_point_finite
 from qvbs.vbsstate import build_open, build_pbc
 
@@ -92,6 +93,38 @@ def test_phys_matrices_bytes_are_pinned(name, tensor):
     assert h.hexdigest() == PHYS_DIGESTS[name]
 
 
+# sha256 over S = 1..8 and PINNED_Q, in order, of the per-(S, q) floats that
+# the q-factorial table serves: `_q_floats` ([n]! then [S, k]),
+# `_conjectured_floats` and `site_roots`, each as float64 bytes or, where it
+# raises (at S = 8, q = 1/1000), as its error's type and text. The
+# digests were taken from the expanded polynomials' eval_float; every value
+# is one correctly rounded division, so the bytes do not depend on the
+# platform
+FLOAT_DIGESTS = {
+    "q_floats": "0b8cad38e138def590a055457de5fc5825deb512a0c90e40174e7dfb8409c782",
+    "conjectured": "b1960ac0562b815740f6e01fe07230959b776f4435a029a17242c54578adad70",
+    "roots": "6e67d5d7c63a890a45d5de1256e9bc1218e3525444133c518df33e507148f9b8",
+}
+
+
+@pytest.mark.parametrize("name, floats", (
+    ("q_floats", lambda S, q0: np.concatenate(transfercorr._q_floats(S, q0))),
+    ("conjectured", lambda S, q0: transfercorr._conjectured_floats(S, q0)),
+    ("roots", site_roots),
+))
+def test_factorial_floats_are_pinned(name, floats):
+    h = hashlib.sha256()
+    for S in range(1, 9):
+        for q in PINNED_Q:
+            try:
+                out = floats(S, Fraction(q))
+            except ArithmeticError as exc:
+                h.update(("%s: %s" % (type(exc).__name__, exc)).encode())
+            else:
+                h.update(np.asarray(out, dtype=float).tobytes())
+    assert h.hexdigest() == FLOAT_DIGESTS[name]
+
+
 @pytest.mark.parametrize("tensor", (tensor_f, tensor_g, tensor_g_start))
 @pytest.mark.parametrize("q", ("1/1000", "3/7", "1", "13/4", "1000"))
 def test_phys_matrices_entry_is_radical_float(tensor, q):
@@ -115,13 +148,16 @@ def test_phys_matrices_evaluates_each_radicand_once(monkeypatch):
     # the normal forms are cached per tensor; a call evaluates each distinct
     # radicand once, whether it is paired in one entry and kept in another
     seen = []
-    real = mpscore._product_ratio
+    real = QFactorials.ratio
 
-    def spy(polys, q0):
-        seen.append(math.prod(polys, start=LaurentQ.one()))
-        return real(polys, q0)
+    def spy(self, top=(), bottom=(), e=0):
+        # the radicand that the factorial indices name, as a polynomial
+        seen.append(math.prod(map(q_factorial, top), start=LaurentQ.one())
+                    .divide_exact(math.prod(map(q_factorial, bottom),
+                                            start=LaurentQ.one())).shift(e))
+        return real(self, top, bottom, e)
 
-    monkeypatch.setattr(mpscore, "_product_ratio", spy)
+    monkeypatch.setattr(QFactorials, "ratio", spy)
     for S in range(1, 7):
         for tensor in (tensor_f, tensor_g):
             t = tensor(S)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,14 +9,17 @@ import pytest
 
 from qvbs.qnum import (
     PRIMES,
+    Q_CACHE_SIZE,
     Batch,
     LaurentQ,
+    QFactorials,
     RatQ,
     primes_for_height,
     laurent_gcd,
     parse_q,
     q_binomial,
     q_factorial,
+    q_factorials,
     q_integer,
     radical_float,
     radical_form,
@@ -398,3 +402,94 @@ def test_primes_for_height():
         assert math.prod(PRIMES[:n]) > 2 * H >= math.prod(PRIMES[:n - 1])
     with pytest.raises(ValueError, match="more than the 32 fixed primes"):
         primes_for_height(math.prod(PRIMES), "x")
+
+
+# -- the factored q-factorial table ---------------------------------------
+
+TABLE_Q = (Fraction(1, 10 ** 6), Fraction(1, 2), Fraction(4, 5), Fraction(1),
+           Fraction(7, 4), Fraction(10 ** 30), Fraction(10 ** 400))
+
+
+def _table_cases(S):
+    """(name, the table's arguments, the expanded polynomial, its sign) for
+    every [n]!, [S, k], weight radicand, pair weight and eigenvalue of S."""
+    from qvbs.cgproj import _pair_weight
+    from qvbs.transfercorr import conjectured_eigenvalue
+    from qvbs.weylrep import weight_radicand
+
+    cases = [("[%d]!" % n, ((n,), ()), q_factorial(n), 1)
+             for n in range(2 * S + 2)]
+    cases += [("[%d,%d]" % (S, k), ((S,), (k, S - k)), q_binomial(S, k), 1)
+              for k in range(S + 1)]
+    cases += [("W(%d)" % m, ((S + m, S - m), ()), weight_radicand(S, m), 1)
+              for m in range(-S, S + 1)]
+    # W(m1, m2) is even in each m and symmetric, so these are all of them
+    cases += [("W(%d,%d)" % p, ((S + p[0], S - p[0], S + p[1], S - p[1]), ()),
+               _pair_weight(S, p), 1)
+              for p in itertools.combinations_with_replacement(range(S + 1), 2)]
+    # the eigenvalue's factorial form against its exact quotient
+    cases += [("lambda_%d" % l, ((2 * S + 1, S, S), (S - l, S + l + 1)),
+               conjectured_eigenvalue(S, l), -1 if l % 2 else 1)
+              for l in range(S + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("S", range(1, 9))
+def test_factorial_table_matches_the_polynomials(S):
+    # the same rational, so the same float through one int division, and
+    # far from q = 1 the same OverflowError
+    from qvbs.transfercorr import conjectured_eigenvalue_float
+
+    kinds = set()
+    # past S = 4 the polynomials at 1e400 take a minute; 1e30 stays
+    for q0 in TABLE_Q if S <= 4 else TABLE_Q[:-1]:
+        table = q_factorials(q0)
+        got = {}
+        for name, (top, bottom), poly, sign in _table_cases(S):
+            num, den = table.ratio(top, bottom)
+            # each expanded polynomial is evaluated once: its eval_float is
+            # pnum / pden, and cross products spare a Fraction's gcd of
+            # numbers that reach 1e100000
+            pnum, pden = poly.eval_ratio(q0)
+            assert den > 0 and sign * num * pden == pnum * den, (name, q0)
+            got[name] = _outcome(lambda: sign * table.eval_float(top, bottom))
+            assert got[name] == _outcome(lambda: pnum / pden), (name, q0)
+            kinds.add(_kind(got[name]))
+        for l in range(S + 1):
+            assert _outcome(lambda: conjectured_eigenvalue_float(S, l, q0)) \
+                == got["lambda_%d" % l]
+    assert {"OverflowError", "normal"} <= kinds
+
+
+def test_factorial_form_of_the_eigenvalues_is_exact():
+    # q-free: (-1)^l [2S+1]! [S]!^2 / ([S-l]! [S+l+1]!) is lambda_l
+    from qvbs.transfercorr import conjectured_eigenvalue
+
+    for S in range(1, 9):
+        for l in range(S + 1):
+            num = q_factorial(2 * S + 1) * q_factorial(S) * q_factorial(S)
+            den = q_factorial(S - l) * q_factorial(S + l + 1)
+            assert num.divide_exact(den) == (-1) ** l * conjectured_eigenvalue(S, l)
+
+
+def test_factorial_table_q_powers():
+    table = QFactorials(Fraction(3, 7))
+    for e in range(-4, 5):
+        assert Fraction(*table.ratio(e=e)) == Fraction(3, 7) ** e
+    assert table.ratio() == (1, 1)
+
+
+def test_factorial_table_cache_is_bounded_and_keeps_no_failure():
+    from qvbs.transfercorr import Q_CACHE_SIZE as size
+
+    assert q_factorials.cache_info().maxsize == Q_CACHE_SIZE == size
+    for k in range(Q_CACHE_SIZE + 20):
+        q_factorials(Fraction(1000 + k, 1001)).ratio((5,))
+    assert q_factorials.cache_info().currsize == Q_CACHE_SIZE
+    before = q_factorials.cache_info().currsize
+    q_factorials.cache_clear()
+    for bad in (Fraction(0), Fraction(-1, 2)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="evaluation point must be > 0"):
+                q_factorials(bad)
+    assert q_factorials.cache_info().currsize == 0 < before

@@ -33,10 +33,13 @@ from qvbs.transfercorr import (
     transfer_diag_block_exact,
     transfer_matrix,
     two_point_finite,
+    two_point_finite_range,
     two_point_thermo,
     two_point_thermo_printed_form,
+    two_point_thermo_range,
 )
 
+import oracles
 from oracles import (conjecture_moment_identity, factors_annihilate,
                      power_sums_match)
 
@@ -874,3 +877,94 @@ def test_conjectured_floats_cache_no_failure():
     assert cache(3, Fraction(4, 5)) == tuple(
         transfercorr.conjectured_eigenvalue_float(3, l, Fraction(4, 5))
         for l in range(4))
+
+
+# -- correlator r ranges in one pass --------------------------------------
+
+# the benchmark's sixteen-point grid, then two points far from q = 1
+RANGE_Q = tuple(map(Fraction, (
+    "1/2", "4/7", "3/5", "2/3", "5/7", "4/5", "9/10", "1", "10/9", "5/4",
+    "7/5", "3/2", "5/3", "7/4", "9/5", "2", "1/1000000000000000000000000000000",
+    "1000000000000000000000000000000")))
+
+
+def _yielded(values):
+    """The hex of each value in turn, then the type and text of the error
+    that stops them, if one does."""
+    out = []
+    try:
+        for v in values:
+            out.append(v.hex())
+    except (ArithmeticError, ValueError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("S", range(1, 7))
+def test_correlator_ranges_match_the_per_r_oracle(S):
+    # bit for bit the per-r sums, and the same error at the same r: an r
+    # past L after the rows before it, an overflow at the first r
+    rs = range(2, 61)
+    far_errors = 0
+    for q0 in RANGE_Q:
+        got = _yielded(two_point_thermo_range("sz", "sz", S, q0, rs))
+        assert got == _yielded(oracles.two_point_thermo("sz", "sz", S, q0, r)
+                               for r in rs), q0
+        assert got == _yielded(two_point_thermo("sz", "sz", S, q0, r)
+                               for r in rs)
+        for L in (2, 9, 60, 700, 4000):
+            got = _yielded(two_point_finite_range("sz", "sz", S, q0, L, rs))
+            assert got == _yielded(oracles.two_point_finite(
+                "sz", "sz", S, q0, L, r) for r in rs), (q0, L)
+            assert got == _yielded(two_point_finite("sz", "sz", S, q0, L, r)
+                                   for r in rs)
+            if q0 in RANGE_Q[:16]:
+                # on the grid every row up to r = L is finite
+                n = min(L, 60) - 1
+                assert all(isinstance(v, str) for v in got[:n])
+                assert got[n:] == [(ValueError, "need 2 <= r <= L")] * (L < 60)
+            else:
+                far_errors += isinstance(got[-1], tuple)
+    assert far_errors
+
+
+def test_correlator_range_builds_once(monkeypatch):
+    q0 = Fraction(4, 5)
+    # one spectral lookup, one pair of images and one sum_n w^L per range
+    calls = {"spectral_data": 0, "_image": 0, "sum": 0}
+    for name in ("spectral_data", "_image"):
+        real = getattr(transfercorr, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transfercorr, name, spy)
+    real_sum = np.sum
+
+    def counted_sum(a, *args, **kwargs):
+        calls["sum"] += 1
+        return real_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(transfercorr.np, "sum", counted_sum)
+    rs = range(2, 41)
+    values = list(two_point_finite_range("sz", "sz", 3, q0, 40, rs))
+    assert calls == {"spectral_data": 1, "_image": 2, "sum": 1 + len(rs)}
+    assert len(values) == len(rs)
+    calls.update(dict.fromkeys(calls, 0))
+    list(two_point_thermo_range("sz", "sz", 3, q0, rs))
+    assert calls == {"spectral_data": 1, "_image": 2, "sum": 0}
+
+
+def test_correlator_range_is_lazy():
+    # nothing is built before the first r is asked for, and an invalid
+    # first r raises before the spectral data would
+    q0 = Fraction(4, 5)
+    values = two_point_finite_range("sz", "sz", -1, q0, 1, range(2, 4))
+    with pytest.raises(ValueError, match=r"need 2 <= r <= L"):
+        next(values)
+    values = two_point_finite_range("sz", "sz", -1, q0, 30, range(25, 41))
+    with pytest.raises(ValueError, match=r"need S >= 1"):
+        next(values)
+    with pytest.raises(ValueError, match=r"need r >= 2"):
+        next(two_point_thermo_range("sz", "sz", -1, q0, range(1, 3)))

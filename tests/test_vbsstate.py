@@ -56,6 +56,25 @@ def test_float_amplitudes_match_per_amplitude_loop(state):
     assert errors >= 2
 
 
+@pytest.mark.parametrize("state", (
+    lambda: build_pbc(1, 8),
+    lambda: build_open(2, 4, 2, 3),
+    lambda: random_weight_zero_state(2, 3, seed=4),
+))
+def test_float_amplitudes_raise_at_the_loop_s_first_key(state):
+    # over q = 1e-320..1e320 the error is the per-amplitude loop's: an
+    # amplitude that overflows is met only after every key before it, one
+    # of which may already be non-finite (the open chain near q = 1e-40)
+    st = state()
+    kinds = set()
+    for k in range(-320, 321, 3):
+        q0 = Fraction(10) ** k
+        got = _float_outcome(st.float_amplitudes, q0)
+        assert got == _float_outcome(oracles.float_amplitudes, st, q0), k
+        kinds.add(got[0] if isinstance(got[0], type) else "finite")
+    assert {OverflowError, "finite"} <= kinds
+
+
 def test_pbc_two_site_expansion():
     st = build_pbc(1, 2)
     assert st.amps == {
