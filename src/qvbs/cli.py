@@ -41,24 +41,17 @@ def _radical_text(factors):
 
 @lru_cache(maxsize=16)
 def _chain_state(S, L, bc, p1, p2):
-    """The exact chain state, which does not depend on q, kept across
+    """The exact chain state, which does not depend on q, and its rows for
+    output, (key text, position in amps) sorted by key, kept across
     queries; the caller checks the arguments and the budget first, so a
     cached chain is still refused under a lowered QVBS_BUDGET_MB."""
     if bc == "pbc":
-        return vbsstate.build_pbc(S, L)
-    return vbsstate.build_open(S, L, p1, p2)
-
-
-@lru_cache(maxsize=16)
-def _state_rows(S, L, bc, p1, p2):
-    """The q-free part of a state query, kept beside _chain_state: the
-    chain's float_layout and its CSV rows as (key text, position in amps),
-    sorted by key."""
-    st = _chain_state(S, L, bc, p1, p2)
+        st = vbsstate.build_pbc(S, L)
+    else:
+        st = vbsstate.build_open(S, L, p1, p2)
     keys = list(st.amps)
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return st.float_layout(), tuple((";".join(map(str, keys[i])), i)
-                                    for i in order)
+    return st, tuple((";".join(map(str, keys[i])), i) for i in order)
 
 
 def cmd_state(args):
@@ -69,9 +62,10 @@ def cmd_state(args):
     if args.bc == "open":
         p1, p2 = (1 if p is None else p for p in (p1, p2))
     vbsstate._check_state_args(args.spin, args.length)
-    st = _chain_state(args.spin, args.length, args.bc, p1, p2)
+    st, rows = _chain_state(args.spin, args.length, args.bc, p1, p2)
     source = "chain_state_%s" % args.bc
     if args.exact:
+        amps = list(st.amps.values())
         payload = {
             "spin": args.spin,
             "length": args.length,
@@ -81,17 +75,13 @@ def cmd_state(args):
                                     "value * sqrt(prod_l [S+m_l]! [S-m_l]!) "
                                     "* prefactor",
             "prefactor": _radical_text(st.prefactor),
-            "amplitudes": {
-                ";".join(str(m) for m in k): v.to_json_obj()
-                for k, v in sorted(st.amps.items())
-            },
+            "amplitudes": {key: amps[i].to_json_obj() for key, i in rows},
         }
         if args.bc == "open":
             payload["p1"], payload["p2"] = p1, p2
         _emit(_json_text(payload), args.output)
         return 0
-    layout, rows = _state_rows(args.spin, args.length, args.bc, p1, p2)
-    values = st.float_values(q0, layout).tolist()
+    values = st.float_values(q0).tolist()
     _emit(_csv_text(["m", "value", "source"],
                     ([key, repr(values[i]), source] for key, i in rows)),
           args.output)

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cgproj import check_budget
-from .qnum import LaurentQ, q_binomial, q_factorials, radical_pairs
-from .weylrep import StateVector, weight_radicand
+from .qnum import LaurentQ, q_binomial, q_factorials
+from .weylrep import StateVector
 
 
 class MPSTensor:
@@ -55,7 +55,9 @@ class MPSTensor:
         radicands, rows = _radical_layout(S, tuple(self._entries.items()))
         table = q_factorials(q0)
         ratios = [table.ratio(*name) for name in radicands]
-        roots = [None] * len(radicands)
+        # every radicand is kept in some entry; each root is that of the
+        # radicand's eval_float
+        roots = [math.sqrt(num / den) for num, den in ratios]
         out = np.zeros((2 * S + 1, S + 1, S + 1))
         n, d = q0.numerator, q0.denominator
         for slot, i, j, sign, k, paired, kept in rows:
@@ -66,9 +68,6 @@ class MPSTensor:
                 num, den = num * ratios[t][0], den * ratios[t][1]
             acc = num / den
             for t in kept:
-                if roots[t] is None:
-                    # the root of the radicand's eval_float
-                    roots[t] = math.sqrt(ratios[t][0] / ratios[t][1])
                 acc *= roots[t]
             out[slot, i, j] = acc
         return out
@@ -80,29 +79,32 @@ def _radical_layout(S, entries):
     entries ((i, j), (sign, e2)), as (radicands, rows).
 
     A row holds an entry's slot S - m, i-1 and j-1, its sign, its q exponent
-    e2 // 2 and the radical_pairs of its factors [S, i-1], [S, j-1], the
-    weight radicand of m = j - i and, for odd e2, q, as indices into the
-    distinct radicands. Each radicand is named by the arguments of
-    QFactorials.ratio that give it: [S, k] as ((S,), (k, S-k)), [S+m]! [S-m]!
-    as ((S+m, S-m),) and q as ((), (), 1).
+    e2 // 2 and the radical_form of its factors [S, i-1], [S, j-1], the
+    weight radicand [S+m]! [S-m]! of m = j - i and, for odd e2, q, as
+    (paired, kept) indices into the distinct radicands. Each radicand is
+    named by the arguments of QFactorials.ratio that give it, never
+    expanded: [S, k] = [S, S-k] as ((S,), (k, S-k)) with k <= S-k, the
+    weight as ((S+|m|, S-|m|),) and q as ((), (), 1); units drop out.
+
+    Only the two binomials can be equal, so they pair when they are. The
+    kept factors come in radical_form's order, by lowest exponent: the
+    weight's -(S^2+m^2-S) lies below every binomial's -k(S-k) for S >= 2,
+    binomials follow by decreasing k(S-k), and q's is 1.
     """
-    q = LaurentQ.q_power(1)
-    binom = [q_binomial(S, k) for k in range(S + 1)]
-    weight = {m: weight_radicand(S, m) for m in range(-S, S + 1)}
-    names = {q: ((), (), 1)}
-    names.update((binom[k], ((S,), (k, S - k))) for k in range(S + 1))
-    names.update((weight[m], ((S + m, S - m),)) for m in weight)
-    index = {}  # radicand -> its position, equal radicands sharing one
+    index = {}  # name -> its position among the distinct radicands
     rows = []
     for (i, j), (sign, e2) in entries:
-        m = j - i
+        m = abs(j - i)
+        binom = [((S,), (k, S - k)) for k in sorted(
+            (min(k, S - k) for k in (i - 1, j - 1) if 0 < k < S), reverse=True)]
+        paired = binom[:1] if len(binom) == 2 and binom[0] == binom[1] else []
         # an odd e2 leaves one factor q under the radical
-        paired, kept = radical_pairs(
-            (binom[i - 1], binom[j - 1], weight[m]) + (q,) * (e2 % 2))
-        rows.append((S - m, i - 1, j - 1, sign, e2 // 2,
+        kept = ([((S + m, S - m),)] * (S + m > 1) + binom * (not paired)
+                + [((), (), 1)] * (e2 % 2))
+        rows.append((S + i - j, i - 1, j - 1, sign, e2 // 2,
                      *(tuple(index.setdefault(f, len(index)) for f in fs)
                        for fs in (paired, kept))))
-    return tuple(names[f] for f in index), tuple(rows)
+    return tuple(index), tuple(rows)
 
 
 def _site_tensor(S, e2, signed):

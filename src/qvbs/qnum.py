@@ -246,7 +246,9 @@ class LaurentQ:
     def eval_ratio(self, q0):
         """(num, den), integers with den > 0 and num / den the exact value at
         a positive rational q0 = n/d, not reduced: the sum of
-        v n^(e-lo) d^(hi-e) runs in integers and n^lo / d^hi joins it once."""
+        v n^(e-lo) d^(hi-e) runs in integers and n^lo / d^hi joins it once.
+        The sum is one Horner pass down the exponents, each power of n and d
+        built from the last."""
         if not isinstance(q0, Fraction):
             q0 = Fraction(q0)
         if q0 <= 0:
@@ -254,8 +256,17 @@ class LaurentQ:
         if not self._c:
             return 0, 1
         n, d = q0.numerator, q0.denominator
-        lo, hi = min(self._c), max(self._c)
-        acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in self._c.items())
+        exps = sorted(self._c, reverse=True)
+        lo, hi = exps[-1], exps[0]
+        # after exponent e: acc = sum over e' >= e of v n^(e'-e) d^(hi-e'),
+        # and dpow = d^(hi-e)
+        acc, dpow, prev = 0, 1, hi
+        for e in exps:
+            if e != prev:
+                acc *= n ** (prev - e)
+                dpow *= d ** (prev - e)
+                prev = e
+            acc += self._c[e] * dpow
         return (acc * n ** max(lo, 0) * d ** max(-hi, 0),
                 n ** max(-lo, 0) * d ** max(hi, 0))
 
@@ -421,28 +432,20 @@ class RatQ:
 # -- radicals ---------------------------------------------------------
 
 
-def radical_pairs(factors):
-    """sqrt(prod factors) as (paired, kept), the value prod(paired) *
-    sqrt(prod kept): unit factors dropped, each pair of equal factors
-    represented once in paired, the rest sorted by key(), so equal products
-    of the same factors print and evaluate alike. Both tuples hold the
-    caller's factor objects, not copies."""
+def radical_form(factors):
+    """sqrt(prod factors) as (r, kept), the value r * sqrt(prod kept): unit
+    factors dropped, each pair of equal factors multiplied into r once, the
+    rest sorted by key(), so equal products of the same factors print and
+    evaluate alike. kept holds the caller's factor objects, not copies."""
     fs = sorted((f for f in factors if f != 1), key=LaurentQ.key)
-    paired, kept = [], []
+    r, kept = LaurentQ.one(), []
     while fs:
         f = fs.pop(0)
         if fs and fs[0] == f:
-            paired.append(fs.pop(0))
+            r = r * fs.pop(0)
         else:
             kept.append(f)
-    return tuple(paired), tuple(kept)
-
-
-def radical_form(factors):
-    """sqrt(prod factors) as (r, kept) with r * sqrt(prod kept) the same
-    value: the normal form of radical_pairs, the pairs multiplied out."""
-    paired, kept = radical_pairs(factors)
-    return math.prod(paired, start=LaurentQ.one()), kept
+    return r, tuple(kept)
 
 
 def radical_float(factors, q0, rat=1):

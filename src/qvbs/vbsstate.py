@@ -130,21 +130,21 @@ def _dual_residues(S, p, points):
     return values
 
 
-def _components(state, bonds, layout):
+def _components(S, digits, bonds, layout):
     """Every (rest, w, J) component of every bond as a run of terms.
 
+    `digits` holds each amplitude key's site digits S - m, one row a key.
     The component pairs the J dual row of sector w with the amplitudes that
     read `rest` on the sites off the bond; each term is one (amplitude, dual
     entry) product with both factors nonzero. The terms come sorted so that
     every component is one contiguous run; a component with no term is zero
-    and is left out. Returns the amplitude and entry index of each term, the
+    and is left out. Returns the key row and entry index of each term, the
     run boundaries (run i is terms bounds[i]:bounds[i+1]), and the bond
     index and J of each run.
     """
-    S, L = state.S, state.L
+    L = digits.shape[1]
     d = 2 * S + 1
     n_rows, n_bonds = len(layout.row_J), len(bonds)
-    digits = S - np.array(list(state.amps), dtype=np.int64).reshape(-1, L)
     k, l = (np.array(bonds, dtype=np.int64).reshape(-1, 2) - 1).T
     # one row of bytes per bond and amplitude: the bond, then the digits
     # with the bond's two cleared. Equal rows read one rest on one bond;
@@ -228,8 +228,11 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
         raise ValueError("amplitude key %r is not %d integers in -%d..%d"
                          % (bad, L, S, S))
     layout = _dual_layout(S)
-    amps = Batch(state.amps.values())
-    amp, entry, bounds, comp_bond, comp_J = _components(state, bonds, layout)
+    distinct, which, digits = state.layout()
+    amps = Batch(distinct)
+    amp, entry, bounds, comp_bond, comp_J = _components(S, digits, bonds,
+                                                        layout)
+    amp = which[amp]  # from each term's key row to its distinct amplitude
     nonzero = _nonzero_runs(amps, S, L, amp, entry, bounds[:-1],
                             (_SCREEN_POINT,), (_SCREEN_PRIME,))
     left = ~nonzero

@@ -295,7 +295,7 @@ class StateVector:
     plain Laurent polynomials and zero tests stay exact.
     """
 
-    __slots__ = ("S", "L", "amps", "prefactor")
+    __slots__ = ("S", "L", "amps", "prefactor", "_layout")
 
     def __init__(self, S, L, amps=None, prefactor=()):
         self.S = S
@@ -308,6 +308,7 @@ class StateVector:
                 if not v.is_zero:
                     self.amps[tuple(k)] = v
         self.prefactor = tuple(prefactor)
+        self._layout = None
 
     @property
     def is_zero(self):
@@ -316,54 +317,52 @@ class StateVector:
     def weights(self):
         return sorted({sum(k) for k in self.amps})
 
-    def basis_index(self, mvec):
-        d = 2 * self.S + 1
-        idx = 0
-        for m in mvec:
-            idx = idx * d + (self.S - m)
-        return idx
+    def layout(self):
+        """The q-free array form of amps, computed on first use and kept, as
+        amps is immutable by convention: the distinct amplitudes in order of
+        first appearance and, per key of amps in its order, the index of its
+        amplitude and the row of its sites' digits S - m, as read-only intp
+        arrays."""
+        if self._layout is None:
+            # keyed by key(), whose tuples compare without a Python __eq__
+            first = {}  # key -> (index, first amplitude with that key)
+            which = np.array([first.setdefault(a.key(), (len(first), a))[0]
+                              for a in self.amps.values()], dtype=np.intp)
+            digits = self.S - np.fromiter(
+                itertools.chain.from_iterable(self.amps), dtype=np.intp,
+                count=len(self.amps) * self.L).reshape(-1, self.L)
+            which.flags.writeable = digits.flags.writeable = False
+            self._layout = tuple(a for _, a in first.values()), which, digits
+        return self._layout
 
-    def float_layout(self):
-        """The q-free part of float_values: the distinct amplitudes in order
-        of first appearance, and per key of amps, in its order, the index of
-        its amplitude and the row of its sites' m + S, as intp arrays."""
-        index = {}
-        which = np.array([index.setdefault(a, len(index))
-                          for a in self.amps.values()], dtype=np.intp)
-        sites = np.array(list(self.amps), dtype=np.intp).reshape(-1, self.L)
-        sites += self.S
-        # read-only, since a caller may keep the layout in a cache
-        which.flags.writeable = sites.flags.writeable = False
-        return tuple(index), which, sites
-
-    def float_values(self, q0, layout=None):
+    def float_values(self, q0):
         """Physical amplitudes as a float array in the order of amps, from
         one table of per-site roots and one evaluation per distinct
-        amplitude. Each is the exact amplitude rounded once, times the
-        prefactor, times its sites' roots in site order. The first key, in
-        that order, whose amplitude does not evaluate or is not finite
-        raises: OverflowError, or ValueError naming the key. `layout` is
-        this state's float_layout(), which a caller may keep."""
-        distinct, which, sites = layout or self.float_layout()
+        amplitude of the layout. Each is the exact amplitude rounded once,
+        times the prefactor, times its sites' roots in site order. The
+        first key, in that order, whose amplitude does not evaluate or is
+        not finite raises: OverflowError, or ValueError naming the key."""
+        distinct, which, _ = self.layout()
         q0 = Fraction(q0)
         pref = radical_float(self.prefactor, q0)
-        root = site_roots(self.S, q0)
+        root = site_roots(self.S, q0)[::-1]  # indexed by the digit S - m
         values = []
         try:
             for a in distinct:
                 values.append(a.eval_float(q0))
         except ArithmeticError:
             # the keys before the first that needs this amplitude come first
-            self._products(values, pref, root, which, sites,
+            self._products(values, pref, root,
                            int(np.argmax(which == len(values))), q0)
             raise
-        return self._products(values, pref, root, which, sites, len(which), q0)
+        return self._products(values, pref, root, len(which), q0)
 
-    def _products(self, values, pref, root, which, sites, n, q0):
+    def _products(self, values, pref, root, n, q0):
         """The first n physical amplitudes of float_values."""
+        _, which, digits = self.layout()
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.array(values, dtype=float)[which[:n]] * pref
-            for col in sites[:n].T:
+            for col in digits[:n].T:
                 out *= root[col]
         bad = ~np.isfinite(out)
         if bad.any():
@@ -377,10 +376,12 @@ class StateVector:
         return dict(zip(self.amps, self.float_values(q0).tolist()))
 
     def to_dense(self, q0):
-        """Physical amplitudes as a float vector, product-basis ordering."""
-        vec = np.zeros((2 * self.S + 1) ** self.L)
-        for k, val in self.float_amplitudes(q0).items():
-            vec[self.basis_index(k)] = val
+        """Physical amplitudes as a float vector, product-basis ordering:
+        the digits S - m of the sites, site 1 the leading one."""
+        d = 2 * self.S + 1
+        vec = np.zeros(d ** self.L)
+        vec[np.ravel_multi_index(self.layout()[2].T, (d,) * self.L)] = (
+            self.float_values(q0))
         return vec
 
     def translated(self):

@@ -18,6 +18,13 @@ with `StateVector.float_amplitudes` and with the CLI's cached chains.
 looks up the spectral data, forms both images and, on the finite chain,
 sum_n w_n^L anew, so the tests can compare the one-pass r ranges of
 `transfercorr` with them bit for bit.
+
+`radical_layout` pairs the site-tensor radicands as expanded polynomials,
+sorted by their coefficients, so the tests can compare it with
+`mpscore._radical_layout`, which names each radicand by its q-factorials
+and orders them by a proof instead. `eval_ratio` forms each term's powers
+of n and d anew, so the tests can compare it with `LaurentQ.eval_ratio`'s
+Horner pass.
 """
 
 import math
@@ -26,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from qvbs import transfercorr
-from qvbs.qnum import LaurentQ, radical_float
+from qvbs.qnum import LaurentQ, q_binomial, radical_float
 from qvbs.weylrep import weight_radicand
 
 
@@ -47,6 +54,42 @@ def float_amplitudes(state, q0):
             raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         out[k] = val
     return out
+
+
+def radical_layout(S, entries):
+    """Per entry ((i, j), (sign, e2)) of a site tensor: its slot S - m, i-1,
+    j-1, sign, q exponent e2 // 2 and the square root of its factors
+    [S, i-1], [S, j-1], [S+m]! [S-m]! and, for odd e2, q, as (paired, kept)
+    polynomials: units dropped, each equal pair once in paired, the rest in
+    kept, all sorted by key()."""
+    q = LaurentQ.q_power(1)
+    weight = {m: weight_radicand(S, m) for m in range(-S, S + 1)}
+    rows = []
+    for (i, j), (sign, e2) in entries:
+        factors = ((q_binomial(S, i - 1), q_binomial(S, j - 1), weight[j - i])
+                   + (q,) * (e2 % 2))
+        fs = sorted((f for f in factors if f != 1), key=LaurentQ.key)
+        paired, kept = [], []
+        while fs:
+            f = fs.pop(0)
+            if fs and fs[0] == f:
+                paired.append(fs.pop(0))
+            else:
+                kept.append(f)
+        rows.append((S - j + i, i - 1, j - 1, sign, e2 // 2, paired, kept))
+    return rows
+
+
+def eval_ratio(poly, q0):
+    """LaurentQ.eval_ratio term by term: sum v n^(e-lo) d^(hi-e), each
+    power formed anew, joined with n^lo / d^hi."""
+    if poly.is_zero:
+        return 0, 1
+    n, d = q0.numerator, q0.denominator
+    lo, hi = poly.min_exp(), poly.max_exp()
+    acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in poly.items())
+    return (acc * n ** max(lo, 0) * d ** max(-hi, 0),
+            n ** max(-lo, 0) * d ** max(hi, 0))
 
 
 def two_point_finite(A, B, S, q0, L, r):

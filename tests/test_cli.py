@@ -14,7 +14,7 @@ import pytest
 import qvbs
 from qvbs import cli, suites, transfercorr, vbsstate
 from qvbs.cli import main
-from qvbs.weylrep import weight_radicand
+from qvbs.weylrep import StateVector, weight_radicand
 
 import oracles
 
@@ -167,29 +167,41 @@ def test_state_cache_is_invisible(capsys):
         assert code == 0 and digest == EXACT_DIGESTS[("state", bc)]
 
 
+def test_cached_chain_builds_its_layout_once(capsys, monkeypatch):
+    # float_values, both state outputs and the annihilation check all read
+    # the one array layout that the cached chain keeps
+    builds = []
+    layout = StateVector.layout
+
+    def spy(self):
+        builds.append(self._layout is None)
+        return layout(self)
+
+    monkeypatch.setattr(StateVector, "layout", spy)
+    cli._chain_state.cache_clear()
+    argv = ("state", "--spin", "2", "--length", "4")
+    assert run(capsys, *argv, "--q", "4/5")[0] == 0
+    st = cli._chain_state(2, 4, "pbc", None, None)[0]
+    st.float_values(Fraction(7, 3))
+    code, out, _ = run(capsys, *argv, "--exact")
+    assert code == 0 and json.loads(out)["amplitudes"]
+    assert vbsstate.verify_annihilation(st)["all_zero"]
+    assert builds.count(True) == 1 and len(builds) >= 3
+
+
 def test_chain_state_cache_is_bounded(capsys):
+    # one bounded cache holds each chain with its sorted rows, for the
+    # numeric and the exact output alike
     info = cli._chain_state.cache_info()
     assert info.maxsize is not None and 0 < info.maxsize <= 16
     for L in range(2, 7):
         for p1 in (1, 2):
             for p2 in (1, 2):
-                assert run(capsys, "state", "--spin", "1", "--length", str(L),
-                           "--bc", "open", "--p1", str(p1),
-                           "--p2", str(p2))[0] == 0
+                for extra in (("--q", "4/5"), ("--exact",)):
+                    assert run(capsys, "state", "--spin", "1", "--length",
+                               str(L), "--bc", "open", "--p1", str(p1),
+                               "--p2", str(p2), *extra)[0] == 0
     assert cli._chain_state.cache_info().currsize <= info.maxsize
-
-
-def test_state_rows_cache_is_bounded(capsys):
-    # the q-free rows sit beside the chains, in a cache of the same bound
-    info = cli._state_rows.cache_info()
-    assert info.maxsize == cli._chain_state.cache_info().maxsize
-    for L in range(2, 7):
-        for p1 in (1, 2):
-            for p2 in (1, 2):
-                assert run(capsys, "state", "--spin", "1", "--length", str(L),
-                           "--bc", "open", "--p1", str(p1), "--p2", str(p2),
-                           "--q", "4/5")[0] == 0
-    assert cli._state_rows.cache_info().currsize <= info.maxsize
 
 
 def test_eigenvalues_json(capsys):

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from qvbs import mpscore, transfercorr
+import oracles
+from qvbs import mpscore, qnum, transfercorr, weylrep
 from qvbs.cgproj import BudgetError
 from qvbs.mpscore import (
     contract_open,
@@ -128,20 +130,29 @@ def test_factorial_floats_are_pinned(name, floats):
 @pytest.mark.parametrize("tensor", (tensor_f, tensor_g, tensor_g_start))
 @pytest.mark.parametrize("q", ("1/1000", "3/7", "1", "13/4", "1000"))
 def test_phys_matrices_entry_is_radical_float(tensor, q):
-    # bit for bit the radical_float of the entry's factors
+    # bit for bit the radical_float of the entry's factors; where one
+    # overflows, the call raises the error of the first such entry
     q0 = Fraction(q)
-    for S in (1, 2, 3, 4):
+    for S in range(1, 9):
         t = tensor(S)
-        phys = t.phys_matrices(q0)
-        for i in range(1, S + 2):
-            for j in range(1, S + 2):
-                sign, e2 = t.entry(i, j)
-                factors = ((q_binomial(S, i - 1), q_binomial(S, j - 1),
-                            weight_radicand(S, j - i))
-                           + (LaurentQ.q_power(1),) * (e2 % 2))
-                ref = radical_float(factors, q0,
-                                    LaurentQ.q_power(e2 // 2, sign))
-                assert phys[S - j + i, i - 1, j - 1].hex() == ref.hex()
+        refs = {}
+        for (i, j), (sign, e2) in t._entries.items():
+            factors = ((q_binomial(S, i - 1), q_binomial(S, j - 1),
+                        weight_radicand(S, j - i))
+                       + (LaurentQ.q_power(1),) * (e2 % 2))
+            try:
+                refs[S - j + i, i - 1, j - 1] = radical_float(
+                    factors, q0, LaurentQ.q_power(e2 // 2, sign)).hex()
+            except OverflowError as exc:
+                refs[S - j + i, i - 1, j - 1] = (str(exc),)
+        try:
+            phys = t.phys_matrices(q0)
+        except OverflowError as exc:
+            assert next(v for v in refs.values()
+                        if isinstance(v, tuple)) == (str(exc),)
+            assert S > 4 and q0 in (Fraction(1, 1000), 1000)
+            continue
+        assert {k: phys[k].hex() for k in refs} == refs
 
 
 def test_phys_matrices_evaluates_each_radicand_once(monkeypatch):
@@ -151,10 +162,7 @@ def test_phys_matrices_evaluates_each_radicand_once(monkeypatch):
     real = QFactorials.ratio
 
     def spy(self, top=(), bottom=(), e=0):
-        # the radicand that the factorial indices name, as a polynomial
-        seen.append(math.prod(map(q_factorial, top), start=LaurentQ.one())
-                    .divide_exact(math.prod(map(q_factorial, bottom),
-                                            start=LaurentQ.one())).shift(e))
+        seen.append(_named_radicand(top, bottom, e))
         return real(self, top, bottom, e)
 
     monkeypatch.setattr(QFactorials, "ratio", spy)
@@ -169,6 +177,49 @@ def test_phys_matrices_evaluates_each_radicand_once(monkeypatch):
                 seen.clear()
                 t.phys_matrices(Fraction(q))
                 assert len(seen) == len(distinct) and set(seen) == distinct
+
+
+@lru_cache(maxsize=None)
+def _named_radicand(top=(), bottom=(), e=0):
+    """The radicand that QFactorials.ratio arguments name, as a polynomial."""
+    return (math.prod(map(q_factorial, top), start=LaurentQ.one())
+            .divide_exact(math.prod(map(q_factorial, bottom),
+                                    start=LaurentQ.one())).shift(e))
+
+
+@pytest.mark.parametrize("tensor", (tensor_f, tensor_g, tensor_g_start))
+def test_radical_layout_matches_the_expanded_pairing(tensor):
+    # the named radicands pair and order as the expanded polynomials do
+    for S in range(1, 17):
+        entries = tuple(tensor(S)._entries.items())
+        names, rows = mpscore._radical_layout(S, entries)
+        polys = [_named_radicand(*name) for name in names]
+        assert len(set(polys)) == len(polys)
+        got = [row[:5] + tuple([polys[t] for t in ts] for ts in row[5:])
+               for row in rows]
+        assert got == oracles.radical_layout(S, entries)
+
+
+def test_phys_matrices_expands_no_radicand(monkeypatch):
+    # a cold layout names each radicand by its q-factorials: it multiplies
+    # no polynomials and expands no q-factorial, even at S = 30
+    calls = []
+    mul = LaurentQ.__mul__
+
+    def spy_mul(self, other):
+        calls.append("mul")
+        return mul(self, other)
+
+    def spy_factorial(n):
+        calls.append(n)
+        return q_factorial(n)
+
+    monkeypatch.setattr(LaurentQ, "__mul__", spy_mul)
+    for module in (qnum, weylrep, transfercorr):
+        monkeypatch.setattr(module, "q_factorial", spy_factorial)
+    mpscore._radical_layout.cache_clear()
+    phys = tensor_f(30).phys_matrices(Fraction(9, 10))
+    assert calls == [] and np.isfinite(phys).all()
 
 
 def test_trace_single_site_only_m0():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from qvbs.qnum import (
     PRIMES,
     Q_CACHE_SIZE,
@@ -24,6 +25,7 @@ from qvbs.qnum import (
     radical_float,
     radical_form,
 )
+from qvbs.vbsstate import build_pbc
 
 
 def test_q_integer_basics():
@@ -89,6 +91,19 @@ def test_eval_fraction_matches_termwise_sum():
         ref = sum((Fraction(v) * q0 ** e for e, v in coeffs.items()), Fraction(0))
         got = LaurentQ(coeffs).eval_fraction(q0)
         assert isinstance(got, Fraction) and got == ref
+
+
+def test_eval_ratio_matches_the_per_term_sum():
+    # the Horner pass gives the very integers of the term-by-term sum, so
+    # every float and error text built on them is unchanged
+    amps = build_pbc(3, 4).amps.values()
+    polys = ([q_factorial(n) for n in range(17)]
+             + [q_factorial(16) * q_factorial(8) ** 2, LaurentQ.zero(),
+                LaurentQ.q_power(-3, 5)] + list(dict.fromkeys(amps)))
+    for q0 in (Fraction(1, 10 ** 400), Fraction(7, 3), Fraction(1),
+               Fraction(10 ** 400)):
+        for p in polys:
+            assert p.eval_ratio(q0) == oracles.eval_ratio(p, q0)
 
 
 def _outcome(fn):

@@ -115,7 +115,8 @@ def test_pbc_classical_limit_matches_standard_mps():
         mat = np.eye(2)
         for m in ms:
             mat = mat @ A[m]
-        ref[st.basis_index(ms)] = np.trace(mat)
+        # idx reads ms' digits 1 - m with site 1 leading
+        ref[idx] = np.trace(mat)
     i = int(np.argmax(np.abs(ref)))
     ratio = dense[i] / ref[i]
     assert np.abs(dense - ratio * ref).max() < 1e-10 * np.abs(dense).max()
@@ -383,13 +384,16 @@ def test_screen_alone_decides_a_control(monkeypatch):
 ), ids=("screen_decides", "proof_decides"))
 def test_annihilation_flattens_the_amplitudes_once(batches_built, build,
                                                    all_zero):
-    # the screen, the D and H bounds and the proof share one amplitude
-    # batch; the dual entries' batch is built with the cached layout
+    # the screen, the D and H bounds and the proof share one batch of the
+    # distinct amplitudes, in order of first appearance; the dual entries'
+    # batch is built with the cached layout
     state = build()
     vbsstate._dual_layout(state.S)
     batches_built.clear()
     assert verify_annihilation(state)["all_zero"] is all_zero
-    assert batches_built == [list(state.amps.values())]
+    distinct = list(dict.fromkeys(state.amps.values()))
+    assert len(distinct) < len(state.amps)
+    assert batches_built == [distinct]
 
 
 def test_annihilation_checks_the_boundary_label_with_given_bonds():
