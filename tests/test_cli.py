@@ -197,11 +197,28 @@ def test_chain_state_cache_is_bounded(capsys):
     for L in range(2, 7):
         for p1 in (1, 2):
             for p2 in (1, 2):
-                for extra in (("--q", "4/5"), ("--exact",)):
-                    assert run(capsys, "state", "--spin", "1", "--length",
-                               str(L), "--bc", "open", "--p1", str(p1),
-                               "--p2", str(p2), *extra)[0] == 0
+                assert run(capsys, "state", "--spin", "1", "--length", str(L),
+                           "--bc", "open", "--p1", str(p1),
+                           "--p2", str(p2), "--exact")[0] == 0
     assert cli._chain_state.cache_info().currsize <= info.maxsize
+
+
+def test_state_rows_cache_is_bounded(capsys):
+    # the q-free sorted rows are cached with their chain, so the numeric
+    # queries stay within the chain cache's bound and reuse its rows
+    cli._chain_state.cache_clear()
+    maxsize = cli._chain_state.cache_info().maxsize
+    for L in range(2, 7):
+        for p1 in (1, 2):
+            for p2 in (1, 2):
+                assert run(capsys, "state", "--spin", "1", "--length", str(L),
+                           "--bc", "open", "--p1", str(p1), "--p2", str(p2),
+                           "--q", "4/5")[0] == 0
+    assert cli._chain_state.cache_info().currsize <= maxsize
+    st, rows = cli._chain_state(1, 6, "open", 2, 2)
+    assert cli._chain_state.cache_info().hits >= 1
+    assert [key for key, _ in rows] == sorted(
+        ";".join(map(str, k)) for k in st.amps)
 
 
 def test_eigenvalues_json(capsys):
