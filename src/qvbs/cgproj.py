@@ -5,8 +5,13 @@ divisibility checker for the bond product.
 Everything exact runs per weight sector: a fixed total weight w selects one
 vector from each total spin J >= |w|, so the change of basis splits into
 blocks of dimension at most 2S+1. The q-Clebsch-Gordan vectors are
-orthogonal for real q, so each block is inverted by its weighted transpose
-(dual rows over norms n_J) with no elimination at all.
+orthogonal under the pair weights W, so each block is inverted by its
+weighted transpose (dual rows over norms n_J) with no elimination at all.
+That orthogonality is proved, not checked entry by entry: Delta(X-) and
+Delta(X+) are adjoint under W and satisfy [X+, X-] = [H] on every pair
+monomial, and each highest-weight vector is annihilated by raising (see
+`sector_system`). Orbit vectors are kept primitive, over the gcd of their
+coefficients, so the products that build the duals stay small.
 """
 
 from __future__ import annotations
@@ -86,7 +91,13 @@ def highest_weight(S, J):
 
 @lru_cache(maxsize=None)
 def rep_basis(S, J):
-    """Lowering orbit (2J+1 vectors) generated from the highest-weight vector."""
+    """Lowering orbit (2J+1 vectors) generated from the highest-weight vector.
+
+    Vector t spans the line of Delta(X-)^t hw_J and is primitive: hw_J is a
+    monomial times bond factors with unit coefficients, primitive by Gauss's
+    lemma, and each lowered vector is put over the gcd of its coefficients
+    before it is lowered again.
+    """
     if not (0 <= J <= 2 * S):
         raise ValueError("need 0 <= J <= 2S")
     v = highest_weight(S, J)
@@ -95,6 +106,7 @@ def rep_basis(S, J):
         v = coproduct_apply(v, XMINUS, (1, 2))
         if v.is_zero:
             raise AssertionError("orbit of J=%d collapsed early" % J)
+        v = SitePoly(dict(zip(v.terms, _divide_content(list(v.terms.values())))))
         orbit.append(v)
     if not coproduct_apply(orbit[-1], XMINUS, (1, 2)).is_zero:
         raise AssertionError("orbit of J=%d did not terminate" % J)
@@ -128,10 +140,9 @@ def exact_dot(row, vec):
 def _divide_content(row):
     """The row over the gcd of its entries.
 
-    A nonzero rescaling of a dual row changes neither its projector (the norm
-    scales with it) nor any zero test. The common factor holds about nine
-    tenths of the terms of the S=3 dual rows, so every later pairing gets
-    that much cheaper.
+    Orbit vectors, sector weights and dual rows all go through it: a nonzero
+    rescaling of any of them changes no projector (a norm scales with its
+    dual) and no zero test, while every product built from them shrinks.
     """
     order = sorted((i for i, e in enumerate(row) if not e.is_zero),
                    key=lambda i: row[i].max_exp() - row[i].min_exp())
@@ -153,19 +164,81 @@ def _divide_content(row):
             return out
 
 
+def _act(op, vec):
+    """op applied to vec, both keyed by pair; op[p] is the image of e_p."""
+    out = {}
+    for p, c in vec.items():
+        for p2, a in op[p].items():
+            out[p2] = out.get(p2, LaurentQ.zero()) + a * c
+    return out
+
+
+def _certify_orthogonality(S):
+    """Prove that the orbit vectors of distinct J are orthogonal under the
+    pair weights W, from two identities of DX+- = Delta(X+-) checked exactly
+    on every pair monomial e_p, p = (m1, m2):
+
+    - adjointness: W_p' (DX-)_p'p = W_p (DX+)_pp' for every p', with the
+      weights of a site that both pairs share cancelled;
+    - the commutator: [DX+, DX-] e_p = [2(m1 + m2)] e_p.
+
+    With DX+ hw_J = 0 (`highest_weight`) the commutator gives
+    DX+ DX-^b hw_J = c DX-^(b-1) hw_J, so for K > J in one sector (a > b)
+    <DX-^a hw_K, DX-^b hw_J>_W = <hw_K, DX+^a DX-^b hw_J>_W
+    = c' <hw_K, DX+^(a-b) hw_J>_W = 0.
+    """
+    ms = range(-S, S + 1)
+    pairs = [(m1, m2) for m1 in ms for m2 in ms]
+
+    def images(gen):
+        """DX e_p for every pair p, each keyed by pair."""
+        out = {}
+        for m1, m2 in pairs:
+            e = SitePoly.monomial({1: (S + m1, S - m1), 2: (S + m2, S - m2)})
+            out[(m1, m2)] = poly_to_spin(coproduct_apply(e, gen, (1, 2)),
+                                         S, (1, 2)).amps
+        return out
+
+    lower, upper = images(XMINUS), images(XPLUS)
+    site_weight = {m: weight_radicand(S, m) for m in ms}
+    zero = LaurentQ.zero()
+    for p2, p in ({(p2, p) for p in pairs for p2 in lower[p]}
+                  | {(p2, p) for p2 in pairs for p in upper[p2]}):
+        lhs, rhs = lower[p].get(p2, zero), upper[p2].get(p, zero)
+        for a, b in zip(p2, p):
+            if a != b:
+                lhs = lhs * site_weight[a]
+                rhs = rhs * site_weight[b]
+        if lhs != rhs:
+            raise AssertionError(
+                "orbit vectors not orthogonal by proof: DX- and DX+ are not "
+                "adjoint under the pair weights at %s -> %s" % (p, p2))
+    for p in pairs:
+        raised, lowered = _act(upper, lower[p]), _act(lower, upper[p])
+        h = 2 * sum(p)  # [h] = (q^h - q^-h) / (q - 1/q), odd in h
+        bracket = {p: q_integer(h) if h >= 0 else -q_integer(-h)}
+        if any(raised.get(k, zero) - lowered.get(k, zero)
+               != bracket.get(k, zero)
+               for k in raised.keys() | lowered.keys() | {p}):
+            raise AssertionError("[DX+, DX-] is not [H] on the pair %s" % (p,))
+
+
 @lru_cache(maxsize=None)
 def sector_system(S):
     """Per-weight change of basis between the pair basis and the J basis.
 
-    The orbit vectors are orthogonal in the physical basis, whose squared
-    norm on a monomial-gauge pair (m1, m2) is the radicand weight
-    W = [S+m1]! [S-m1]! [S+m2]! [S-m2]!; so B^T W B is diagonal and row J of
-    the inverse of B is the dual row (W o B[:, J])^T over its norm n_J; the
-    stored dual is that row over the gcd of its entries, and n_J scales with
-    it. Checking exactly that B^T W B is diagonal with nonzero diagonal
-    certifies at once that B is invertible, that the spin-J projectors are
-    orthogonal, and the per-sector count of J blocks.
+    The squared norm of the physical basis on a monomial-gauge pair (m1, m2)
+    is the radicand weight W = [S+m1]! [S-m1]! [S+m2]! [S-m2]!, and the
+    orbit vectors of distinct J are orthogonal under W, as
+    `_certify_orthogonality` proves; so B^T W B is diagonal and row J of the
+    inverse of B is the dual row (W o B[:, J])^T over its norm n_J. The
+    weights of a sector are divided by their gcd before they meet the
+    primitive orbit columns, and the stored dual is that row over the gcd of
+    its entries; n_J scales with it. Only the diagonal n_J is formed: a
+    nonzero n_J for every J makes B invertible and the spin-J projectors
+    orthogonal.
     """
+    _certify_orthogonality(S)
     orbit_amps = {}
     for J in range(0, 2 * S + 1):
         for t, poly in enumerate(rep_basis(S, J)):
@@ -177,21 +250,14 @@ def sector_system(S):
         Js = list(range(abs(w), 2 * S + 1))
         cols = [[orbit_amps[(J, J - w)].get(p, LaurentQ.zero()) for p in pairs]
                 for J in Js]
-        weights = [_pair_weight(S, p) for p in pairs]
+        weights = _divide_content([_pair_weight(S, p) for p in pairs])
         duals = [_divide_content([f * c for f, c in zip(weights, col)])
                  for col in cols]
-        norms = []
-        # B^T W B is symmetric and each dual only rescales one of its rows,
-        # so the upper triangle decides the zero pattern
-        for j, dual in enumerate(duals):
-            for k in range(j, len(cols)):
-                g = exact_dot(dual, cols[k])
-                if g.is_zero == (j == k):
-                    raise AssertionError(
-                        "sector w=%d: orbit vectors J=%d, K=%d are not "
-                        "orthogonal with nonzero norms" % (w, Js[j], Js[k]))
-                if j == k:
-                    norms.append(g)
+        norms = [exact_dot(dual, col) for dual, col in zip(duals, cols)]
+        for J, n in zip(Js, norms):
+            if n.is_zero:
+                raise AssertionError("sector w=%d: orbit vector J=%d has zero "
+                                     "norm" % (w, J))
         B = [list(row) for row in zip(*cols)]
         sectors[w] = SectorData(w, pairs, Js, B, duals, norms)
     return sectors

@@ -19,12 +19,18 @@ looks up the spectral data, forms both images and, on the finite chain,
 sum_n w_n^L anew, so the tests can compare the one-pass r ranges of
 `transfercorr` with them bit for bit.
 
+`sector_duals` builds the dual rows of the two-site change of basis the
+way `cgproj.sector_system` built them before it kept its orbit vectors
+primitive: the orbit lowered with no content removed, the full pair weights,
+then each row W o B over the gcd of its entries; the tests compare the two
+key for key.
+
 `radical_layout` pairs the site-tensor radicands as expanded polynomials,
 sorted by their coefficients, so the tests can compare it with
 `mpscore._radical_layout`, which names each radicand by its q-factorials
 and orders them by a proof instead. `eval_ratio` forms each term's powers
-of n and d anew, so the tests can compare it with `LaurentQ.eval_ratio`'s
-Horner pass.
+of n and d once per call, in a table, and sums the terms one by one, so the
+tests can compare it with `LaurentQ.eval_ratio`'s Horner pass.
 """
 
 import math
@@ -33,8 +39,9 @@ from fractions import Fraction
 import numpy as np
 
 from qvbs import transfercorr
+from qvbs.cgproj import _divide_content, highest_weight
 from qvbs.qnum import LaurentQ, q_binomial, radical_float
-from qvbs.weylrep import weight_radicand
+from qvbs.weylrep import XMINUS, coproduct_apply, poly_to_spin, weight_radicand
 
 
 def float_amplitudes(state, q0):
@@ -53,6 +60,29 @@ def float_amplitudes(state, q0):
         if not math.isfinite(val):
             raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         out[k] = val
+    return out
+
+
+def sector_duals(S):
+    """{w: dual rows, J ascending} of the two-site change of basis: orbit
+    vector t of spin J is DX-^t hw_J as lowered, with no content removed,
+    and the dual of its column is W o B[:, J] over the gcd of its entries,
+    W the full pair weights [S+m1]! [S-m1]! [S+m2]! [S-m2]!."""
+    amps = {}
+    for J in range(2 * S + 1):
+        v = highest_weight(S, J)
+        for t in range(2 * J + 1):
+            amps[(J, t)] = poly_to_spin(v, S, (1, 2)).amps
+            v = coproduct_apply(v, XMINUS, (1, 2))
+    out = {}
+    for w in range(-2 * S, 2 * S + 1):
+        pairs = [(m1, w - m1)
+                 for m1 in range(min(S, w + S), max(-S, w - S) - 1, -1)]
+        weights = [weight_radicand(S, m1) * weight_radicand(S, m2)
+                   for m1, m2 in pairs]
+        out[w] = [_divide_content([f * amps[(J, J - w)].get(p, LaurentQ.zero())
+                                   for f, p in zip(weights, pairs)])
+                  for J in range(abs(w), 2 * S + 1)]
     return out
 
 
@@ -81,13 +111,18 @@ def radical_layout(S, entries):
 
 
 def eval_ratio(poly, q0):
-    """LaurentQ.eval_ratio term by term: sum v n^(e-lo) d^(hi-e), each
-    power formed anew, joined with n^lo / d^hi."""
+    """LaurentQ.eval_ratio term by term: sum v n^(e-lo) d^(hi-e), the
+    powers n^k and d^k for k = 0..hi-lo read from two tables built once
+    per call, joined with n^lo / d^hi."""
     if poly.is_zero:
         return 0, 1
     n, d = q0.numerator, q0.denominator
     lo, hi = poly.min_exp(), poly.max_exp()
-    acc = sum(v * n ** (e - lo) * d ** (hi - e) for e, v in poly.items())
+    npow, dpow = [1], [1]
+    for _ in range(hi - lo):
+        npow.append(npow[-1] * n)
+        dpow.append(dpow[-1] * d)
+    acc = sum(v * npow[e - lo] * dpow[hi - e] for e, v in poly.items())
     return (acc * n ** max(lo, 0) * d ** max(-hi, 0),
             n ** max(-lo, 0) * d ** max(hi, 0))
 

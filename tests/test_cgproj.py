@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
-from fractions import Fraction
+
+import oracles
 
 from qvbs.cgproj import (
     BudgetError,
@@ -18,7 +21,7 @@ from qvbs.cgproj import (
     sector_system,
     spin2_reference_quotients,
 )
-from qvbs.qnum import LaurentQ
+from qvbs.qnum import LaurentQ, laurent_gcd
 from qvbs.weylrep import (XPLUS, SitePoly, bond_factor, coproduct_apply,
                           poly_to_spin, weight_radicand)
 
@@ -57,6 +60,28 @@ def test_rep_basis_dimensions():
             orbit = rep_basis(S, J)
             assert len(orbit) == 2 * J + 1
             assert all(not v.is_zero for v in orbit)
+
+
+def test_rep_basis_vectors_are_primitive():
+    # every orbit vector is over the gcd of its coefficients: their q-content
+    # is a unit, and a vector with one coefficient holds 1 there
+    for S in (1, 2, 3):
+        for J in range(0, 2 * S + 1):
+            for v in rep_basis(S, J):
+                assert reduce(laurent_gcd, v.terms.values()) == LaurentQ.one()
+
+
+def test_sector_duals_match_unreduced_construction():
+    # primitive orbit vectors and sector weights over their gcd change no
+    # dual row: each equals, key for key, W o B over its content as formed
+    # from the orbit lowered with no content removed and the full weights
+    for S in (1, 2, 3):
+        ref = oracles.sector_duals(S)
+        got = {w: sec.duals for w, sec in sector_system(S).items()}
+        assert got.keys() == ref.keys()
+        for w, rows in ref.items():
+            assert [[e.key() for e in row] for row in got[w]] \
+                == [[e.key() for e in row] for row in rows], (S, w)
 
 
 def test_rep_basis_s2_lowered_vector_matches_published():
@@ -105,8 +130,9 @@ def test_sector_inverse_identity():
 def test_projector_idempotent_orthogonal_complete_exact():
     # rank-one cores: pi_J^2 = pi_J  <=>  D_J . col_J = n_J, and
     # pi_J pi_K = 0  <=>  D_J . col_K = 0; completeness is D @ B = diag(n)
-    # with every n_J nonzero
-    for S in (1, 2, 3):
+    # with every n_J nonzero; the full Gram matrix is the reference for the
+    # orthogonality that sector_system proves instead of forming it
+    for S in (1, 2, 3, 4):
         for w, sec in sector_system(S).items():
             n = len(sec.pairs)
             assert all(not nj.is_zero for nj in sec.norms)
@@ -123,6 +149,29 @@ def test_sector_orthogonality_check_rejects_wrong_weight(monkeypatch):
     monkeypatch.setattr(cgproj, "weight_radicand", lambda S, m: LaurentQ.one())
     with pytest.raises(AssertionError, match="not orthogonal"):
         cgproj.sector_system.__wrapped__(2)
+
+
+@pytest.mark.parametrize("m", (-2, 0, 1))
+def test_sector_proof_rejects_a_weight_off_by_q(monkeypatch, m):
+    # the radicand weight times q at one m breaks the adjointness of the
+    # lowering and raising actions at that m's neighbours
+    import qvbs.cgproj as cgproj
+    real = cgproj.weight_radicand
+    monkeypatch.setattr(cgproj, "weight_radicand",
+                        lambda S, k: real(S, k).shift(int(k == m)))
+    with pytest.raises(AssertionError, match="not adjoint"):
+        cgproj.sector_system.__wrapped__(2)
+
+
+def test_sector_proof_checks_the_commutator(monkeypatch):
+    # doubling both two-site actions keeps them adjoint but makes
+    # [DX+, DX-] four times [H]
+    import qvbs.cgproj as cgproj
+    real = cgproj.coproduct_apply
+    monkeypatch.setattr(cgproj, "coproduct_apply",
+                        lambda p, gen, sites: real(p, gen, sites).scale(2))
+    with pytest.raises(AssertionError, match=r"\[DX\+, DX-\] is not \[H\]"):
+        cgproj.sector_system.__wrapped__(1)
 
 
 def test_sector_system_spin4_frontier():
