@@ -6,6 +6,11 @@ path every interior radicand [S, i-1] occurs twice and the half-integer q
 powers pair up, so exact contraction is a walk over (S+1)^L paths in plain
 Laurent polynomials; only an open chain's two end radicands stay under one
 square root, the state's prefactor.
+
+The dense float oracles contract the chain's two halves from the same
+entries. The two-point one forms and squares every amplitude that the site
+tensor's S^z support allows, and the rest are zero by a support check: each
+call checks that W[m] is zero off j - i = m.
 """
 
 from __future__ import annotations
@@ -195,24 +200,28 @@ def contract_open(S, L, p1, p2):
 _BLOCK = 1 << 18  # amplitudes per block of the streamed two-point pass, 2 MB
 
 
-def _dense_halves(S, L, q0):
-    """Sites 1..h and h+1..L, h = L // 2, contracted as A (K x d^h) and
-    B (K x d^(L-h)) over the K = (S+1)^2 auxiliary pairs where they meet, so
-    A.T @ B holds the amplitudes with site 1 as the leading digit."""
-    W = tensor_g(S).phys_matrices(q0)  # [digit, i, j]
+def _dense_halves(W, L):
+    """Sites 1..h and h+1..L, h = L // 2, of the site matrices W [digit, i, j]
+    contracted as A (K x d^h) and B (K x d^(L-h)) over the K = (S+1)^2
+    auxiliary pairs where they meet, so A.T @ B holds the amplitudes with
+    site 1 as the leading digit. For even L the h-site half is contracted
+    once: B is that array before A's transpose."""
+    S = W.shape[1] - 1
 
     def half(n):
         acc = np.eye(S + 1).reshape(S + 1, S + 1, 1)
         for _ in range(n):
             # acc[i, t, sigma], W[digit, t, j] -> [i, j, sigma*digit]
-            acc = np.einsum("its,mtj->ijsm", acc, W)
+            acc = np.einsum("its,mtj->ijsm", acc, W, order="C")
             acc = acc.reshape(S + 1, S + 1, -1)
         return acc
 
     # amp[s, t] = sum over (i, j) of A[i, j, s] B[j, i, t]
     K = (S + 1) ** 2
-    return (half(L // 2).transpose(1, 0, 2).reshape(K, -1),
-            half(L - L // 2).reshape(K, -1))
+    h = L // 2
+    back = half(L - h)
+    front = back if 2 * h == L else half(h)
+    return front.transpose(1, 0, 2).reshape(K, -1), back.reshape(K, -1)
 
 
 def dense_pbc_state(S, L, q0):
@@ -223,7 +232,7 @@ def dense_pbc_state(S, L, q0):
         raise ValueError("need L >= 1")
     check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B = _dense_halves(S, L, q0)
+        A, B = _dense_halves(tensor_g(S).phys_matrices(q0), L)
         vec = (A.T @ B).reshape(-1)
     if not np.isfinite(vec).all():
         raise ValueError("dense state is not finite in floats at S=%d, L=%d, "
@@ -231,39 +240,99 @@ def dense_pbc_state(S, L, q0):
     return vec
 
 
+def _check_charge_support(W):
+    """Raise AssertionError unless every entry of the site matrices W
+    [digit, i, j] off j - i = m, m = S - digit, is exactly 0.
+
+    W is checked rather than the halves: far from q = 1 the halves' zero
+    entries can be 0 * inf = NaN."""
+    S = W.shape[1] - 1
+    aux = np.arange(S + 1)
+    off = (aux - aux[:, None]) != (S - np.arange(2 * S + 1))[:, None, None]
+    if W[off].any():
+        raise AssertionError("site tensor has an entry off j - i = m at S=%d"
+                             % S)
+
+
+def _charges(S, n):
+    """Total m of each n-site digit string, site 1 the leading digit."""
+    tot = np.zeros(1, dtype=int)
+    for _ in range(n):
+        tot = np.add.outer(tot, S - np.arange(2 * S + 1)).ravel()
+    return tot
+
+
+def _charge_counts(S, n):
+    """Number of n-site digit strings of each total m = -nS..nS, as ints."""
+    counts = [1]
+    for _ in range(n):
+        counts = [sum(counts[max(0, k - 2 * S):k + 1])
+                  for k in range(len(counts) + 2 * S)]
+    return counts
+
+
 def dense_pbc_two_point_sz(S, L, q0, r):
     """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state.
 
-    Every amplitude is formed and squared, but the d^L state is never held:
-    the halves' join A.T @ B runs d^k rows (fixing sites 1..h) at a time,
-    about `_BLOCK` amplitudes within one site-1 digit, and each squared
-    block is reduced at once, to row sums when r <= h, else to column sums
-    keyed by the site-1 digit. The joint of sites 1 and r is one reshape-sum
-    of that marginal. Memory is O(K d^(L/2) + block).
+    Every amplitude that the site tensor's S^z support allows is formed and
+    squared, and the rest are zero by a support check. Entry (i, j) of W[m]
+    is nonzero only where j - i = m (`_check_charge_support`, on every call),
+    so with h = L // 2 an amplitude joins half strings s and t of total m
+    M(s) = j - i = delta and M(t) = -delta over the auxiliary pairs (j, i) of
+    that charge, and its total S^z is 0. For each delta in -S..S the join
+    A[k in delta, s].T @ B[k in delta, t] runs in chunks of at most `_BLOCK`
+    amplitudes (one row at least) that stay within one site-1 digit, and
+    each squared chunk is reduced at once, to row sums when r <= h, else to
+    column sums keyed by the site-1 digit. The joint of sites 1 and r is one
+    reshape-sum of that marginal. Memory is O(K d^(L/2) + block).
     """
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
     d = 2 * S + 1
     h = L // 2
+    K = (S + 1) ** 2
     ncols = d ** (L - h)
-    rows = d ** max((k for k in range(h) if d ** k * ncols <= _BLOCK),
-                    default=0)
-    # the two halves, one block and the weight arrays
-    check_budget(8 * ((S + 1) ** 2 * (d ** h + ncols) + rows * ncols
-                      + d ** h + d * ncols),
+    cs, ct = _charge_counts(S, h), _charge_counts(S, L - h)
+    # rows under one site-1 digit and one delta: at most the most strings of
+    # one total m on sites 2..h
+    group = max(_charge_counts(S, h - 1))
+    # what the pass holds: both halves and their charges (for odd L the
+    # h-site half twice while A is copied from it); for one delta its rows
+    # of them, its indices and its largest chunk; and the marginal
+    block = max((S + 2 - abs(delta)) * (ns + nt)
+                + min(max(1, _BLOCK // nt), group) * nt
+                for delta in range(-S, S + 1)
+                for ns, nt in [(cs[h * S + delta], ct[(L - h) * S - delta])])
+    check_budget(8 * ((K + 1) * (d ** h + ncols) + K * d ** h * (L % 2) + block
+                      + (d ** h if r <= h else d * ncols)),
                  "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
+    W = tensor_g(S).phys_matrices(q0)
+    _check_charge_support(W)
+    ms = _charges(S, h)
+    mt = ms if 2 * h == L else _charges(S, L - h)
     marg = np.zeros(d ** h) if r <= h else np.zeros((d, ncols))
     # far from q = 1 the squares overflow or the marginals underflow; only
     # the scalar result is checked
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, B = _dense_halves(S, L, q0)
-        for lo in range(0, d ** h, rows):
-            blk = A[:, lo:lo + rows].T @ B
-            np.square(blk, out=blk)
-            if r <= h:
-                marg[lo:lo + rows] = blk.sum(axis=1)
-            else:
-                marg[lo // d ** (h - 1)] += blk.sum(axis=0)
+        A, B = _dense_halves(W, L)
+        for delta in range(-S, S + 1):
+            # the pairs (j, i) with j - i = delta, k = j (S+1) + i
+            ks = slice(delta * (S + 1) if delta >= 0 else -delta, None, S + 2)
+            sidx = np.flatnonzero(ms == delta)
+            tidx = np.flatnonzero(mt == -delta)
+            As, Bt = A[ks][:, sidx], B[ks][:, tidx]
+            rows = max(1, _BLOCK // len(tidx))
+            edges = np.searchsorted(sidx, np.arange(d + 1) * d ** (h - 1))
+            for digit in range(d):
+                for lo in range(edges[digit], edges[digit + 1], rows):
+                    hi = min(lo + rows, edges[digit + 1])
+                    blk = As[:, lo:hi].T @ Bt
+                    np.square(blk, out=blk)
+                    if r <= h:
+                        marg[sidx[lo:hi]] = blk.sum(axis=1)
+                    else:
+                        marg[digit, tidx] += blk.sum(axis=0)
+                    del blk  # before the next chunk's product is formed
         skip = r - 2 if r <= h else r - h - 1
         joint = marg.reshape(d, d ** skip, d, -1).sum(axis=(1, 3))
         m = S - np.arange(d, dtype=float)

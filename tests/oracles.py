@@ -14,6 +14,11 @@ eigenvalues patches them here too.
 sharing between equal amplitudes, so the tests can compare it bit for bit
 with `StateVector.float_amplitudes` and with the CLI's cached chains.
 
+`dense_pbc_two_point_sz` is the brute-force <S^z_1 S^z_r> that joins the
+two `mpscore._dense_halves` over every auxiliary pair and every amplitude,
+the zeros that S^z conservation forces included, `_BLOCK` amplitudes at a
+time, so the tests can compare the charge-blocked pass of `mpscore` with it.
+
 `two_point_finite` and `two_point_thermo` are the per-r correlators: each r
 looks up the spectral data, forms both images and, on the finite chain,
 sum_n w_n^L anew, so the tests can compare the one-pass r ranges of
@@ -38,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qvbs import transfercorr
+from qvbs import mpscore, transfercorr
 from qvbs.cgproj import _divide_content, highest_weight
 from qvbs.qnum import LaurentQ, q_binomial, radical_float
 from qvbs.weylrep import XMINUS, coproduct_apply, poly_to_spin, weight_radicand
@@ -125,6 +130,38 @@ def eval_ratio(poly, q0):
     acc = sum(v * npow[e - lo] * dpow[hi - e] for e, v in poly.items())
     return (acc * n ** max(lo, 0) * d ** max(-hi, 0),
             n ** max(-lo, 0) * d ** max(hi, 0))
+
+
+def dense_pbc_two_point_sz(S, L, q0, r):
+    """<S^z_1 S^z_r> from the whole join A.T @ B of the two dense halves,
+    d^k rows (fixing sites 1..h) at a time, about `mpscore._BLOCK`
+    amplitudes within one site-1 digit, each squared block reduced to row
+    sums when r <= h, else to column sums keyed by the site-1 digit."""
+    if not (2 <= r <= L):
+        raise ValueError("need 2 <= r <= L")
+    d = 2 * S + 1
+    h = L // 2
+    ncols = d ** (L - h)
+    rows = d ** max((k for k in range(h) if d ** k * ncols <= mpscore._BLOCK),
+                    default=0)
+    marg = np.zeros(d ** h) if r <= h else np.zeros((d, ncols))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A, B = mpscore._dense_halves(mpscore.tensor_g(S).phys_matrices(q0), L)
+        for lo in range(0, d ** h, rows):
+            blk = A[:, lo:lo + rows].T @ B
+            np.square(blk, out=blk)
+            if r <= h:
+                marg[lo:lo + rows] = blk.sum(axis=1)
+            else:
+                marg[lo // d ** (h - 1)] += blk.sum(axis=0)
+        skip = r - 2 if r <= h else r - h - 1
+        joint = marg.reshape(d, d ** skip, d, -1).sum(axis=(1, 3))
+        m = S - np.arange(d, dtype=float)
+        val = float(m @ joint @ m / joint.sum())
+    if not math.isfinite(val):
+        raise ValueError("<S^z S^z> is not finite in floats at S=%d, L=%d, q=%s"
+                         % (S, L, q0))
+    return val
 
 
 def two_point_finite(A, B, S, q0, L, r):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -286,6 +287,25 @@ def test_dense_state_matches_exact():
             assert np.abs(d - ratio * v).max() < 1e-10 * np.abs(d).max()
 
 
+# sha256 of dense_pbc_state(S, L, q).tobytes() over q = 1/2, 7/4 in order,
+# taken when each half was contracted anew for A and for B; contracting the
+# h-site half once for even L leaves every byte as it was
+DENSE_DIGESTS = {
+    (1, 10): "36e21a15f11f81bd0097a7040030aeef3ce09190a1389d4218c7aa7a350f8104",
+    (2, 6): "e139e47b853fe17541257ed9ef3f8578801edac5f40d9da9ac481225e4d749a9",
+    (2, 5): "248dcff9fe1d59d51c6b55eda9816730ab196629e3428f1f3948d5e095034145",
+    (3, 4): "15cda6ebbcc6651965d8a343772aa1ebb68b27199553de862e698740a54e7308",
+}
+
+
+@pytest.mark.parametrize("S, L", sorted(DENSE_DIGESTS))
+def test_dense_state_bytes_are_pinned(S, L):
+    h = hashlib.sha256()
+    for q in ("1/2", "7/4"):
+        h.update(dense_pbc_state(S, L, Fraction(q)).tobytes())
+    assert h.hexdigest() == DENSE_DIGESTS[(S, L)]
+
+
 def test_dense_state_far_q_raises_instead_of_nan():
     # the join overflowed and the vector came back with NaN entries
     for q0 in (1e-80, 1e80):
@@ -343,6 +363,82 @@ def test_streamed_two_point_matches_full_vector(monkeypatch, block):
                     expected = _full_vector_two_point(S, L, q0, r)
                     assert dense_pbc_two_point_sz(S, L, q0, r) == \
                         pytest.approx(expected, rel=1e-12)
+
+
+# S = 1..3 up to L = 10, 9, 7: every r, both reductions and odd L
+BLOCKED_CASES = [(S, L) for S, top in ((1, 10), (2, 9), (3, 7))
+                 for L in range(2, top + 1)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_charge_blocked_two_point_matches_unblocked():
+    # the unblocked reference forms every amplitude, the zeros included
+    for S, L in BLOCKED_CASES:
+        for q in ("1/2", "5/7", "1", "7/4"):
+            q0 = Fraction(q)
+            for r in range(2, L + 1):
+                assert dense_pbc_two_point_sz(S, L, q0, r) == pytest.approx(
+                    oracles.dense_pbc_two_point_sz(S, L, q0, r), rel=1e-12)
+
+
+def test_charge_blocked_two_point_far_q_keeps_the_outcome():
+    # far from q = 1 the halves hold inf and 0 * inf = NaN off the charge
+    # support; the blocked pass raises where the unblocked one does, with
+    # the same error, and agrees where neither raises
+    errors = 0
+    for S, L in BLOCKED_CASES:
+        for q0 in (1e3, 1e-3, 1e8, 1e-8, 1e30, 1e-30):
+            for r in range(2, L + 1):
+                got = _outcome(dense_pbc_two_point_sz, S, L, q0, r)
+                ref = _outcome(oracles.dense_pbc_two_point_sz, S, L, q0, r)
+                if isinstance(ref, tuple):
+                    errors += 1
+                    assert got == ref, (S, L, q0, r)
+                else:
+                    assert abs(got - ref) <= 1e-12, (S, L, q0, r)
+    assert errors == 306
+
+
+def test_two_point_rejects_an_off_charge_entry(monkeypatch):
+    # one nonzero entry of W[m] off j - i = m breaks the support that lets
+    # the pass skip amplitudes; the check must see it at every S
+    phys = mpscore.MPSTensor.phys_matrices
+
+    def leaky(self, q0):
+        W = phys(self, q0)
+        W[0, self.S, 0] = 1e-300  # m = S, j - i = -S
+        return W
+
+    monkeypatch.setattr(mpscore.MPSTensor, "phys_matrices", leaky)
+    for S in (1, 2, 3):
+        with pytest.raises(AssertionError, match="off j - i = m"):
+            dense_pbc_two_point_sz(S, 4, Q0, 3)
+
+
+@pytest.mark.parametrize("S, L", ((2, 10), (3, 8), (1, 14)))
+def test_dense_two_point_budget_bounds_the_peak(monkeypatch, S, L):
+    # the charge counts what the blocked pass holds: the halves, the largest
+    # charge block and the marginal; tracemalloc sees numpy's buffers
+    charged = []
+    monkeypatch.setattr(mpscore, "check_budget",
+                        lambda nbytes, what: charged.append(nbytes))
+    q0 = Fraction(9, 10)
+    for r in (2, L // 2 + 1):
+        dense_pbc_two_point_sz(S, L, q0, r)  # the site tensor's caches
+        charged.clear()
+        tracemalloc.start()
+        try:
+            dense_pbc_two_point_sz(S, L, q0, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[0], (r, peak, charged)
 
 
 def test_dense_two_point_budget_counts_halves_not_state(monkeypatch):
