@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qnum import LaurentQ, laurent_gcd, q_factorials, q_integer
+from .qnum import LaurentQ, laurent_gcd, q_binomial, q_factorials, q_integer
 from .weylrep import (
     XMINUS,
     XPLUS,
@@ -333,6 +333,20 @@ def bond_list(L, boundary):
     elif boundary != "open":
         raise ValueError("boundary must be 'periodic' or 'open'")
     return bonds
+
+
+def charge_chain_state(what, S, L):
+    """Charge an exact chain state of L spin-S sites to the budget: 256 B, a
+    rough per-amplitude bookkeeping cost, per basis state of (2S+1)^L."""
+    check_budget((2 * S + 1) ** L * 256, "%s(S=%d, L=%d)" % (what, S, L))
+
+
+def open_prefactor(S, p1, p2):
+    """The end radicands ([S, p1-1], [S, p2-1]) of an open chain, its
+    state's prefactor, for boundary labels p1 and p2 in 1..S+1."""
+    if not (1 <= p1 <= S + 1 and 1 <= p2 <= S + 1):
+        raise ValueError("boundary labels must lie in 1..S+1")
+    return q_binomial(S, p1 - 1), q_binomial(S, p2 - 1)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cgproj import check_budget
+from .cgproj import charge_chain_state, check_budget, open_prefactor
 from .qnum import LaurentQ, q_binomial, q_factorials
 from .weylrep import StateVector
 
@@ -172,7 +172,7 @@ def contract_pbc(tensor, L):
     if L < 1:
         raise ValueError("need L >= 1")
     S = tensor.S
-    check_budget((2 * S + 1) ** L * 256, "contract_pbc(S=%d, L=%d)" % (S, L))
+    charge_chain_state("contract_pbc", S, L)
     amps = {}
     for start in range(1, tensor.dim + 1):
         # the trace closes the path, so its end radicands are one full factor
@@ -183,15 +183,14 @@ def contract_pbc(tensor, L):
 def contract_open(S, L, p1, p2):
     """Matrix element (p1, p2) of start tensor times L-1 bulk tensors; the
     end radicands [S, p1-1] [S, p2-1] are the state's prefactor."""
-    if not (1 <= p1 <= S + 1 and 1 <= p2 <= S + 1):
-        raise ValueError("boundary labels must lie in 1..S+1")
+    prefactor = open_prefactor(S, p1, p2)
     if L < 1:
         raise ValueError("need L >= 1")
-    check_budget((2 * S + 1) ** L * 256, "contract_open(S=%d, L=%d)" % (S, L))
+    charge_chain_state("contract_open", S, L)
     amps = {}
     _walk([tensor_g_start(S)] + [tensor_g(S)] * (L - 1), p1, p2,
           LaurentQ.one(), amps)
-    return StateVector(S, L, amps, (q_binomial(S, p1 - 1), q_binomial(S, p2 - 1)))
+    return StateVector(S, L, amps, prefactor)
 
 
 # -- numeric oracles ----------------------------------------------------

@@ -1,9 +1,10 @@
 """Verification suites: every closed form, lemma, and conjecture at desk scale.
 
-Each suite returns a plain dict with a `passed` flag and enough detail to see
-what was compared; `run_suite` is the one dispatcher, the CLI serializes what
-it returns and the acceptance tests assert on it. Reports hold no run time,
-so the same seed gives the same report, byte for byte once serialized.
+Each suite returns one report shape (`_report`: id, description, source, a
+`passed` flag and enough detail to see what was compared); `run_suite` is the
+one dispatcher, the CLI serializes what it returns and the acceptance tests
+assert on it. Reports hold no run time, so the same seed gives the same
+report, byte for byte once serialized.
 """
 
 from __future__ import annotations
@@ -27,122 +28,106 @@ from .weylrep import (
 FIVE_Q = (Fraction(1, 2), Fraction(4, 5), Fraction(1), Fraction(5, 4), Fraction(2))
 
 
+def _report(id, description, source, passed, details):
+    """The one report shape of every suite, the --spin runs included."""
+    return {"id": id, "description": description, "source": source,
+            "passed": passed, "details": details}
+
+
 def _printed_s2():
     """The paper's S=2 transfer eigenvalues of levels l = 0, 1, 2,
-    [5][4][2], -[5][2]^2 and [2]^2, with their multiplicities 1, 3, 5."""
+    [5][4][2], -[5][2]^2 and [2]^2; level l has multiplicity 2l+1."""
     i2, i4, i5 = q_integer(2), q_integer(4), q_integer(5)
-    return [(i5 * i4 * i2, 1), (-(i5 * i2 * i2), 3), (i2 * i2, 5)]
+    return [i5 * i4 * i2, -(i5 * i2 * i2), i2 * i2]
 
 
 def suite_spectrum_s2():
-    """Numeric S=2 spectrum against the printed eigenvalues, 5 q points."""
+    """Numeric S=2 spectrum against the printed eigenvalues, 5 q points,
+    each eigenvalue paired with its level by transfercorr.level_check; the
+    spectrum must also resolve into exactly the three printed levels."""
     printed = _printed_s2()
     tol = 1e-10
     points = []
-    passed = True
     for q0 in FIVE_Q:
         es = transfercorr.spectral_data(2, q0).es
-        expected = sorted(
-            [(p.eval_float(q0), m) for p, m in printed],
-            key=lambda t: (-abs(t[0]), -t[0]),
-        )
-        scale = abs(es.top)
-        ok = len(expected) == len(es.groups) and all(
-            abs(ev - gv) <= tol * scale and em == gm
-            for (ev, em), (gv, gm) in zip(expected, es.groups)
-        )
-        passed = passed and ok
+        rep = transfercorr.level_check(
+            2, q0, [p.eval_float(q0) for p in printed], tol)
+        ok = rep["match"] and len(es.groups) == len(printed)
         points.append({"q": str(q0), "groups": es.groups, "match": ok})
-    return {
-        "id": "spectrum_s2",
-        "description": "S=2 transfer spectrum matches printed closed forms "
-                       "with degeneracies 1/3/5",
-        "source": "transfer_eigenvalues_closed_form_s2",
-        "passed": passed,
-        "details": {"tolerance": tol, "points": points},
-    }
+    return _report("spectrum_s2",
+                   "S=2 transfer spectrum matches printed closed forms "
+                   "with degeneracies 1/3/5",
+                   "transfer_eigenvalues_closed_form_s2",
+                   all(pt["match"] for pt in points),
+                   {"tolerance": tol, "points": points})
 
 
 def suite_eigenvalue_conjecture():
     """Exact S=2 identity plus numeric S=3..5 spectra with multiplicities."""
     exact_ok = all(transfercorr.conjectured_eigenvalue(2, l) == p
-                   for l, (p, _) in enumerate(_printed_s2()))
-    numeric = []
-    passed = exact_ok
-    for S in (3, 4, 5):
-        for q0 in FIVE_Q:
-            rep = transfercorr.conjecture_check(S, q0)
-            passed = passed and rep["match"]
-            numeric.append({"S": S, "q": str(q0), "match": rep["match"]})
-    return {
-        "id": "eigenvalue_conjecture",
-        "description": "general-S eigenvalue closed form: exact for S=2, "
-                       "numeric with multiplicities 2l+1 for S=3..5",
-        "source": "transfer_eigenvalue_general_form",
-        "passed": passed,
-        "details": {"exact_s2": exact_ok, "numeric": numeric,
-                    "tolerance": transfercorr.CONJECTURE_TOL},
-    }
+                   for l, p in enumerate(_printed_s2()))
+    numeric = [{"S": S, "q": str(q0),
+                "match": transfercorr.conjecture_check(S, q0)["match"]}
+               for S in (3, 4, 5) for q0 in FIVE_Q]
+    return _report("eigenvalue_conjecture",
+                   "general-S eigenvalue closed form: exact for S=2, "
+                   "numeric with multiplicities 2l+1 for S=3..5",
+                   "transfer_eigenvalue_general_form",
+                   exact_ok and all(row["match"] for row in numeric),
+                   {"exact_s2": exact_ok, "numeric": numeric,
+                    "tolerance": transfercorr.CONJECTURE_TOL})
 
 
-def suite_divisibility():
-    """Bond-product divisibility of every low-spin orbit vector, S<=4."""
-    items = []
-    passed = True
-    for S in (1, 2, 3, 4):
-        for row in cgproj.check_divisibility(S):
-            items.append(row)
-            passed = passed and row["remainder_zero"]
+def suite_divisibility(spin=None):
+    """Bond-product divisibility of every low-spin orbit vector, S<=4 and
+    the published S=2 quotients; with spin given, that S's vectors alone."""
+    vectors = [row for S in ((1, 2, 3, 4) if spin is None else (spin,))
+               for row in cgproj.check_divisibility(S)]
+    passed = all(row["remainder_zero"] for row in vectors)
+    if spin is not None:
+        return _report("divisibility", "every vector of the low-spin blocks "
+                       "of S=%d is divisible by the bond product" % spin,
+                       "bond_product_divisibility", passed,
+                       {"vectors": vectors})
     # divisible with a quotient proportional to ref, without forming it
     B = cgproj.bond_product(2)
     quotients_ok = all(cgproj.rep_basis(2, j)[t].proportional_to(ref * B) for
                        (j, t), ref in cgproj.spin2_reference_quotients().items())
-    passed = passed and quotients_ok
-    return {
-        "id": "divisibility",
-        "description": "every vector of the low-spin blocks is divisible by "
-                       "the bond product; S=2 quotients match the published list",
-        "source": "bond_product_divisibility",
-        "passed": passed,
-        "details": {"vectors": items, "spin2_quotients_match": quotients_ok},
-    }
+    return _report("divisibility",
+                   "every vector of the low-spin blocks is divisible by "
+                   "the bond product; S=2 quotients match the published list",
+                   "bond_product_divisibility", passed and quotients_ok,
+                   {"vectors": vectors, "spin2_quotients_match": quotients_ok})
 
 
 def suite_ground_state(seed=0):
     """Exact bond annihilation for closed and open chains plus a control."""
     cases = []
-    passed = True
     for S, L in ((1, 6), (2, 5), (3, 4)):
         rep = vbsstate.verify_annihilation(vbsstate.build_pbc(S, L), "periodic")
         cases.append({"S": S, "L": L, "boundary": "periodic",
                       "all_zero": rep["all_zero"]})
-        passed = passed and rep["all_zero"]
     for p1 in range(1, 4):
         for p2 in range(1, 4):
             rep = vbsstate.verify_annihilation(
                 vbsstate.build_open(2, 4, p1, p2), "open")
             cases.append({"S": 2, "L": 4, "boundary": "open",
                           "p1": p1, "p2": p2, "all_zero": rep["all_zero"]})
-            passed = passed and rep["all_zero"]
     ctrl = vbsstate.verify_annihilation(
         vbsstate.random_weight_zero_state(2, 4, seed=seed), "periodic")
     control_nonzero = not ctrl["all_zero"]
-    passed = passed and control_nonzero
-    return {
-        "id": "ground_state",
-        "description": "high-spin projectors annihilate the chain states on "
-                       "every bond, exactly; random control does not vanish",
-        "source": "bond_projector_annihilation",
-        "passed": passed,
-        "details": {"cases": cases, "control_nonzero": control_nonzero,
-                    "seed": seed},
-    }
+    return _report("ground_state",
+                   "high-spin projectors annihilate the chain states on "
+                   "every bond, exactly; random control does not vanish",
+                   "bond_projector_annihilation",
+                   all(c["all_zero"] for c in cases) and control_nonzero,
+                   {"cases": cases, "control_nonzero": control_nonzero,
+                    "seed": seed})
 
 
 def suite_mps_equivalence():
     """Boson and matrix product constructions agree up to one global scalar."""
     cases = []
-    passed = True
     for S in (1, 2):
         for L in (3, 4, 5, 6):
             boson = vbsstate.build_pbc(S, L)
@@ -152,7 +137,7 @@ def suite_mps_equivalence():
             gauge = f.amps == g.amps and f.prefactor == g.prefactor
             cases.append({"S": S, "L": L, "boundary": "periodic",
                           "proportional": prop, "gauge_equal": gauge})
-            passed = passed and prop and gauge
+    passed = all(c["proportional"] and c["gauge_equal"] for c in cases)
     ratios = []
     open_ok = same_radicand = True
     for p1 in range(1, 4):
@@ -168,17 +153,13 @@ def suite_mps_equivalence():
     # under equal radicands the physical ratio is the Laurent one
     constant = same_radicand and bool(ratios) and all(
         n * ratios[0][1] == ratios[0][0] * d for n, d in ratios[1:])
-    passed = passed and open_ok and constant
     cases.append({"S": 2, "L": 3, "boundary": "open",
                   "proportional": open_ok, "ratio_constant": constant})
-    return {
-        "id": "mps_equivalence",
-        "description": "matrix product contraction reproduces the boson "
-                       "states exactly up to a parameter-independent scalar",
-        "source": "mps_boson_equivalence",
-        "passed": passed,
-        "details": {"cases": cases},
-    }
+    return _report("mps_equivalence",
+                   "matrix product contraction reproduces the boson "
+                   "states exactly up to a parameter-independent scalar",
+                   "mps_boson_equivalence", passed and open_ok and constant,
+                   {"cases": cases})
 
 
 def suite_sz_distribution():
@@ -198,42 +179,31 @@ def suite_sz_distribution():
         norm_ok = norm_ok and abs(s - 1) < 1e-14
     aniso = transfercorr.sz_distribution(2, Fraction(1, 2))
     planar = aniso[2] > 0.2  # P(m=0) grows away from the isotropic point
-    passed = exact_ok and total_exact and iso_ok and norm_ok and planar
-    return {
-        "id": "sz_distribution",
-        "description": "spin-resolved probabilities match their closed forms "
-                       "exactly and normalize to one",
-        "source": "sz_probability_closed_forms_s2",
-        "passed": passed,
-        "details": {"exact_identities": exact_ok, "sum_exact_one": total_exact,
+    return _report("sz_distribution",
+                   "spin-resolved probabilities match their closed forms "
+                   "exactly and normalize to one",
+                   "sz_probability_closed_forms_s2",
+                   exact_ok and total_exact and iso_ok and norm_ok and planar,
+                   {"exact_identities": exact_ok, "sum_exact_one": total_exact,
                     "isotropic_uniform": iso_ok, "sums": sums,
-                    "planar_preference_at_q_half": planar},
-    }
+                    "planar_preference_at_q_half": planar})
 
 
 def suite_closed_form_correlators():
     """Printed S=2/S=3 spin-spin correlators against the spectral route."""
     tol = 1e-9
     rows = []
-    passed = True
     for S in (2, 3):
         for q0 in (Fraction(7, 10), Fraction(1), Fraction(13, 10)):
             for r in range(2, 9):
                 a = transfercorr.closed_form_szsz(S, q0, r)
                 b = transfercorr.two_point_thermo("sz", "sz", S, q0, r)
-                ok = abs(a - b) <= tol * max(1.0, abs(a))
-                passed = passed and ok
                 rows.append({"S": S, "q": str(q0), "r": r, "closed": a,
-                             "spectral": b, "match": ok})
-    iso_ok = True
-    for r in range(2, 9):
-        iso_ok = iso_ok and abs(
-            transfercorr.closed_form_szsz(2, 1, r)
-            - transfercorr.isotropic_szsz_limit(2, r)) < 1e-12
-        iso_ok = iso_ok and abs(
-            transfercorr.closed_form_szsz(3, 1, r)
-            - transfercorr.isotropic_szsz_limit(3, r)) < 1e-12
-    passed = passed and iso_ok
+                             "spectral": b,
+                             "match": abs(a - b) <= tol * max(1.0, abs(a))})
+    iso_ok = all(abs(transfercorr.closed_form_szsz(S, 1, r)
+                     - transfercorr.isotropic_szsz_limit(S, r)) < 1e-12
+                 for r in range(2, 9) for S in (2, 3))
     # the printed thermodynamic variant with an n-independent site-1 factor
     # collapses to zero here (the one-point function vanishes); flagged, the
     # finite-size-consistent form is the one in use
@@ -241,35 +211,30 @@ def suite_closed_form_correlators():
     finite = transfercorr.two_point_finite("sz", "sz", 2, q0, 200, 5)
     used = transfercorr.two_point_thermo("sz", "sz", 2, q0, 5)
     printed = transfercorr.two_point_thermo_printed_form("sz", "sz", 2, q0, 5)
-    return {
-        "id": "closed_form_correlators",
-        "description": "closed-form spin-spin correlators match the spectral "
-                       "computation and their isotropic limits",
-        "source": "szsz_closed_form_s2_s3",
-        "passed": passed,
-        "details": {"tolerance": tol, "comparisons": rows,
+    return _report("closed_form_correlators",
+                   "closed-form spin-spin correlators match the spectral "
+                   "computation and their isotropic limits",
+                   "szsz_closed_form_s2_s3",
+                   all(row["match"] for row in rows) and iso_ok,
+                   {"tolerance": tol, "comparisons": rows,
                     "isotropic_limits": iso_ok,
                     "thermo_form_flag": {
                         "finite_L200": finite,
                         "implemented_form": used,
                         "printed_variant": printed,
                         "printed_variant_consistent": abs(printed - finite) < 1e-10,
-                    }},
-    }
+                    }})
 
 
 def suite_oracle_closure():
     """Finite-size transfer traces against brute-force dense contraction."""
     rows = []
-    passed = True
     for q0 in (Fraction(1), Fraction(9, 10)):
         for r in range(2, 6):
             a = transfercorr.two_point_finite("sz", "sz", 2, q0, 10, r)
             b = mpscore.dense_pbc_two_point_sz(2, 10, q0, r)
-            ok = abs(a - b) < 1e-10
-            passed = passed and ok
             rows.append({"q": str(q0), "L": 10, "r": r, "transfer": a,
-                         "dense": b, "match": ok})
+                         "dense": b, "match": abs(a - b) < 1e-10})
     conv = []
     q0 = Fraction(9, 10)
     thermo = transfercorr.two_point_thermo("sz", "sz", 2, q0, 5)
@@ -277,16 +242,13 @@ def suite_oracle_closure():
         fin = transfercorr.two_point_finite("sz", "sz", 2, q0, L, 5)
         conv.append({"L": L, "finite": fin, "abs_diff": abs(fin - thermo)})
     converged = conv[-1]["abs_diff"] < 1e-10
-    passed = passed and converged
-    return {
-        "id": "oracle_closure",
-        "description": "finite-size transfer correlators equal the dense "
-                       "contraction and converge to the infinite-chain value",
-        "source": "finite_size_trace_formula",
-        "passed": passed,
-        "details": {"dense_comparisons": rows, "convergence": conv,
-                    "thermo_value": thermo},
-    }
+    return _report("oracle_closure",
+                   "finite-size transfer correlators equal the dense "
+                   "contraction and converge to the infinite-chain value",
+                   "finite_size_trace_formula",
+                   all(row["match"] for row in rows) and converged,
+                   {"dense_comparisons": rows, "convergence": conv,
+                    "thermo_value": thermo})
 
 
 def suite_algebra():
@@ -330,16 +292,13 @@ def suite_algebra():
         rhs = [LaurentQ.q_power(k * (m - 1), (-1) ** k) * q_binomial(m, k)
                for k in range(m + 1)]
         product_ok = product_ok and lhs == rhs
-    passed = comm_ok and boson_ok and product_ok
-    return {
-        "id": "algebra",
-        "description": "commutation relations, boson relations, and the "
-                       "finite product identity hold exactly",
-        "source": "deformed_algebra_identities",
-        "passed": passed,
-        "details": {"commutators": comm_ok, "boson_relations": boson_ok,
-                    "product_identity_m_le_6": product_ok},
-    }
+    return _report("algebra",
+                   "commutation relations, boson relations, and the "
+                   "finite product identity hold exactly",
+                   "deformed_algebra_identities",
+                   comm_ok and boson_ok and product_ok,
+                   {"commutators": comm_ok, "boson_relations": boson_ok,
+                    "product_identity_m_le_6": product_ok})
 
 
 def suite_symmetries():
@@ -400,27 +359,22 @@ def suite_symmetries():
         sv = np.linalg.svd(H, compute_uv=False)
         kernel_rows.append({"S": S, "L": L,
                             "kernel_dim": int((sv < 1e-10 * sv.max()).sum())})
-    passed = trans_ok and bar_ok and flip_ok and decay_ok
-    return {
-        "id": "symmetries",
-        "description": "translation, bar symmetry, spin flip, decay rate, "
-                       "and measured kernel dimensions",
-        "source": "structural_symmetries",
-        "passed": passed,
-        "details": {
-            "translation_exact": trans_ok,
-            "bar_symmetry": bar_rows,
-            "spin_flip": flip_rows,
-            "decay_ratio_measured": measured,
-            "decay_ratio_expected": lam_ratio,
-            "monotone_from_index": monotone_from,
-            "finite_size_diffs": diffs,
-            "pbc_kernel_dims_measured": kernel_rows,
-        },
-    }
+    return _report("symmetries",
+                   "translation, bar symmetry, spin flip, decay rate, "
+                   "and measured kernel dimensions",
+                   "structural_symmetries",
+                   trans_ok and bar_ok and flip_ok and decay_ok,
+                   {"translation_exact": trans_ok,
+                    "bar_symmetry": bar_rows,
+                    "spin_flip": flip_rows,
+                    "decay_ratio_measured": measured,
+                    "decay_ratio_expected": lam_ratio,
+                    "monotone_from_index": monotone_from,
+                    "finite_size_diffs": diffs,
+                    "pbc_kernel_dims_measured": kernel_rows})
 
 
-def suite_exact_certificates():
+def suite_exact_certificates(spin=None):
     """Identity-level proofs beyond the numeric battery.
 
     The two-site solution space is identified exactly with the bond-product
@@ -428,22 +382,24 @@ def suite_exact_certificates():
     with multiplicities is proved exactly on the blocks of the rational
     similar core: a lowering operator carries each block into the next
     larger one, and the trace differences name the level each step adds.
-    The default run stops at S=4; `qvbs verify --suite certificates --spin S`
-    proves one larger S (one cold run on a 2-vCPU Xeon: S=8 in 0.3 s, S=12
-    in 5 s).
+    The default run stops at S=4; with spin given, the spectrum certificate
+    of that S alone is run (see the README for its cost).
     """
+    if spin is not None:
+        cert = transfercorr.conjecture_exact_certificate(spin)
+        return _report("exact_certificates", "the spectrum closed form of "
+                       "S=%d proved, as an identity in q" % spin,
+                       "exact_identity_certificates", cert["proved"],
+                       {"spectrum_certificates": [cert]})
     lemma = [vbsstate.verify_two_site_lemma(S) for S in (1, 2, 3)]
     certs = [transfercorr.conjecture_exact_certificate(S) for S in (1, 2, 3, 4)]
-    passed = all(r["solution_space_identified"] for r in lemma) and \
-        all(r["proved"] for r in certs)
-    return {
-        "id": "exact_certificates",
-        "description": "two-site solution space identified and the spectrum "
-                       "closed form proved, as identities in q",
-        "source": "exact_identity_certificates",
-        "passed": passed,
-        "details": {"two_site_lemma": lemma, "spectrum_certificates": certs},
-    }
+    return _report("exact_certificates",
+                   "two-site solution space identified and the spectrum "
+                   "closed form proved, as identities in q",
+                   "exact_identity_certificates",
+                   all(r["solution_space_identified"] for r in lemma)
+                   and all(r["proved"] for r in certs),
+                   {"two_site_lemma": lemma, "spectrum_certificates": certs})
 
 
 SUITE_BY_NAME = {
@@ -468,27 +424,20 @@ ACCEPTANCE_SUITES = ("spectrum", "conjecture", "divisibility", "groundstate",
 def run_suite(name, seed=0, spin=None):
     """The report of one suite, exactly as `qvbs verify` prints it.
 
-    With spin given, divisibility and certificates check that one S alone.
-    seed reaches only the ground-state suite's random control. The suite is
-    looked up in SUITE_BY_NAME on each call, so a replaced entry is run.
+    With spin given, divisibility and certificates check that one S alone,
+    in the same report shape. seed reaches only the ground-state suite's
+    random control. The suite is looked up in SUITE_BY_NAME on each call,
+    so a replaced entry is run.
     """
-    if spin is not None and name == "divisibility":
-        items = cgproj.check_divisibility(spin)
-        return {"suite": "divisibility", "items": items,
-                "passed": all(r["remainder_zero"] for r in items),
-                "source": "bond_product_divisibility"}
-    if spin is not None and name == "certificates":
-        cert = transfercorr.conjecture_exact_certificate(spin)
-        return {"suite": "certificates", "items": [cert],
-                "passed": cert["proved"],
-                "source": "lowering_operator_certificate"}
-    if spin is not None:
+    if spin is not None and name not in ("divisibility", "certificates"):
         raise ValueError(
             "--spin applies only to --suite divisibility or certificates")
     fn = SUITE_BY_NAME.get(name)
     if fn is None:
         raise ValueError("unknown suite %r; choose from %s" % (
             name, ", ".join(sorted(SUITE_BY_NAME))))
+    if spin is not None:
+        return fn(spin=spin)
     return fn(seed=seed) if name == "groundstate" else fn()
 
 

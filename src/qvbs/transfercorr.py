@@ -248,20 +248,19 @@ def _conjectured_floats(S, q0):
     return tuple(conjectured_eigenvalue_float(S, l, q0) for l in range(S + 1))
 
 
-def conjecture_check(S, q0):
-    """Compare the diagonalized spectrum against the closed form, with
-    multiplicities 2l+1, at one numeric point.
+def level_check(S, q0, values, tol):
+    """Compare the diagonalized spectrum of G at (S, q0) against the level
+    values[l], l = 0..S, each with multiplicity 2l+1.
 
-    Both spectra are sorted and paired value by value at CONJECTURE_TOL
-    times the top eigenvalue, so the multiplicities are checked wherever the
-    levels lie further apart than that. The spectrum spans a factor of order
-    q^(2 S^2): far from the isotropic point the lowest levels sink below the
-    tolerance, where they are compared as the near-zero values they are
-    rather than having to group apart."""
+    Both spectra are sorted and paired value by value at tol times the top
+    eigenvalue, so every eigenvalue is compared, and the multiplicities are
+    checked wherever the levels lie further apart than that. The spectrum
+    spans a factor of order q^(2 S^2): far from the isotropic point the
+    lowest levels sink below the tolerance, where they are compared as the
+    near-zero values they are rather than having to group apart."""
     q0 = Fraction(q0)
     es = spectral_data(S, q0).es
-    bound = CONJECTURE_TOL * abs(es.top)
-    values = _conjectured_floats(S, q0)
+    bound = tol * abs(es.top)
     expected = sorted((values[l], l) for l in range(S + 1) for _ in range(2 * l + 1))
     worst = [0.0] * (S + 1)
     for (ev, l), cv in zip(expected, np.sort(es.eigenvalues)):
@@ -271,6 +270,13 @@ def conjecture_check(S, q0):
                for l in range(S + 1)]
     return {"S": S, "q": str(q0), "match": bool(max(worst) <= bound),
             "levels": details}
+
+
+def conjecture_check(S, q0):
+    """level_check of the closed-form eigenvalues of every level at one
+    numeric point, at CONJECTURE_TOL."""
+    q0 = Fraction(q0)
+    return level_check(S, q0, _conjectured_floats(S, q0), CONJECTURE_TOL)
 
 
 # -- correlation functions ----------------------------------------------
@@ -460,7 +466,6 @@ def exact_trace_power(S, k):
     return acc
 
 
-@lru_cache(maxsize=None)
 def _rational_similar_core(S):
     """A rational matrix exactly similar to G, as its diagonal blocks.
 

@@ -16,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cgproj import bond_list, bond_product, check_budget, upper_dual_rows
-from .qnum import PRIMES, Batch, LaurentQ, primes_for_height, q_binomial
+from .cgproj import (bond_list, bond_product, charge_chain_state, check_budget,
+                     open_prefactor, upper_dual_rows)
+from .qnum import PRIMES, Batch, LaurentQ, primes_for_height
 from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
@@ -26,31 +27,28 @@ def _check_state_args(S, L):
         raise ValueError("need S >= 1")
     if L < 2:
         raise ValueError("need L >= 2")
-    dim = (2 * S + 1) ** L
-    # rough per-amplitude bookkeeping cost of the exact representation
-    check_budget(dim * 256, "state(S=%d, L=%d)" % (S, L))
+    charge_chain_state("state", S, L)
 
 
 def build_pbc(S, L):
     """Periodic chain ground state: the product of one bond product per link."""
     _check_state_args(S, L)
     poly = SitePoly.one()
-    for k in range(1, L + 1):
-        poly = poly * bond_product(S, k, k % L + 1)
+    for k, l in bond_list(L, "periodic"):
+        poly = poly * bond_product(S, k, l)
     return poly_to_spin(poly, S, range(1, L + 1))
 
 
 def build_open(S, L, p1, p2):
     """Open chain state with boundary monomials selected by (p1, p2)."""
     _check_state_args(S, L)
-    if not (1 <= p1 <= S + 1 and 1 <= p2 <= S + 1):
-        raise ValueError("boundary labels must lie in 1..S+1")
+    prefactor = open_prefactor(S, p1, p2)
     poly = SitePoly.monomial({1: (S - p1 + 1, p1 - 1)})
-    for k in range(1, L):
-        poly = poly * bond_product(S, k, k + 1)
+    for k, l in bond_list(L, "open"):
+        poly = poly * bond_product(S, k, l)
     poly = poly * SitePoly.monomial({L: (p2 - 1, S - p2 + 1)})
     state = poly_to_spin(poly, S, range(1, L + 1))
-    state.prefactor = (q_binomial(S, p1 - 1), q_binomial(S, p2 - 1))
+    state.prefactor = prefactor
     return state
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from qvbs import suites
+from qvbs import suites, transfercorr
 from qvbs.qnum import Batch
 
 
@@ -12,6 +12,17 @@ def acceptance_run():
     rep = suites.run_acceptance(
         seed=0, progress=lambda item, s: seconds.append(s))
     return rep, seconds
+
+
+@pytest.fixture
+def slipped_rule(monkeypatch):
+    """Serve a copy of _entry_rule(S) with one entry of one row changed, to
+    every consumer of the shared closed form."""
+    def slip(S, row, col, change):
+        rule = transfercorr._entry_rule(S).copy()
+        rule[row, col] = change(rule[row, col])
+        monkeypatch.setattr(transfercorr, "_entry_rule", lambda S: rule)
+    return slip
 
 
 @pytest.fixture

@@ -378,8 +378,25 @@ def test_verify_divisibility_spin(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
-    assert len(data["items"]) == 9
-    assert {r["remainder_zero"] for r in data["items"]} == {True}
+    assert data["id"] == "divisibility"
+    vectors = data["details"]["vectors"]
+    assert len(vectors) == 9
+    assert {(r["S"], r["remainder_zero"]) for r in vectors} == {(2, True)}
+
+
+@pytest.mark.parametrize("suite, spin", (("divisibility", "3"),
+                                         ("certificates", "6")))
+def test_verify_spin_prints_the_suite_report_shape(capsys, suite, spin):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "1")
+    assert code == 0
+    default = json.loads(out)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--spin", spin)
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == set(default) == {"id", "description", "source",
+                                         "passed", "details"}
+    assert (data["id"], data["source"]) == (default["id"], default["source"])
+    assert set(data["details"]) <= set(default["details"])
 
 
 @pytest.mark.parametrize("spin", ("-1", "0"))
@@ -435,9 +452,9 @@ def test_verify_certificates_spin(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
-    assert data["source"] == "lowering_operator_certificate"
-    assert data["items"] == [{"S": 8, "proved": True, "commutations": 8,
-                              "trace_identities": 9}]
+    assert data["id"] == "exact_certificates"
+    assert data["details"] == {"spectrum_certificates": [
+        {"S": 8, "proved": True, "commutations": 8, "trace_identities": 9}]}
 
 
 @pytest.mark.parametrize("spin", ("-1", "0"))
@@ -459,6 +476,16 @@ def test_verify_certificates_spin_exit_codes(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--suite", "certificates",
                          "--spin", "4")
     assert code == 2 and out == "" and "QVBS_BUDGET_MB" in err
+
+
+def test_verify_certificates_spin_fails_on_a_slipped_core(capsys, slipped_rule):
+    # one flipped sign in the entry rule the core is built from
+    slipped_rule(3, 4, 22, lambda sign: -sign)
+    code, out, _ = run(capsys, "verify", "--suite", "certificates",
+                       "--spin", "3")
+    data = json.loads(out)
+    assert code == 1 and data["passed"] is False
+    assert data["details"]["spectrum_certificates"][0]["proved"] is False
 
 
 @pytest.mark.parametrize("command", ("eigenvalues", "correlator", "prob"))

@@ -2,6 +2,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from qvbs import suites
 
 
@@ -16,6 +18,19 @@ def test_symmetries_suite():
     assert all(r["kernel_dim"] == 1 for r in d["pbc_kernel_dims_measured"])
     # finite-size error shrinks monotonically from the first measured size on
     assert d["monotone_from_index"] == 0
+
+
+@pytest.mark.parametrize("order", ((0, 2, 1), (0, 1, 1)),
+                         ids=("swapped", "repeated"))
+def test_spectrum_suite_rejects_misplaced_levels(monkeypatch, order):
+    # levels 1 and 2 swapped put multiplicity 5 on level 1 and 3 on level 2;
+    # level 1 in place of level 2 leaves five eigenvalues unmatched
+    printed = suites._printed_s2()
+    monkeypatch.setattr(suites, "_printed_s2",
+                        lambda: [printed[i] for i in order])
+    rep = suites.suite_spectrum_s2()
+    assert rep["passed"] is False
+    assert [pt["match"] for pt in rep["details"]["points"]] == [False] * 5
 
 
 def test_suite_registry_complete():

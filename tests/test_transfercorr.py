@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from qvbs.linalg import adjugate
 from qvbs.mpscore import dense_pbc_two_point_sz, tensor_f
 from qvbs.qnum import PRIMES, LaurentQ, RatQ, q_factorial, q_integer
 from qvbs.transfercorr import (
+    CONJECTURE_TOL,
     EigenSystem,
     Q_CACHE_SIZE,
     Spectral,
@@ -25,6 +28,7 @@ from qvbs.transfercorr import (
     conjectured_eigenvalue_float,
     eigensystem,
     isotropic_szsz_limit,
+    level_check,
     sz_distribution,
     sz_distribution_exact,
     sz_operator,
@@ -116,22 +120,6 @@ def test_transfer_matrix_rejects_non_finite_entries(A):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="S=3 is not finite"):
             transfer_matrix(3, Fraction(10 ** 20), A)
-
-
-@pytest.fixture
-def slipped_rule(monkeypatch):
-    """Serve a copy of _entry_rule(S) with one entry of one row changed, to
-    every consumer of the shared closed form, with the exact core's cache
-    cleared."""
-    core = transfercorr._rational_similar_core
-
-    def slip(S, row, col, change):
-        rule = transfercorr._entry_rule(S).copy()
-        rule[row, col] = change(rule[row, col])
-        monkeypatch.setattr(transfercorr, "_entry_rule", lambda S: rule)
-        core.cache_clear()
-    yield slip
-    core.cache_clear()
 
 
 @pytest.mark.parametrize("row, change", ((4, lambda sign: -sign),
@@ -493,6 +481,23 @@ def test_conjecture_exact_certificate_rejects_spin_below_one(S):
         conjecture_exact_certificate(S)
 
 
+def test_certificate_keeps_no_core_alive():
+    # the core is built per call and dropped with it; what stays are the
+    # small per-S caches of the entry rule and the closed-form eigenvalues.
+    # S=7 is certified by no other test, so no earlier call has built it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert conjecture_exact_certificate(7)["proved"] is True
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a kept core held 1.9 of the 2.5 MB peak; without it 0.15 MB stays
+    assert current - before < (peak - before) / 4
+
+
 def test_certificate_rejects_uncoverable_spin_before_the_core(monkeypatch):
     # the core's estimate at S=30 is 50.6 million coefficient slots, about
     # 4.6 GB, past the default budget of 1024 MB (S=23 is the first spin
@@ -847,6 +852,22 @@ def test_conjecture_check_resolves_spin6_far_from_isotropic():
         rep = conjecture_check(6, q0)
         assert rep["match"] is True
         assert [lvl["mult"] for lvl in rep["levels"]] == [1, 3, 5, 7, 9, 11, 13]
+
+
+def test_level_check_rejects_a_misplaced_s2_level():
+    # the comparison the S=2 spectrum suite runs at 1e-10 of the top
+    # eigenvalue: level 1 moved by 5e-10 of itself fails there, though not
+    # at CONJECTURE_TOL, and levels 1 and 2 swapped fail on multiplicity
+    q0 = Fraction(4, 5)
+    true = [conjectured_eigenvalue_float(2, l, q0) for l in range(3)]
+    assert level_check(2, q0, true, 1e-10)["match"] is True
+    moved = [true[0], true[1] * (1 + 5e-10), true[2]]
+    rep = level_check(2, q0, moved, 1e-10)
+    assert rep["match"] is False
+    assert [lvl["l"] for lvl in rep["levels"] if not lvl["match"]] == [1]
+    assert level_check(2, q0, moved, CONJECTURE_TOL)["match"] is True
+    swapped = [true[0], true[2], true[1]]
+    assert level_check(2, q0, swapped, CONJECTURE_TOL)["match"] is False
 
 
 def test_conjecture_check_rejects_wrong_level(monkeypatch):
