@@ -118,9 +118,9 @@ class SectorData:
     w: int
     pairs: list        # (m1, m2) with m1 + m2 = w, m1 descending
     Js: list           # total spins contributing to this sector, ascending
-    B: list            # columns = orbit vectors in the pair basis
-    duals: list        # duals[j] ~ (W o B[:, j])^T, W the radicand weights
-    norms: list        # norms[j] = duals[j] . B[:, j]; duals[j] . B[:, k] = 0
+    cols: list         # cols[j] = orbit vector of Js[j] over the pairs
+    duals: list        # duals[j] ~ W o cols[j], W the radicand weights
+    norms: list        # norms[j] = duals[j] . cols[j]; duals[j] . cols[k] = 0
 
 
 def _pair_weight(S, pair):
@@ -230,13 +230,13 @@ def sector_system(S):
     The squared norm of the physical basis on a monomial-gauge pair (m1, m2)
     is the radicand weight W = [S+m1]! [S-m1]! [S+m2]! [S-m2]!, and the
     orbit vectors of distinct J are orthogonal under W, as
-    `_certify_orthogonality` proves; so B^T W B is diagonal and row J of the
-    inverse of B is the dual row (W o B[:, J])^T over its norm n_J. The
-    weights of a sector are divided by their gcd before they meet the
-    primitive orbit columns, and the stored dual is that row over the gcd of
-    its entries; n_J scales with it. Only the diagonal n_J is formed: a
-    nonzero n_J for every J makes B invertible and the spin-J projectors
-    orthogonal.
+    `_certify_orthogonality` proves; so with B the matrix of the orbit
+    columns cols[J], B^T W B is diagonal and row J of the inverse of B is
+    the dual row W o cols[J] over its norm n_J. The weights of a sector are
+    divided by their gcd before they meet the primitive orbit columns, and
+    the stored dual is that row over the gcd of its entries; n_J scales with
+    it. Only the diagonal n_J is formed: a nonzero n_J for every J makes B
+    invertible and the spin-J projectors orthogonal.
     """
     _certify_orthogonality(S)
     orbit_amps = {}
@@ -258,17 +258,17 @@ def sector_system(S):
             if n.is_zero:
                 raise AssertionError("sector w=%d: orbit vector J=%d has zero "
                                      "norm" % (w, J))
-        B = [list(row) for row in zip(*cols)]
-        sectors[w] = SectorData(w, pairs, Js, B, duals, norms)
+        sectors[w] = SectorData(w, pairs, Js, cols, duals, norms)
     return sectors
 
 
 class Projector:
     """Orthogonal projector onto the total-spin-J block of the two-site space.
 
-    Exact data lives sector by sector as a rank-one core: column J of B times
-    its dual row over the norm n_J. Physical-basis entries carry the usual
-    sqrt-normalization dressing; `to_dense` evaluates them at a point q0.
+    Exact data lives sector by sector as a rank-one core: the orbit column of
+    J times its dual row over the norm n_J. Physical-basis entries carry the
+    usual sqrt-normalization dressing; `to_dense` evaluates them at a point
+    q0.
     """
 
     def __init__(self, S, J):
@@ -282,8 +282,7 @@ class Projector:
             if J not in sec.Js:
                 continue
             j = sec.Js.index(J)
-            col = [row[j] for row in sec.B]
-            self._cores[w] = (sec.pairs, col, sec.duals[j], sec.norms[j])
+            self._cores[w] = (sec.pairs, sec.cols[j], sec.duals[j], sec.norms[j])
 
     def pair_index(self, pair):
         m1, m2 = pair
@@ -297,18 +296,13 @@ class Projector:
         table = q_factorials(q0)
         for w, (pairs, col, dual, norm) in self._cores.items():
             # the _pair_weight of each pair, from its q-factorials
-            roots = np.array([table.eval_float((S + m1, S - m1, S + m2, S - m2))
-                              ** 0.5 for m1, m2 in pairs])
+            roots = np.array([math.sqrt(table.eval_float(
+                (S + m1, S - m1, S + m2, S - m2))) for m1, m2 in pairs])
             u = np.array([c.eval_float(q0) for c in col]) * roots
             v = np.array([c.eval_float(q0) for c in dual]) / roots
             idx = [self.pair_index(p) for p in pairs]
             out[np.ix_(idx, idx)] = np.outer(u, v) / norm.eval_float(q0)
         return out
-
-
-@lru_cache(maxsize=None)
-def projector(S, J):
-    return Projector(S, J)
 
 
 def upper_dual_rows(S):
@@ -393,7 +387,7 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
             # NaN fails every comparison, so c < 0 alone would let it in
             raise ValueError("projector coefficients must be finite and >= 0")
         cs[int(J)] = float(c)
-    local = sum((c * projector(S, J).to_dense(q0) for J, c in cs.items() if c),
+    local = sum((c * Projector(S, J).to_dense(q0) for J, c in cs.items() if c),
                 np.zeros((d * d, d * d)))
     return BondHamiltonian(local.reshape(d, d, d, d), L, bond_list(L, boundary))
 

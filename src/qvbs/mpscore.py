@@ -201,10 +201,11 @@ _BLOCK = 1 << 18  # amplitudes per block of the streamed two-point pass, 2 MB
 
 def _dense_halves(W, L):
     """Sites 1..h and h+1..L, h = L // 2, of the site matrices W [digit, i, j]
-    contracted as A (K x d^h) and B (K x d^(L-h)) over the K = (S+1)^2
-    auxiliary pairs where they meet, so A.T @ B holds the amplitudes with
-    site 1 as the leading digit. For even L the h-site half is contracted
-    once: B is that array before A's transpose."""
+    contracted as F (K x d^h) and B (K x d^(L-h)), K = (S+1)^2: row
+    i (S+1) + j of a half holds its strings that enter at auxiliary index i
+    and leave at j, its first site the leading digit. The amplitude of s t
+    is the sum over (i, j) of F[i (S+1) + j, s] B[j (S+1) + i, t]. For even
+    L both are the one h-site half."""
     S = W.shape[1] - 1
 
     def half(n):
@@ -213,14 +214,11 @@ def _dense_halves(W, L):
             # acc[i, t, sigma], W[digit, t, j] -> [i, j, sigma*digit]
             acc = np.einsum("its,mtj->ijsm", acc, W, order="C")
             acc = acc.reshape(S + 1, S + 1, -1)
-        return acc
+        return acc.reshape((S + 1) ** 2, -1)
 
-    # amp[s, t] = sum over (i, j) of A[i, j, s] B[j, i, t]
-    K = (S + 1) ** 2
     h = L // 2
-    back = half(L - h)
-    front = back if 2 * h == L else half(h)
-    return front.transpose(1, 0, 2).reshape(K, -1), back.reshape(K, -1)
+    B = half(L - h)
+    return B if 2 * h == L else half(h), B
 
 
 def dense_pbc_state(S, L, q0):
@@ -231,7 +229,9 @@ def dense_pbc_state(S, L, q0):
         raise ValueError("need L >= 1")
     check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
     with np.errstate(over="ignore", invalid="ignore"):
-        A, B = _dense_halves(tensor_g(S).phys_matrices(q0), L)
+        F, B = _dense_halves(tensor_g(S).phys_matrices(q0), L)
+        # F's rows in B's order: row j (S+1) + i of A is row i (S+1) + j of F
+        A = F.reshape(S + 1, S + 1, -1).transpose(1, 0, 2).reshape(len(B), -1)
         vec = (A.T @ B).reshape(-1)
     if not np.isfinite(vec).all():
         raise ValueError("dense state is not finite in floats at S=%d, L=%d, "
@@ -277,13 +277,14 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     squared, and the rest are zero by a support check. Entry (i, j) of W[m]
     is nonzero only where j - i = m (`_check_charge_support`, on every call),
     so with h = L // 2 an amplitude joins half strings s and t of total m
-    M(s) = j - i = delta and M(t) = -delta over the auxiliary pairs (j, i) of
-    that charge, and its total S^z is 0. For each delta in -S..S the join
-    A[k in delta, s].T @ B[k in delta, t] runs in chunks of at most `_BLOCK`
-    amplitudes (one row at least) that stay within one site-1 digit, and
-    each squared chunk is reduced at once, to row sums when r <= h, else to
-    column sums keyed by the site-1 digit. The joint of sites 1 and r is one
-    reshape-sum of that marginal. Memory is O(K d^(L/2) + block).
+    M(s) = delta and M(t) = -delta over the S+1-|delta| auxiliary pairs
+    (j, i) with j - i = delta, and its total S^z is 0. For each delta in
+    -S..S the pairs' rows of the two `_dense_halves` are gathered once, and
+    their join runs in chunks of at most `_BLOCK` amplitudes (one row at
+    least) that stay within one site-1 digit; each squared chunk is reduced
+    at once, to row sums when r <= h, else to column sums keyed by the
+    site-1 digit. The joint of sites 1 and r is one reshape-sum of that
+    marginal. Memory is O(K d^(L/2) + block).
     """
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
@@ -295,15 +296,19 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     # rows under one site-1 digit and one delta: at most the most strings of
     # one total m on sites 2..h
     group = max(_charge_counts(S, h - 1))
-    # what the pass holds: both halves and their charges (for odd L the
-    # h-site half twice while A is copied from it); for one delta its rows
-    # of them, its indices and its largest chunk; and the marginal
-    block = max((S + 2 - abs(delta)) * (ns + nt)
-                + min(max(1, _BLOCK // nt), group) * nt
+    # what the pass holds, in floats: the halves and their charges, one of
+    # each for even L; the marginal; for one delta its pairs' rows of the
+    # halves, its indices, its largest chunk of c rows and that chunk's sums,
+    # or, while the h-site half is built, that half at h-1 sites; W; and 2048
+    # for the site tensor's exact evaluation and the arrays' headers
+    block = max((S + 2 - abs(delta)) * (ns + nt) + c * nt
+                + (2 * nt if r > h else c)
                 for delta in range(-S, S + 1)
-                for ns, nt in [(cs[h * S + delta], ct[(L - h) * S - delta])])
-    check_budget(8 * ((K + 1) * (d ** h + ncols) + K * d ** h * (L % 2) + block
-                      + (d ** h if r <= h else d * ncols)),
+                for ns, nt in [(cs[h * S + delta], ct[(L - h) * S - delta])]
+                for c in [min(max(1, _BLOCK // nt), group)])
+    check_budget(8 * ((K + 1) * (d ** h + ncols * (L % 2))
+                      + (d ** h if r <= h else d * ncols)
+                      + max(block, K * d ** (h - 1)) + d * K + 2048),
                  "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
     W = tensor_g(S).phys_matrices(q0)
     _check_charge_support(W)
@@ -313,13 +318,15 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     # far from q = 1 the squares overflow or the marginals underflow; only
     # the scalar result is checked
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, B = _dense_halves(W, L)
+        F, B = _dense_halves(W, L)
         for delta in range(-S, S + 1):
-            # the pairs (j, i) with j - i = delta, k = j (S+1) + i
-            ks = slice(delta * (S + 1) if delta >= 0 else -delta, None, S + 2)
+            # the n pairs (j, i) with j - i = delta, j ascending from j0:
+            # rows j (S+2) - delta of B and j (S+2) - delta (S+1) of F
+            n, j0 = S + 1 - abs(delta), max(delta, 0)
             sidx = np.flatnonzero(ms == delta)
             tidx = np.flatnonzero(mt == -delta)
-            As, Bt = A[ks][:, sidx], B[ks][:, tidx]
+            As = F[j0 * (S + 2) - delta * (S + 1)::S + 2][:n, sidx]
+            Bt = B[j0 * (S + 2) - delta::S + 2][:n, tidx]
             rows = max(1, _BLOCK // len(tidx))
             edges = np.searchsorted(sidx, np.arange(d + 1) * d ** (h - 1))
             for digit in range(d):
@@ -332,6 +339,7 @@ def dense_pbc_two_point_sz(S, L, q0, r):
                     else:
                         marg[digit, tidx] += blk.sum(axis=0)
                     del blk  # before the next chunk's product is formed
+            del sidx, tidx, As, Bt  # before the next delta's are gathered
         skip = r - 2 if r <= h else r - h - 1
         joint = marg.reshape(d, d ** skip, d, -1).sum(axis=(1, 3))
         m = S - np.arange(d, dtype=float)

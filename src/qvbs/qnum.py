@@ -160,18 +160,6 @@ class LaurentQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers need RatQ")
-        out = LaurentQ.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, k):
         """Multiply by q**k."""
         out = LaurentQ.__new__(LaurentQ)
@@ -448,11 +436,11 @@ def radical_form(factors):
     return r, tuple(kept)
 
 
-def radical_float(factors, q0, rat=1):
-    """rat * sqrt(prod factors) at q0 > 0: the Laurent part rounded once
-    from its exact value, then one square root per unpaired factor."""
+def radical_float(factors, q0):
+    """sqrt(prod factors) at q0 > 0: the Laurent part rounded once from its
+    exact value, then one square root per unpaired factor."""
     r, kept = radical_form(factors)
-    acc = (r * rat).eval_float(q0)
+    acc = r.eval_float(q0)
     for f in kept:
         acc *= math.sqrt(f.eval_float(q0))
     return acc

@@ -193,12 +193,12 @@ def _require_gap(es):
         raise SpectralGapError("no spectral gap: top eigenvalue not isolated")
 
 
-def eigensystem(G, require_gap=True):
+def eigensystem(G):
     """Orthonormal eigensystem of a symmetric transfer matrix G, an array.
 
     Eigenvalues are sorted by descending magnitude and grouped at relative
-    tolerance 1e-9; a degenerate or unseparated top eigenvalue raises, since
-    the thermodynamic formulas assume a spectral gap.
+    tolerance 1e-9. The thermodynamic formulas assume a spectral gap, which
+    spectral_data checks (_require_gap).
     """
     if np.abs(G - G.T).max() > _CROSS_TOL * max(np.abs(G).max(), 1e-300):
         raise ValueError("eigensystem expects a symmetric matrix")
@@ -213,10 +213,7 @@ def eigensystem(G, require_gap=True):
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((float(val), 1))
-    es = EigenSystem(w, v, groups)
-    if require_gap:
-        _require_gap(es)
-    return es
+    return EigenSystem(w, v, groups)
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +301,7 @@ class Spectral:
 
 @lru_cache(maxsize=Q_CACHE_SIZE)
 def _spectral(S, q0):
-    es = eigensystem(transfer_matrix(S, q0), require_gap=False)
+    es = eigensystem(transfer_matrix(S, q0))
     V = es.vectors
     sz = V.T @ transfer_matrix(S, q0, "sz") @ V / es.top
     data = Spectral(es, es.eigenvalues / es.top, (sz - sz.T) / 2)
@@ -569,12 +566,16 @@ def conjecture_exact_certificate(S):
 
 @lru_cache(maxsize=None)
 def transfer_diag_block_exact(S):
-    """The a=b block of G as exact Laurent entries, where the radicals pair
-    up: D0 N0 D0^-1 for the delta = 0 block N0 of the rational similar core,
-    D0 = diag([S,a]), by exact division."""
+    """The a=b block of G as exact Laurent entries, read from the a = b rows
+    of _entry_rule: there the radicals pair, so entry (a, c) is
+    sign q^e [m]! [n]! [S,a] [S,c], with sign = (-1)^(2a) = +1."""
     binom = [q_binomial(S, k) for k in range(S + 1)]
-    return [[(e * binom[a]).divide_exact(binom[c]) for c, e in enumerate(row)]
-            for a, row in enumerate(_rational_similar_core(S)[S])]
+    rule = _entry_rule(S)
+    block = [[None] * (S + 1) for _ in range(S + 1)]
+    for a, _, c, _, sign, e, m, n in rule[:, rule[0] == rule[1]].T.tolist():
+        block[a][c] = (LaurentQ.q_power(e, sign) * q_factorial(m)
+                       * q_factorial(n) * binom[a] * binom[c])
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -662,30 +663,26 @@ def closed_form_szsz(S, q0, r):
 def _closed_form_terms(S, q0):
     """The r-free part of closed_form_szsz: the prefactor and the (c, b)
     pairs of its terms at q0, each q-integer evaluated once."""
-    qv = float(q0)
-
-    @lru_cache(maxsize=None)
-    def qi(n):
-        return q_integer(n).eval_float(q0)
-
-    if S == 2:
-        pref = -(qi(2) * qi(3) / qi(4))
-        terms = (((qv - 1 / qv) * (qv ** 3 - qv ** -3)
-                  * qi(6) ** 2 / (qi(3) ** 2 * qi(2) ** 2),
-                  qi(2) / (qi(5) * qi(4))),
-                 (qi(2) ** 2, -qi(2) / qi(4)))
-    elif S == 3:
-        pref = -(qi(2) / (qi(6) * qi(5) * qi(3)))
-        beta = qi(3) / (qi(7) * qi(6) * qi(5))
-        terms = (((qv - 1 / qv) ** 2 * (qv ** 3 - qv ** -3) ** 2
-                  * (qi(9) - (qv ** 2 - qv ** -2) ** 2) ** 2
-                  * qi(4) ** 2 / qi(2) ** 2, -qi(2) * beta),
-                 ((qv ** 3 - qv ** -3) ** 2 * qi(8) ** 2 * qi(5) / qi(4) ** 2,
-                  qi(7) * qi(2) * beta),
-                 ((qi(2) ** 4 - 2 * qi(3)) ** 2 * qi(6) * qi(2) / qi(3),
-                  -qi(7) * qi(6) * beta))
-    else:
+    if S not in (2, 3):
         raise ValueError("closed forms are available for S = 2 and S = 3 only")
+    qv = float(q0)
+    qi = {n: q_integer(n).eval_float(q0) for n in range(2, 3 * S + 1)}
+    if S == 2:
+        pref = -(qi[2] * qi[3] / qi[4])
+        terms = (((qv - 1 / qv) * (qv ** 3 - qv ** -3)
+                  * qi[6] ** 2 / (qi[3] ** 2 * qi[2] ** 2),
+                  qi[2] / (qi[5] * qi[4])),
+                 (qi[2] ** 2, -qi[2] / qi[4]))
+    else:
+        pref = -(qi[2] / (qi[6] * qi[5] * qi[3]))
+        beta = qi[3] / (qi[7] * qi[6] * qi[5])
+        terms = (((qv - 1 / qv) ** 2 * (qv ** 3 - qv ** -3) ** 2
+                  * (qi[9] - (qv ** 2 - qv ** -2) ** 2) ** 2
+                  * qi[4] ** 2 / qi[2] ** 2, -qi[2] * beta),
+                 ((qv ** 3 - qv ** -3) ** 2 * qi[8] ** 2 * qi[5] / qi[4] ** 2,
+                  qi[7] * qi[2] * beta),
+                 ((qi[2] ** 4 - 2 * qi[3]) ** 2 * qi[6] * qi[2] / qi[3],
+                  -qi[7] * qi[6] * beta))
     return pref, terms
 
 

@@ -10,6 +10,7 @@ arithmetic is ever needed here. The two-site coproduct composes those maps.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -281,7 +282,7 @@ def site_roots(S, q0):
     """sqrt([S+m]! [S-m]!) at q0 for m = -S..S, each root of the radicand
     rounded once from its q-factorials: the spin-basis normalization."""
     table = q_factorials(q0)
-    return np.array([table.eval_float((S + m, S - m)) ** 0.5
+    return np.array([math.sqrt(table.eval_float((S + m, S - m)))
                      for m in range(-S, S + 1)])
 
 
@@ -369,11 +370,6 @@ class StateVector:
             k = next(itertools.islice(self.amps, int(bad.argmax()), None))
             raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         return out
-
-    def float_amplitudes(self, q0):
-        """float_values keyed by basis state; a non-finite value raises
-        ValueError."""
-        return dict(zip(self.amps, self.float_values(q0).tolist()))
 
     def to_dense(self, q0):
         """Physical amplitudes as a float vector, product-basis ordering:

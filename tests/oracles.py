@@ -12,12 +12,18 @@ eigenvalues patches them here too.
 
 `float_amplitudes` rounds every amplitude of a state on its own, with no
 sharing between equal amplitudes, so the tests can compare it bit for bit
-with `StateVector.float_amplitudes` and with the CLI's cached chains.
+with `StateVector.float_values` and with the CLI's cached chains.
 
 `dense_pbc_two_point_sz` is the brute-force <S^z_1 S^z_r> that joins the
 two `mpscore._dense_halves` over every auxiliary pair and every amplitude,
 the zeros that S^z conservation forces included, `_BLOCK` amplitudes at a
 time, so the tests can compare the charge-blocked pass of `mpscore` with it.
+
+`transfer_diag_block` is the equal-index block of G as D0 N0 D0^-1, the
+delta = 0 block N0 of the rational similar core conjugated by
+D0 = diag([S,a]) with exact divisions, so the tests can compare it key for
+key with `transfercorr.transfer_diag_block_exact`, which reads the entry
+rule's a = b rows instead.
 
 `two_point_finite` and `two_point_thermo` are the per-r correlators: each r
 looks up the spectral data, forms both images and, on the finite chain,
@@ -55,7 +61,7 @@ def float_amplitudes(state, q0):
     the per-site roots; a non-finite value raises ValueError."""
     q0 = Fraction(q0)
     pref = radical_float(state.prefactor, q0)
-    root = {m: weight_radicand(state.S, m).eval_float(q0) ** 0.5
+    root = {m: math.sqrt(weight_radicand(state.S, m).eval_float(q0))
             for m in range(-state.S, state.S + 1)}
     out = {}
     for k, a in state.amps.items():
@@ -134,9 +140,10 @@ def eval_ratio(poly, q0):
 
 def dense_pbc_two_point_sz(S, L, q0, r):
     """<S^z_1 S^z_r> from the whole join A.T @ B of the two dense halves,
-    d^k rows (fixing sites 1..h) at a time, about `mpscore._BLOCK`
-    amplitudes within one site-1 digit, each squared block reduced to row
-    sums when r <= h, else to column sums keyed by the site-1 digit."""
+    A the first half with its auxiliary pairs in B's order, d^k rows
+    (fixing sites 1..h) at a time, about `mpscore._BLOCK` amplitudes within
+    one site-1 digit, each squared block reduced to row sums when r <= h,
+    else to column sums keyed by the site-1 digit."""
     if not (2 <= r <= L):
         raise ValueError("need 2 <= r <= L")
     d = 2 * S + 1
@@ -146,7 +153,8 @@ def dense_pbc_two_point_sz(S, L, q0, r):
                     default=0)
     marg = np.zeros(d ** h) if r <= h else np.zeros((d, ncols))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, B = mpscore._dense_halves(mpscore.tensor_g(S).phys_matrices(q0), L)
+        F, B = mpscore._dense_halves(mpscore.tensor_g(S).phys_matrices(q0), L)
+        A = F.reshape(S + 1, S + 1, -1).transpose(1, 0, 2).reshape(len(B), -1)
         for lo in range(0, d ** h, rows):
             blk = A[:, lo:lo + rows].T @ B
             np.square(blk, out=blk)
@@ -162,6 +170,15 @@ def dense_pbc_two_point_sz(S, L, q0, r):
         raise ValueError("<S^z S^z> is not finite in floats at S=%d, L=%d, q=%s"
                          % (S, L, q0))
     return val
+
+
+def transfer_diag_block(S):
+    """D0 N0 D0^-1, N0 the delta = 0 block of the rational similar core and
+    D0 = diag([S,a]): entry (a, c) is N0[a][c] [S,a] / [S,c], by exact
+    division."""
+    binom = [q_binomial(S, k) for k in range(S + 1)]
+    return [[(e * binom[a]).divide_exact(binom[c]) for c, e in enumerate(row)]
+            for a, row in enumerate(transfercorr._rational_similar_core(S)[S])]
 
 
 def two_point_finite(A, B, S, q0, L, r):
@@ -197,7 +214,8 @@ def power_sums_match(block, roots):
     power = None
     for k in range(1, n + 1):
         power = block if power is None else transfercorr._mat_mul(power, block)
-        if sum(power[i][i] for i in range(n)) != sum(r ** k for r in roots[:n]):
+        if sum(power[i][i] for i in range(n)) != sum(math.prod([r] * k)
+                                                     for r in roots[:n]):
             return False
     return True
 
@@ -226,5 +244,6 @@ def conjecture_moment_identity(S, k):
     """
     lhs = LaurentQ.zero()
     for l in range(S + 1):
-        lhs = lhs + (2 * l + 1) * transfercorr.conjectured_eigenvalue(S, l) ** k
+        lhs = lhs + (2 * l + 1) * math.prod(
+            [transfercorr.conjectured_eigenvalue(S, l)] * k)
     return lhs == transfercorr.exact_trace_power(S, k)

@@ -9,6 +9,7 @@ import oracles
 
 from qvbs.cgproj import (
     BudgetError,
+    Projector,
     _reduces_to_zero,
     bond_product,
     check_divisibility,
@@ -16,7 +17,6 @@ from qvbs.cgproj import (
     exact_dot,
     hamiltonian,
     highest_weight,
-    projector,
     rep_basis,
     sector_system,
     spin2_reference_quotients,
@@ -101,16 +101,15 @@ def _pair(row, col):
 
 
 def test_sector_inverse_identity():
-    # rows D_J / n_J invert B from both sides: D @ B = diag(n) and
-    # sum_J B[:, J] D_J prod_{K != J} n_K = prod_K n_K * I
+    # rows D_J / n_J invert B = [cols] from both sides: D @ B = diag(n) and
+    # sum_J cols_J D_J prod_{K != J} n_K = prod_K n_K * I
     for S in (1, 2):
         for w, sec in sector_system(S).items():
             n = len(sec.pairs)
             assert len(sec.Js) == n
             for j in range(n):
-                col_k = [[row[k] for row in sec.B] for k in range(n)]
                 for k in range(n):
-                    acc = _pair(sec.duals[j], col_k[k])
+                    acc = _pair(sec.duals[j], sec.cols[k])
                     assert acc == (sec.norms[j] if j == k else LaurentQ.zero())
             full = LaurentQ.one()
             for nj in sec.norms:
@@ -123,7 +122,7 @@ def test_sector_inverse_identity():
                         for k in range(n):
                             if k != j:
                                 others = others * sec.norms[k]
-                        acc = acc + sec.B[p][j] * sec.duals[j][r] * others
+                        acc = acc + sec.cols[j][p] * sec.duals[j][r] * others
                     assert acc == (full if p == r else LaurentQ.zero())
 
 
@@ -138,7 +137,7 @@ def test_projector_idempotent_orthogonal_complete_exact():
             assert all(not nj.is_zero for nj in sec.norms)
             for j in range(n):
                 for k in range(n):
-                    acc = _pair(sec.duals[j], [row[k] for row in sec.B])
+                    acc = _pair(sec.duals[j], sec.cols[k])
                     assert acc == (sec.norms[j] if j == k else LaurentQ.zero())
 
 
@@ -194,7 +193,7 @@ def test_projector_defining_property_exact():
                 v = [amps.get(p, LaurentQ.zero()) for p in sec.pairs]
                 for j, J in enumerate(sec.Js):
                     s = exact_dot(sec.duals[j], v)
-                    out = [row[j] * s for row in sec.B]
+                    out = [c * s for c in sec.cols[j]]
                     norm = sec.norms[j] if J == K else LaurentQ.zero()
                     assert out == [norm * a for a in v], (S, J, K)
 
@@ -202,9 +201,9 @@ def test_projector_defining_property_exact():
 def test_projector_dense_idempotent_numeric():
     for S in (1, 2):
         for J in range(S + 1, 2 * S + 1):
-            P = projector(S, J).to_dense(Q0)
+            P = Projector(S, J).to_dense(Q0)
             assert np.abs(P @ P - P).max() < 1e-9
-    total = sum(projector(2, J).to_dense(Q0) for J in range(0, 5))
+    total = sum(Projector(2, J).to_dense(Q0) for J in range(0, 5))
     assert np.abs(total - np.eye(25)).max() < 1e-9
 
 
@@ -212,7 +211,7 @@ def test_projector_dense_entries_match_sector_data():
     # entry (v, w) = col_J[v] dual_J[w] / (n_J W_w) * sqrt(W_v W_w), W the
     # pair radicand weights, evaluated in exact rationals up to one sqrt
     S, J = 2, 3
-    P = projector(S, J)
+    P = Projector(S, J)
     D = P.to_dense(Q0)
     for w, sec in sector_system(S).items():
         if J not in sec.Js:
@@ -222,7 +221,7 @@ def test_projector_dense_entries_match_sector_data():
              for a, b in sec.pairs]
         for iv, vp in enumerate(sec.pairs):
             for iw, wp in enumerate(sec.pairs):
-                rat = (sec.B[iv][j] * sec.duals[j][iw]).eval_fraction(Q0) / (
+                rat = (sec.cols[j][iv] * sec.duals[j][iw]).eval_fraction(Q0) / (
                     sec.norms[j].eval_fraction(Q0) * W[iw])
                 ref = float(rat) * math.sqrt(W[iv] * W[iw])
                 got = D[P.pair_index(vp), P.pair_index(wp)]
@@ -230,7 +229,7 @@ def test_projector_dense_entries_match_sector_data():
 
 
 def test_low_spin_projector_rank():
-    total = sum(projector(2, J).to_dense(Q0) for J in (0, 1, 2))
+    total = sum(Projector(2, J).to_dense(Q0) for J in (0, 1, 2))
     assert np.linalg.matrix_rank(total) == 9
 
 
@@ -307,7 +306,7 @@ def test_hamiltonian_matches_bondwise_tensordot(S, L, boundary):
     d = 2 * S + 1
     dim = d ** L
     coeffs = {2 * S: 2.5}
-    local = sum(coeffs.get(J, 1.0) * projector(S, J).to_dense(Q0)
+    local = sum(coeffs.get(J, 1.0) * Projector(S, J).to_dense(Q0)
                 for J in range(S + 1, 2 * S + 1))
 
     def on_bond(k):

@@ -69,8 +69,8 @@ def test_state_csv_matches_exact_amplitudes(capsys, argv, state):
 
 
 # sha256 of the CSV stdout: each value is a correctly rounded exact
-# amplitude times correctly rounded roots, so the bytes do not depend on the
-# platform
+# amplitude times correctly rounded roots (math.sqrt, not libm's pow), so the
+# bytes do not depend on the platform
 STATE_CSV_DIGESTS = {
     ("--spin", "2", "--length", "4", "--q", "4/5"):
         "86073d1bbf2da954afff5fda1b20162e4d428007ffc45b73ba27ff033fb297ea",

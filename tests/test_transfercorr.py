@@ -159,12 +159,12 @@ def test_eigensystem_properties():
 
 
 def test_eigensystem_gap_error():
-    fake = np.diag([2.0, 2.0, 1.0, 0.5])
-    with pytest.raises(SpectralGapError):
-        eigensystem(fake)
-    fake2 = np.diag([2.0, -2.0, 1.0, 0.5])
-    with pytest.raises(SpectralGapError):
-        eigensystem(fake2)
+    # a degenerate top eigenvalue, then one of equal magnitude: eigensystem
+    # groups them and the spectral data's gap check rejects both
+    for fake in (np.diag([2.0, 2.0, 1.0, 0.5]), np.diag([2.0, -2.0, 1.0, 0.5])):
+        es = eigensystem(fake)
+        with pytest.raises(SpectralGapError):
+            transfercorr._require_gap(es)
 
 
 def test_conjectured_eigenvalue_exact_s2():
@@ -313,6 +313,13 @@ def test_diag_block_values_isotropic():
     block = transfer_diag_block_exact(2)
     at1 = [[float(e.eval_fraction(Fraction(1))) for e in row] for row in block]
     assert at1 == [[4.0, 12.0, 24.0], [12.0, 16.0, 12.0], [24.0, 12.0, 4.0]]
+
+
+@pytest.mark.parametrize("S", range(1, 7))
+def test_diag_block_matches_the_conjugated_core_block(S):
+    # the entry rule's a = b rows, key for key D0 N0 D0^-1 of the core
+    assert ([[e.key() for e in row] for row in transfer_diag_block_exact(S)]
+            == [[e.key() for e in row] for row in oracles.transfer_diag_block(S)])
 
 
 def test_closed_form_vs_thermo():

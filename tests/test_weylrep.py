@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from qvbs.qnum import LaurentQ, q_factorial, q_integer
+from qvbs.qnum import LaurentQ, q_factorial, q_factorials, q_integer
 from qvbs.weylrep import (
     HGEN,
     QH,
@@ -16,6 +17,7 @@ from qvbs.weylrep import (
     bond_factor,
     coproduct_apply,
     poly_to_spin,
+    site_roots,
     weight_radicand,
 )
 
@@ -127,8 +129,20 @@ def test_poly_to_spin_highest_weight():
     assert st.amps[(2,)] == LaurentQ.one() and st.prefactor == ()
     # bookkeeping: coefficient 1 times sqrt([4]! [0]!)
     q0 = Fraction(4, 5)
-    assert st.float_amplitudes(q0)[(2,)] == pytest.approx(
-        q_factorial(4).eval_float(q0) ** 0.5, rel=1e-15)
+    assert st.float_values(q0).tolist() == pytest.approx([
+        q_factorial(4).eval_float(q0) ** 0.5], rel=1e-15)
+
+
+def test_site_roots_are_correctly_rounded():
+    # math.sqrt of the radicand's float, which IEEE 754 rounds correctly; a
+    # pow(x, 0.5) from libm need not be, and then bytes depend on the platform
+    for q in ("1/2", "5/7", "1", "7/5", "7/3"):
+        q0 = Fraction(q)
+        table = q_factorials(q0)
+        for S in range(1, 9):
+            assert site_roots(S, q0).tolist() == [
+                math.sqrt(table.eval_float((S + m, S - m)))
+                for m in range(-S, S + 1)]
 
 
 def test_poly_to_spin_zero_and_errors():
