@@ -244,11 +244,12 @@ def _check_charge_support(W):
     [digit, i, j] off j - i = m, m = S - digit, is exactly 0.
 
     W is checked rather than the halves: far from q = 1 the halves' zero
-    entries can be 0 * inf = NaN."""
+    entries can be 0 * inf = NaN. W's nonzero entries are counted against
+    those on its bands, diagonal m of W[S - m], so no mask or copy of W is
+    formed (a mask's broadcast comparison held 2.2 times W in numpy)."""
     S = W.shape[1] - 1
-    aux = np.arange(S + 1)
-    off = (aux - aux[:, None]) != (S - np.arange(2 * S + 1))[:, None, None]
-    if W[off].any():
+    band = sum(np.count_nonzero(W[S - m].diagonal(m)) for m in range(-S, S + 1))
+    if np.count_nonzero(W) != band:
         raise AssertionError("site tensor has an entry off j - i = m at S=%d"
                              % S)
 
@@ -300,15 +301,20 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     # each for even L; the marginal; for one delta its pairs' rows of the
     # halves, its indices, its largest chunk of c rows and that chunk's sums,
     # or, while the h-site half is built, that half at h-1 sites; W; and 2048
-    # for the site tensor's exact evaluation and the arrays' headers
+    # for the arrays' headers
     block = max((S + 2 - abs(delta)) * (ns + nt) + c * nt
                 + (2 * nt if r > h else c)
                 for delta in range(-S, S + 1)
                 for ns, nt in [(cs[h * S + delta], ct[(L - h) * S - delta])]
                 for c in [min(max(1, _BLOCK // nt), group)])
+    # and W's exact evaluation, in bytes: per entry, its q-free layout (at
+    # most 256 B) and its share of the q-factorial integers, O(S) of about
+    # S^2 log2(nd) bits at q = n/d (measured below 0.6 S log2(nd) B)
+    n, dq = Fraction(q0).as_integer_ratio()
+    exact = K * (256 + S * (n * dq).bit_length())
     check_budget(8 * ((K + 1) * (d ** h + ncols * (L % 2))
                       + (d ** h if r <= h else d * ncols)
-                      + max(block, K * d ** (h - 1)) + d * K + 2048),
+                      + max(block, K * d ** (h - 1)) + d * K + 2048) + exact,
                  "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
     W = tensor_g(S).phys_matrices(q0)
     _check_charge_support(W)

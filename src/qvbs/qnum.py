@@ -116,18 +116,12 @@ class LaurentQ:
                 c[e] = s
             else:
                 c.pop(e, None)
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = c
-        out._key = None
-        return out
+        return _laurent(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = {e: -v for e, v in self._c.items()}
-        out._key = None
-        return out
+        return _laurent({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -153,26 +147,17 @@ class LaurentQ:
                     c[e] = s
                 else:
                     c.pop(e, None)
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = c
-        out._key = None
-        return out
+        return _laurent(c)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by q**k."""
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = {e + k: v for e, v in self._c.items()}
-        out._key = None
-        return out
+        return _laurent({e + k: v for e, v in self._c.items()})
 
     def bar(self):
         """The involution q -> 1/q."""
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = {-e: v for e, v in self._c.items()}
-        out._key = None
-        return out
+        return _laurent({-e: v for e, v in self._c.items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -219,9 +204,8 @@ class LaurentQ:
                     num[ne] = s
                 else:
                     num.pop(ne, None)
-        qpoly = LaurentQ({e + sh_s - sh_o: v for e, v in quot.items()})
-        rpoly = LaurentQ({e + sh_s: v for e, v in num.items()})
-        return qpoly, rpoly
+        return (_laurent({e + sh_s - sh_o: v for e, v in quot.items()}),
+                _laurent({e + sh_s: v for e, v in num.items()}))
 
     def divide_exact(self, other):
         q, r = self.divmod_by(other)
@@ -279,10 +263,7 @@ class LaurentQ:
         g = math.gcd(*self._c.values())
         if self._c[max(self._c)] < 0:
             g = -g
-        out = LaurentQ.__new__(LaurentQ)
-        out._c = {e: v // g for e, v in self._c.items()}
-        out._key = None
-        return out
+        return _laurent({e: v // g for e, v in self._c.items()})
 
     def to_json_obj(self):
         return {str(e): str(v) for e, v in sorted(self._c.items())}
@@ -302,6 +283,15 @@ class LaurentQ:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _laurent(c):
+    """A LaurentQ around c, exponent -> coefficient already in normal form:
+    int keys and nonzero int values, the dict not shared."""
+    out = LaurentQ.__new__(LaurentQ)
+    out._c = c
+    out._key = None
+    return out
 
 
 def laurent_gcd(a, b):

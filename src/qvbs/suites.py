@@ -253,7 +253,7 @@ def suite_oracle_closure():
 
 def suite_algebra():
     """Operator identities of the deformed algebra on the polynomial spaces."""
-    comm_ok = True
+    comm_ok = boson_ok = True
     for a in range(0, 9):
         for b in range(0, 9 - a):
             p = SitePoly.monomial({1: (a, b)})
@@ -268,10 +268,6 @@ def suite_algebra():
                 moved = apply_generator(p, gen, 1)
                 comm_ok = comm_ok and apply_generator(moved, QH, 1) == moved.scale(
                     LaurentQ.q_power(w + sgn))
-    boson_ok = True
-    for a in range(0, 9):
-        for b in range(0, 9 - a):
-            p = SitePoly.monomial({1: (a, b)})
             l1 = (apply_boson(apply_boson(p, "adag", 1), "a", 1)
                   - apply_boson(apply_boson(p, "a", 1), "adag", 1).scale(
                       LaurentQ.q_power(1)))

@@ -9,7 +9,6 @@ evaluation modulo primes under proved degree and height bounds.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +17,7 @@ import numpy as np
 
 from .cgproj import (bond_list, bond_product, charge_chain_state, check_budget,
                      open_prefactor, upper_dual_rows)
-from .qnum import PRIMES, Batch, LaurentQ, primes_for_height
+from .qnum import PRIMES, Batch, primes_for_height
 from .weylrep import SitePoly, StateVector, poly_to_spin
 
 
@@ -56,18 +55,15 @@ def random_weight_zero_state(S, L, seed=0):
     """Seeded random total-weight-zero state; the negative control."""
     _check_state_args(S, L)
     rng = random.Random(seed)
-    amps = {}
     # every m tuple with the first site the fastest digit, weight zero kept,
-    # each drawing one coefficient in that order
+    # each drawing one coefficient in that order; the state drops the zeros
     d = 2 * S + 1
     mvecs = S - np.indices((d,) * L).reshape(L, -1)[::-1].T
-    for mvec in mvecs[mvecs.sum(axis=1) == 0].tolist():
-        c = rng.randint(-9, 9)
-        if c:
-            amps[tuple(mvec)] = LaurentQ.const(c)
-    if not amps:
+    state = StateVector(S, L, {tuple(mvec): rng.randint(-9, 9) for mvec
+                               in mvecs[mvecs.sum(axis=1) == 0].tolist()})
+    if state.is_zero:
         raise AssertionError("empty control state; change the seed")
-    return StateVector(S, L, amps)
+    return state
 
 
 # The screen point: 16807 = 7**5 generates the multiplicative group of
@@ -217,16 +213,9 @@ def verify_annihilation(state, boundary="periodic", bonds=None):
         if not (1 <= k <= L and 1 <= l <= L and k != l):
             raise ValueError("bond (%s, %s) is not two sites of 1..%d"
                              % (k, l, L))
-    # a key off the digits 0..2S would read as another pair on the bond
-    allowed = set(range(-S, S + 1))
-    if not (set(map(len, state.amps)) <= {L}
-            and allowed.issuperset(itertools.chain.from_iterable(state.amps))):
-        bad = next(k for k in state.amps
-                   if len(k) != L or not allowed.issuperset(k))
-        raise ValueError("amplitude key %r is not %d integers in -%d..%d"
-                         % (bad, L, S, S))
-    layout = _dual_layout(S)
+    # the state's layout checks its keys before the sector system is built
     distinct, which, digits = state.layout()
+    layout = _dual_layout(S)
     amps = Batch(distinct)
     amp, entry, bounds, comp_bond, comp_J = _components(S, digits, bonds,
                                                         layout)

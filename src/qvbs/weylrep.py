@@ -35,13 +35,7 @@ class SitePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not isinstance(v, LaurentQ):
-                    v = LaurentQ.const(v)
-                if not v.is_zero:
-                    self.terms[_norm_key(k)] = v
+        self.terms = _nonzero_coeffs(terms, _norm_key)
 
     @classmethod
     def zero(cls):
@@ -143,6 +137,18 @@ def _wrap(terms):
     """A SitePoly around terms already in normal form."""
     out = SitePoly.__new__(SitePoly)
     out.terms = terms
+    return out
+
+
+def _nonzero_coeffs(coeffs, key):
+    """{key(k): v} over the items k: v of the mapping coeffs, or of none
+    for None, whose value is nonzero; an int v is read as a constant."""
+    out = {}
+    for k, v in (coeffs or {}).items():
+        if not isinstance(v, LaurentQ):
+            v = LaurentQ.const(v)
+        if not v.is_zero:
+            out[key(k)] = v
     return out
 
 
@@ -301,13 +307,7 @@ class StateVector:
     def __init__(self, S, L, amps=None, prefactor=()):
         self.S = S
         self.L = L
-        self.amps = {}
-        if amps:
-            for k, v in amps.items():
-                if not isinstance(v, LaurentQ):
-                    v = LaurentQ.const(v)
-                if not v.is_zero:
-                    self.amps[tuple(k)] = v
+        self.amps = _nonzero_coeffs(amps, tuple)
         self.prefactor = tuple(prefactor)
         self._layout = None
 
@@ -323,15 +323,24 @@ class StateVector:
         amps is immutable by convention: the distinct amplitudes in order of
         first appearance and, per key of amps in its order, the index of its
         amplitude and the row of its sites' digits S - m, as read-only intp
-        arrays."""
+        arrays. A key that is not L integers in -S..S raises ValueError: it
+        would read as another key's digits, or off the digits 0..2S."""
         if self._layout is None:
+            S, L = self.S, self.L
+            allowed = set(range(-S, S + 1))
+            if not (set(map(len, self.amps)) <= {L} and allowed.issuperset(
+                    itertools.chain.from_iterable(self.amps))):
+                bad = next(k for k in self.amps
+                           if len(k) != L or not allowed.issuperset(k))
+                raise ValueError("amplitude key %r is not %d integers in "
+                                 "-%d..%d" % (bad, L, S, S))
             # keyed by key(), whose tuples compare without a Python __eq__
             first = {}  # key -> (index, first amplitude with that key)
             which = np.array([first.setdefault(a.key(), (len(first), a))[0]
                               for a in self.amps.values()], dtype=np.intp)
-            digits = self.S - np.fromiter(
+            digits = S - np.fromiter(
                 itertools.chain.from_iterable(self.amps), dtype=np.intp,
-                count=len(self.amps) * self.L).reshape(-1, self.L)
+                count=len(self.amps) * L).reshape(-1, L)
             which.flags.writeable = digits.flags.writeable = False
             self._layout = tuple(a for _, a in first.values()), which, digits
         return self._layout
@@ -343,31 +352,27 @@ class StateVector:
         times the prefactor, times its sites' roots in site order. The
         first key, in that order, whose amplitude does not evaluate or is
         not finite raises: OverflowError, or ValueError naming the key."""
-        distinct, which, _ = self.layout()
+        distinct, which, digits = self.layout()
         q0 = Fraction(q0)
         pref = radical_float(self.prefactor, q0)
         root = site_roots(self.S, q0)[::-1]  # indexed by the digit S - m
-        values = []
-        try:
-            for a in distinct:
-                values.append(a.eval_float(q0))
-        except ArithmeticError:
-            # the keys before the first that needs this amplitude come first
-            self._products(values, pref, root,
-                           int(np.argmax(which == len(values))), q0)
-            raise
-        return self._products(values, pref, root, len(which), q0)
-
-    def _products(self, values, pref, root, n, q0):
-        """The first n physical amplitudes of float_values."""
-        _, which, digits = self.layout()
+        values = np.empty(len(distinct))
+        failed = {}  # index of an amplitude that does not evaluate -> error
+        for i, a in enumerate(distinct):
+            try:
+                values[i] = a.eval_float(q0)
+            except ArithmeticError as exc:
+                values[i], failed[i] = np.nan, exc
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.array(values, dtype=float)[which[:n]] * pref
-            for col in digits[:n].T:
+            out = values[which] * pref
+            for col in digits.T:
                 out *= root[col]
         bad = ~np.isfinite(out)
         if bad.any():
-            k = next(itertools.islice(self.amps, int(bad.argmax()), None))
+            first = int(bad.argmax())
+            if int(which[first]) in failed:
+                raise failed[int(which[first])]
+            k = next(itertools.islice(self.amps, first, None))
             raise ValueError("amplitude of %s is not finite at q=%s" % (k, q0))
         return out
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvbs
-from qvbs import cli, suites, transfercorr, vbsstate
+from qvbs import cgproj, cli, suites, transfercorr, vbsstate
 from qvbs.cli import main
 from qvbs.weylrep import StateVector, weight_radicand
 
@@ -363,6 +364,44 @@ def test_correlator_non_finite_exits_2(capsys, monkeypatch):
         assert err.startswith("error:") and "not finite" in err
 
 
+def test_correlator_rows_are_charged_to_the_budget(capsys, monkeypatch):
+    # the 100000 rows, about 34 MB held until the text is written, exited 0
+    monkeypatch.setenv("QVBS_BUDGET_MB", "1")
+    code, out, err = run(capsys, "correlator", "--spin", "1", "--q", "9/10",
+                         "--r-max", "100001")
+    assert code == 2 and out == ""
+    assert err.startswith("error: correlator(S=1, 100000 rows) needs ~37 MB, "
+                          "over the QVBS_BUDGET_MB limit of 1 MB")
+
+
+@pytest.mark.parametrize("argv", (
+    ("--spin", "2", "--q", "1", "--r-max", "501"),
+    ("--spin", "1", "--q", "9/10", "--r-max", "5001"),
+    ("--spin", "3", "--q", "9/10", "--mode", "finite", "--length", "400000",
+     "--r-max", "5001"),
+))
+def test_correlator_row_charge_bounds_the_peak(tmp_path, monkeypatch, argv):
+    # with the spectral data cached, the rows and their text are the peak;
+    # the S = 2 rows carry the closed form
+    out = str(tmp_path / "rows.csv")
+    assert main(["correlator", *argv[:-1], "3", "--output", out]) == 0
+    charged = []
+    check = cgproj.check_budget
+
+    def spy(nbytes, what):
+        if what.startswith("correlator("):
+            charged.append(nbytes)
+        check(nbytes, what)
+    monkeypatch.setattr(cgproj, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        assert main(["correlator", *argv, "--output", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * charged[0] <= peak <= charged[0], (peak, charged)
+
+
 def test_prob_csv(capsys):
     code, out, _ = run(capsys, "prob", "--spin", "2", "--q", "1")
     assert code == 0
@@ -694,3 +733,32 @@ def test_correlator_csv_matches_the_per_r_oracle(capsys, S):
 def test_correlator_range_errors(capsys, argv, err):
     code, out, got = run(capsys, "correlator", *argv)
     assert (code, out, got) == (2, "", "error: %s\n" % err)
+
+
+def _readme_commands():
+    """The qvbs lines of the README's "Command line" block, comments cut."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [line.split("#", 1)[0].split()
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("qvbs ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every documented command exits 0, each writing under tmp_path
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {
+        "state", "eigenvalues", "correlator", "prob", "verify",
+        "reproduce-paper"}
+    for i, argv in enumerate(commands):
+        argv = argv[1:]
+        if "--output" in argv:
+            at = argv.index("--output") + 1
+            argv[at] = str(tmp_path / argv[at])
+        else:
+            argv += ["--output", str(tmp_path / ("%d.out" % i))]
+        assert main(argv) == 0, argv
+    capsys.readouterr()

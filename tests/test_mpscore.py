@@ -446,17 +446,22 @@ def test_two_point_blocks_hold_exactly_their_pairs(monkeypatch, S):
 
 
 @pytest.mark.parametrize("S, L", ((2, 10), (3, 8), (1, 14), (2, 9), (3, 7),
-                                  (1, 13)))
+                                  (1, 13), *((S, 2) for S in range(6, 13))))
 def test_dense_two_point_budget_bounds_the_peak(monkeypatch, S, L):
     # the charge counts what the blocked pass holds: the halves, the largest
     # charge block and the marginal; tracemalloc sees numpy's buffers, and
-    # the charge is within 10% of them
+    # the charge is within 10% of them. At L = 2 the site tensor's exact
+    # evaluation sets the peak, measured with its caches cold, which the
+    # charge bounds with room for warm ones
     charged = []
     monkeypatch.setattr(mpscore, "check_budget",
                         lambda nbytes, what: charged.append(nbytes))
     q0 = Fraction(9, 10)
-    for r in (2, L // 2 + 1):
+    for r in sorted({2, L // 2 + 1}):
         dense_pbc_two_point_sz(S, L, q0, r)  # the site tensor's caches
+        if L == 2:
+            mpscore._radical_layout.cache_clear()
+            qnum.q_factorials.cache_clear()
         charged.clear()
         tracemalloc.start()
         try:
@@ -464,7 +469,8 @@ def test_dense_two_point_budget_bounds_the_peak(monkeypatch, S, L):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.9 * charged[0] <= peak <= charged[0], (r, peak, charged)
+        low = 0.9 if L > 2 else 0.5
+        assert low * charged[0] <= peak <= charged[0], (r, peak, charged)
 
 
 def test_dense_two_point_budget_counts_halves_not_state(monkeypatch):

@@ -359,11 +359,19 @@ def test_annihilation_rejects_bonds_off_the_chain(bond):
     ({(2, -2): 1}, (2, -2)),
     ({(1, -1): 1, (3, -3): 5}, (3, -3)),
     ({(1, 0, -1): 1}, (1, 0, -1)),
+    ({(1, 0, 1): 1, (0, 1): 2}, (1, 0, 1)),
+    ({(5, -7): 1}, (5, -7)),
 ))
 def test_annihilation_rejects_keys_off_the_digits(amps, key):
-    # read as digits, m = 2 on S = 1 wrapped onto another pair of the bond
-    with pytest.raises(ValueError, match=re.escape(repr(key))):
-        verify_annihilation(StateVector(1, 2, amps), "open")
+    # read as digits, m = 2 on S = 1 wrapped onto another pair of the bond.
+    # The state's layout checks the keys for every reader: to_dense and
+    # float_values once read a three-digit key beside a two-digit one as
+    # the digits (0, 1) with no error, and raised IndexError on (5, -7)
+    text = re.escape("amplitude key %r is not 2 integers in -1..1" % (key,))
+    for read in (lambda st: verify_annihilation(st, "open"),
+                 lambda st: st.to_dense(Q0), lambda st: st.float_values(Q0)):
+        with pytest.raises(ValueError, match=text + "$"):
+            read(StateVector(1, 2, amps))
 
 
 def test_screen_alone_decides_a_control(monkeypatch):
