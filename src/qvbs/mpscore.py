@@ -10,7 +10,8 @@ square root, the state's prefactor.
 The dense float oracles contract the chain's two halves from the same
 entries. The two-point one forms and squares every amplitude that the site
 tensor's S^z support allows, and the rest are zero by a support check: each
-call checks that W[m] is zero off j - i = m.
+sweep checks that W[m] is zero off j - i = m. One sweep per (S, L, q) yields
+the joint of sites 1 and r for every r.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cgproj import charge_chain_state, check_budget, open_prefactor
-from .qnum import LaurentQ, q_binomial, q_factorials
+from .qnum import Q_CACHE_SIZE, LaurentQ, q_binomial, q_factorials
 from .weylrep import StateVector
 
 
@@ -221,13 +222,27 @@ def _dense_halves(W, L):
     return B if 2 * h == L else half(h), B
 
 
+def _exact_charge(S, q0):
+    """Bytes that the site tensor's exact evaluation at q0 = n/d holds: per
+    entry, its q-free layout (at most 256 B) and its share of the
+    q-factorial integers, O(S) of about S^2 log2(nd) bits (measured below
+    0.6 S log2(nd) B)."""
+    n, d = Fraction(q0).as_integer_ratio()
+    return (S + 1) ** 2 * (256 + S * (n * d).bit_length())
+
+
 def dense_pbc_state(S, L, q0):
     """Physical amplitudes of the periodic chain as a dense float vector: the
     two `_dense_halves` joined by one GEMM. Raises ValueError when an
     amplitude is not finite in floats (q far from 1)."""
     if L < 1:
         raise ValueError("need L >= 1")
-    check_budget((2 * S + 1) ** L * 8 * 3, "dense_pbc_state(S=%d, L=%d)" % (S, L))
+    d, h, K = 2 * S + 1, L // 2, (S + 1) ** 2
+    # in floats: the state, its finite check and room for one product of
+    # it; the halves and F's reordered copy, which set the peak at small L;
+    # and 2048 for the arrays' headers
+    check_budget(8 * (3 * d ** L + K * (2 * d ** h + d ** (L - h)) + 2048)
+                 + _exact_charge(S, q0), "dense_pbc_state(S=%d, L=%d)" % (S, L))
     with np.errstate(over="ignore", invalid="ignore"):
         F, B = _dense_halves(tensor_g(S).phys_matrices(q0), L)
         # F's rows in B's order: row j (S+1) + i of A is row i (S+1) + j of F
@@ -271,24 +286,8 @@ def _charge_counts(S, n):
     return counts
 
 
-def dense_pbc_two_point_sz(S, L, q0, r):
-    """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state.
-
-    Every amplitude that the site tensor's S^z support allows is formed and
-    squared, and the rest are zero by a support check. Entry (i, j) of W[m]
-    is nonzero only where j - i = m (`_check_charge_support`, on every call),
-    so with h = L // 2 an amplitude joins half strings s and t of total m
-    M(s) = delta and M(t) = -delta over the S+1-|delta| auxiliary pairs
-    (j, i) with j - i = delta, and its total S^z is 0. For each delta in
-    -S..S the pairs' rows of the two `_dense_halves` are gathered once, and
-    their join runs in chunks of at most `_BLOCK` amplitudes (one row at
-    least) that stay within one site-1 digit; each squared chunk is reduced
-    at once, to row sums when r <= h, else to column sums keyed by the
-    site-1 digit. The joint of sites 1 and r is one reshape-sum of that
-    marginal. Memory is O(K d^(L/2) + block).
-    """
-    if not (2 <= r <= L):
-        raise ValueError("need 2 <= r <= L")
+def _two_point_charge(S, L, q0):
+    """Bytes that `_two_point_joints(S, L, q0)` holds at its peak."""
     d = 2 * S + 1
     h = L // 2
     K = (S + 1) ** 2
@@ -297,32 +296,51 @@ def dense_pbc_two_point_sz(S, L, q0, r):
     # rows under one site-1 digit and one delta: at most the most strings of
     # one total m on sites 2..h
     group = max(_charge_counts(S, h - 1))
-    # what the pass holds, in floats: the halves and their charges, one of
-    # each for even L; the marginal; for one delta its pairs' rows of the
-    # halves, its indices, its largest chunk of c rows and that chunk's sums,
-    # or, while the h-site half is built, that half at h-1 sites; W; and 2048
-    # for the arrays' headers
-    block = max((S + 2 - abs(delta)) * (ns + nt) + c * nt
-                + (2 * nt if r > h else c)
+    # what the sweep holds, in floats: the halves and their charges, one of
+    # each for even L; both marginals and the joints; for one delta its
+    # pairs' rows of the halves, its indices, its largest chunk of c rows
+    # and, one after the other, that chunk's row sums and its column sums
+    # with the marginal's entries they add to, or, while the h-site half is
+    # built, that half at h-1 sites; W; and 2048 for the arrays' headers
+    block = max((S + 2 - abs(delta)) * (ns + nt) + c * nt + max(c, 2 * nt)
                 for delta in range(-S, S + 1)
                 for ns, nt in [(cs[h * S + delta], ct[(L - h) * S - delta])]
                 for c in [min(max(1, _BLOCK // nt), group)])
-    # and W's exact evaluation, in bytes: per entry, its q-free layout (at
-    # most 256 B) and its share of the q-factorial integers, O(S) of about
-    # S^2 log2(nd) bits at q = n/d (measured below 0.6 S log2(nd) B)
-    n, dq = Fraction(q0).as_integer_ratio()
-    exact = K * (256 + S * (n * dq).bit_length())
-    check_budget(8 * ((K + 1) * (d ** h + ncols * (L % 2))
-                      + (d ** h if r <= h else d * ncols)
-                      + max(block, K * d ** (h - 1)) + d * K + 2048) + exact,
-                 "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
+    return 8 * ((K + 1) * (d ** h + ncols * (L % 2)) + d ** h + d * ncols
+                + (L - 1) * d * d + max(block, K * d ** (h - 1)) + d * K
+                + 2048) + _exact_charge(S, q0)
+
+
+@lru_cache(maxsize=Q_CACHE_SIZE)
+def _two_point_joints(S, L, q0):
+    """The joint of the squared amplitudes over the digits of sites 1 and r,
+    for r = 2..L, as a read-only array [r - 2, digit 1, digit r]: one sweep
+    over the dense state, kept per (S, L, q0), q0 a Fraction.
+
+    Every amplitude that the site tensor's S^z support allows is formed and
+    squared, and the rest are zero by a support check. Entry (i, j) of W[m]
+    is nonzero only where j - i = m (`_check_charge_support`, on every
+    sweep), so with h = L // 2 an amplitude joins half strings s and t of
+    total m M(s) = delta and M(t) = -delta over the S+1-|delta| auxiliary
+    pairs (j, i) with j - i = delta, and its total S^z is 0. For each delta
+    in -S..S the pairs' rows of the two `_dense_halves` are gathered once,
+    and their join runs in chunks of at most `_BLOCK` amplitudes (one row at
+    least) that stay within one site-1 digit. Each squared chunk is reduced
+    both ways, to row sums over sites 1..h and to column sums keyed by the
+    site-1 digit, and the joint of sites 1 and r is one reshape-sum of the
+    first marginal for r <= h, of the second for r > h. Memory is
+    O(K d^(L/2) + block), charged by `_two_point_charge`.
+    """
+    d = 2 * S + 1
+    h = L // 2
     W = tensor_g(S).phys_matrices(q0)
     _check_charge_support(W)
     ms = _charges(S, h)
     mt = ms if 2 * h == L else _charges(S, L - h)
-    marg = np.zeros(d ** h) if r <= h else np.zeros((d, ncols))
-    # far from q = 1 the squares overflow or the marginals underflow; only
-    # the scalar result is checked
+    rows_marg = np.zeros(d ** h)
+    cols_marg = np.zeros((d, d ** (L - h)))
+    # far from q = 1 the squares overflow or the marginals underflow; the
+    # caller checks its value
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         F, B = _dense_halves(W, L)
         for delta in range(-S, S + 1):
@@ -340,15 +358,35 @@ def dense_pbc_two_point_sz(S, L, q0, r):
                     hi = min(lo + rows, edges[digit + 1])
                     blk = As[:, lo:hi].T @ Bt
                     np.square(blk, out=blk)
-                    if r <= h:
-                        marg[sidx[lo:hi]] = blk.sum(axis=1)
-                    else:
-                        marg[digit, tidx] += blk.sum(axis=0)
+                    rows_marg[sidx[lo:hi]] = blk.sum(axis=1)
+                    cols_marg[digit, tidx] += blk.sum(axis=0)
                     del blk  # before the next chunk's product is formed
             del sidx, tidx, As, Bt  # before the next delta's are gathered
-        skip = r - 2 if r <= h else r - h - 1
-        joint = marg.reshape(d, d ** skip, d, -1).sum(axis=(1, 3))
-        m = S - np.arange(d, dtype=float)
+        joints = np.stack([
+            (rows_marg if r <= h else cols_marg).reshape(
+                d, d ** (r - 2 if r <= h else r - h - 1), d, -1).sum(axis=(1, 3))
+            for r in range(2, L + 1)])
+    joints.flags.writeable = False
+    return joints
+
+
+def dense_pbc_two_point_sz(S, L, q0, r):
+    """Brute-force <S^z_1 S^z_r> on the periodic chain from the dense state.
+
+    The joint of sites 1 and r is read from `_two_point_joints`, one
+    charge-blocked sweep per (S, L, q) that answers every r, kept in an lru
+    of `Q_CACHE_SIZE` entries keyed by Fraction(q0). Each call checks r and
+    then the sweep's charge against the budget, so a lowered QVBS_BUDGET_MB
+    still refuses a cached sweep. Raises ValueError when the value is not
+    finite in floats (q far from 1).
+    """
+    if not (2 <= r <= L):
+        raise ValueError("need 2 <= r <= L")
+    check_budget(_two_point_charge(S, L, q0),
+                 "dense_pbc_two_point_sz(S=%d, L=%d)" % (S, L))
+    joint = _two_point_joints(S, L, Fraction(q0))[r - 2]
+    m = S - np.arange(2 * S + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         val = float(m @ joint @ m / joint.sum())
     if not math.isfinite(val):
         raise ValueError("<S^z S^z> is not finite in floats at S=%d, L=%d, q=%s"

@@ -98,16 +98,10 @@ class LaurentQ:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentQ):
-            return other
-        if isinstance(other, int):
-            return LaurentQ.const(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        try:
+            o = as_laurent(other)
+        except TypeError:
             return NotImplemented
         c = dict(self._c)
         for e, v in o._c.items():
@@ -124,14 +118,16 @@ class LaurentQ:
         return _laurent({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        try:
+            o = as_laurent(other)
+        except TypeError:
             return NotImplemented
         return self + (-o)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        try:
+            o = as_laurent(other)
+        except TypeError:
             return NotImplemented
         if not self._c or not o._c:
             return LaurentQ.zero()
@@ -160,8 +156,9 @@ class LaurentQ:
         return _laurent({-e: v for e, v in self._c.items()})
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        try:
+            o = as_laurent(other)
+        except TypeError:
             return NotImplemented
         return self._c == o._c
 
@@ -285,6 +282,12 @@ class LaurentQ:
     __repr__ = __str__
 
 
+def as_laurent(v):
+    """v if it is a LaurentQ, else the constant v: the one reading of a
+    coefficient. Raises TypeError when v is not an integer."""
+    return v if isinstance(v, LaurentQ) else LaurentQ.const(v)
+
+
 def _laurent(c):
     """A LaurentQ around c, exponent -> coefficient already in normal form:
     int keys and nonzero int values, the dict not shared."""
@@ -327,10 +330,7 @@ class RatQ:
     def __init__(self, num, den=1, reduce=True):
         if isinstance(num, Fraction):
             num, den = num.numerator, num.denominator * den
-        if not isinstance(num, LaurentQ):
-            num = LaurentQ.const(num)
-        if not isinstance(den, LaurentQ):
-            den = LaurentQ.const(den)
+        num, den = as_laurent(num), as_laurent(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if reduce and num.is_zero:

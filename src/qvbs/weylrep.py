@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qnum import LaurentQ, q_factorial, q_factorials, q_integer, radical_float
+from .qnum import (LaurentQ, as_laurent, q_factorial, q_factorials, q_integer,
+                   radical_float)
 
 XPLUS = "X+"
 XMINUS = "X-"
@@ -95,8 +96,7 @@ class SitePoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if not isinstance(c, LaurentQ):
-            c = LaurentQ.const(c)
+        c = as_laurent(c)
         if c.is_zero:
             return SitePoly.zero()
         return _wrap({k: v * c for k, v in self.terms.items()})
@@ -145,8 +145,7 @@ def _nonzero_coeffs(coeffs, key):
     for None, whose value is nonzero; an int v is read as a constant."""
     out = {}
     for k, v in (coeffs or {}).items():
-        if not isinstance(v, LaurentQ):
-            v = LaurentQ.const(v)
+        v = as_laurent(v)
         if not v.is_zero:
             out[key(k)] = v
     return out

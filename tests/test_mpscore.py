@@ -29,6 +29,15 @@ from qvbs.vbsstate import build_open, build_pbc
 Q0 = Fraction(4, 5)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_two_point_sweeps():
+    # a sweep cached by one test would hide what another patches (_BLOCK,
+    # _dense_halves, phys_matrices, check_budget), or leak a patched one
+    mpscore._two_point_joints.cache_clear()
+    yield
+    mpscore._two_point_joints.cache_clear()
+
+
 def test_g_spin1_structure():
     # (sign, twice the q exponent); the radicands [1, i-1] are all 1
     g = tensor_g(1)
@@ -307,6 +316,29 @@ def test_dense_state_bytes_are_pinned(S, L):
     assert h.hexdigest() == DENSE_DIGESTS[(S, L)]
 
 
+@pytest.mark.parametrize("S", range(1, 13))
+def test_dense_state_budget_bounds_the_peak(monkeypatch, S):
+    # at small L the halves, F's reordered copy and the site tensor's exact
+    # evaluation, its caches cold, set the peak rather than the state; the
+    # charge counts all of them
+    charged = []
+    monkeypatch.setattr(mpscore, "check_budget",
+                        lambda nbytes, what: charged.append(nbytes))
+    q0 = Fraction(9, 10)
+    for L in (2, 3):
+        dense_pbc_state(S, L, q0)
+        mpscore._radical_layout.cache_clear()
+        qnum.q_factorials.cache_clear()
+        charged.clear()
+        tracemalloc.start()
+        try:
+            dense_pbc_state(S, L, q0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.3 * charged[0] <= peak <= charged[0], (L, peak, charged)
+
+
 def test_dense_state_far_q_raises_instead_of_nan():
     # the join overflowed and the vector came back with NaN entries
     for q0 in (1e-80, 1e80):
@@ -328,6 +360,73 @@ def test_dense_two_point_range():
         dense_pbc_two_point_sz(1, 4, Q0, 1)
     val = dense_pbc_two_point_sz(1, 6, Q0, 3)
     assert isinstance(val, float)
+
+
+# sha256 over S, L = (1, 10), (2, 9), (3, 7), then q = 1/2, 9/10, 7/4, then
+# r = 2..L, of dense_pbc_two_point_sz(S, L, q, r).hex(); taken when every r
+# ran its own sweep, so one sweep per (S, L, q) changes no bit
+TWO_POINT_DIGEST = \
+    "a4b6c7f5deef290716863d17b4f7090e19a4cb2edd1f6a4c9ea66bce7e23fc36"
+
+
+def test_dense_two_point_bits_are_pinned():
+    h = hashlib.sha256()
+    for S, L in ((1, 10), (2, 9), (3, 7)):
+        for q in ("1/2", "9/10", "7/4"):
+            for r in range(2, L + 1):
+                h.update(dense_pbc_two_point_sz(S, L, Fraction(q), r)
+                         .hex().encode())
+    assert h.hexdigest() == TWO_POINT_DIGEST
+
+
+def test_two_point_sweep_is_shared_by_every_r():
+    # one sweep per (S, L, q) answers every r, and q is keyed exactly
+    info = mpscore._two_point_joints.cache_info
+    for q0 in (Q0, 0.8, Q0):
+        for r in range(2, 7):
+            dense_pbc_two_point_sz(1, 6, q0, r)
+    assert (info().misses, info().hits) == (2, 13)
+
+
+def test_two_point_rejects_r_before_any_sweep():
+    info = mpscore._two_point_joints.cache_info
+    dense_pbc_two_point_sz(1, 5, Q0, 2)
+    misses = info().misses
+    for S, L, r in ((1, 5, 1), (1, 5, 6), (2, 4, 0), (2, 4, -3), (3, 3, 4)):
+        with pytest.raises(ValueError, match=r"need 2 <= r <= L"):
+            dense_pbc_two_point_sz(S, L, Q0, r)
+    assert info().misses == misses
+
+
+def test_cached_two_point_sweep_is_refused_over_budget(monkeypatch):
+    # the budget is checked on every call, as for the CLI's cached states
+    assert dense_pbc_two_point_sz(2, 10, Q0, 3) == dense_pbc_two_point_sz(
+        2, 10, Q0, 3)
+    assert mpscore._two_point_joints.cache_info().hits == 1
+    monkeypatch.setenv("QVBS_BUDGET_MB", "0.5")
+    for r in (3, 7):
+        with pytest.raises(BudgetError,
+                           match=r"dense_pbc_two_point_sz\(S=2, L=10\)"):
+            dense_pbc_two_point_sz(2, 10, Q0, r)
+
+
+def test_cached_two_point_joints_are_read_only():
+    dense_pbc_two_point_sz(2, 6, Q0, 4)
+    joints = mpscore._two_point_joints(2, 6, Q0)
+    assert joints.shape == (5, 5, 5) and not joints.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        joints[2, 0, 0] = 0.0
+    assert dense_pbc_two_point_sz(2, 6, Q0, 4) == pytest.approx(
+        oracles.dense_pbc_two_point_sz(2, 6, Q0, 4), rel=1e-12)
+
+
+def test_two_point_sweep_cache_is_bounded():
+    info = mpscore._two_point_joints.cache_info
+    assert info().maxsize == qnum.Q_CACHE_SIZE
+    for k in range(qnum.Q_CACHE_SIZE + 20):
+        dense_pbc_two_point_sz(1, 2, Fraction(k + 1, k + 2), 2)
+    assert info().currsize == qnum.Q_CACHE_SIZE
+    assert info().misses == qnum.Q_CACHE_SIZE + 20
 
 
 def test_dense_two_point_far_q_raises_instead_of_nan():
@@ -448,11 +547,11 @@ def test_two_point_blocks_hold_exactly_their_pairs(monkeypatch, S):
 @pytest.mark.parametrize("S, L", ((2, 10), (3, 8), (1, 14), (2, 9), (3, 7),
                                   (1, 13), *((S, 2) for S in range(6, 13))))
 def test_dense_two_point_budget_bounds_the_peak(monkeypatch, S, L):
-    # the charge counts what the blocked pass holds: the halves, the largest
-    # charge block and the marginal; tracemalloc sees numpy's buffers, and
-    # the charge is within 10% of them. At L = 2 the site tensor's exact
-    # evaluation sets the peak, measured with its caches cold, which the
-    # charge bounds with room for warm ones
+    # the charge counts what the blocked sweep holds: the halves, the
+    # largest charge block, both marginals and the joints; tracemalloc sees
+    # numpy's buffers, and the charge is within 10% of them. At L = 2 the
+    # site tensor's exact evaluation sets the peak, measured with its caches
+    # cold, which the charge bounds with room for warm ones
     charged = []
     monkeypatch.setattr(mpscore, "check_budget",
                         lambda nbytes, what: charged.append(nbytes))
@@ -462,6 +561,8 @@ def test_dense_two_point_budget_bounds_the_peak(monkeypatch, S, L):
         if L == 2:
             mpscore._radical_layout.cache_clear()
             qnum.q_factorials.cache_clear()
+        # the measured call runs the whole sweep, not a cache hit
+        mpscore._two_point_joints.cache_clear()
         charged.clear()
         tracemalloc.start()
         try:

@@ -15,6 +15,7 @@ from qvbs.qnum import (
     LaurentQ,
     QFactorials,
     RatQ,
+    as_laurent,
     primes_for_height,
     laurent_gcd,
     parse_q,
@@ -26,6 +27,7 @@ from qvbs.qnum import (
     radical_form,
 )
 from qvbs.vbsstate import build_pbc
+from qvbs.weylrep import SitePoly, StateVector
 
 
 def test_q_integer_basics():
@@ -193,6 +195,29 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a - a).is_zero
+
+
+def test_one_coercion_reads_every_coefficient():
+    # an int is the constant, a LaurentQ itself; anything else is refused
+    # where a coefficient is read, and the operators defer to the other side
+    p = LaurentQ({-1: 2, 3: -1})
+    assert as_laurent(p) is p and as_laurent(-4) == LaurentQ({0: -4})
+    assert p + 3 == 3 + p == p + LaurentQ.const(3)
+    assert p * 3 == 3 * p == p * LaurentQ.const(3) and p - 1 == p + (-1)
+    assert (p == 5, LaurentQ.const(5) == 5, p == "p") == (False, True, False)
+    r = RatQ(6, 4)
+    assert (r.num, r.den) == (LaurentQ.const(3), LaurentQ.const(2))
+    assert SitePoly.monomial({1: (1, 0)}).scale(2) == \
+        SitePoly.monomial({1: (1, 0)}) * LaurentQ.const(2)
+    assert StateVector(1, 2, {(1, -1): 2, (0, 0): 0}).amps == {
+        (1, -1): LaurentQ.const(2)}
+    for bad in (Fraction(1, 2), 0.5):
+        for op in (lambda: p + bad, lambda: bad * p, lambda: p - bad,
+                   lambda: RatQ(LaurentQ.one(), bad),
+                   lambda: SitePoly.monomial({1: (1, 0)}).scale(bad),
+                   lambda: StateVector(1, 2, {(1, -1): bad})):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_coefficients_are_integers_only():
