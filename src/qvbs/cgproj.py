@@ -3,15 +3,15 @@ orbit bases, orthogonal spin-J projectors, Hamiltonian assembly, and the
 divisibility checker for the bond product.
 
 Everything exact runs per weight sector: a fixed total weight w selects one
-vector from each total spin J >= |w|, so the change of basis splits into
-blocks of dimension at most 2S+1. The q-Clebsch-Gordan vectors are
-orthogonal under the pair weights W, so each block is inverted by its
-weighted transpose (dual rows over norms n_J) with no elimination at all.
-That orthogonality is proved, not checked entry by entry: Delta(X-) and
-Delta(X+) are adjoint under W and satisfy [X+, X-] = [H] on every pair
-monomial, and each highest-weight vector is annihilated by raising (see
-`sector_system`). Orbit vectors are kept primitive, over the gcd of their
-coefficients, so the products that build the duals stay small.
+vector from each total spin J >= |w|. The q-Clebsch-Gordan vectors are
+orthogonal under the pair weights W, so each row of the inverse change of
+basis is a weighted orbit vector (a dual row over its norm n_J), and each
+spin-J block is built on its own when read (`sector_system(S, J)`); the
+Hamiltonian and the two-site lemma read J > S alone. The orthogonality is
+proved once per S: Delta(X-) and Delta(X+) are adjoint under W and satisfy
+[X+, X-] = [H] on every pair monomial, and each highest-weight vector is
+annihilated by raising. Orbit vectors are kept primitive, over the gcd of
+their coefficients, so the products that build the duals stay small.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ def rep_basis(S, J):
     lemma, and each lowered vector is put over the gcd of its coefficients
     before it is lowered again.
     """
-    if not (0 <= J <= 2 * S):
-        raise ValueError("need 0 <= J <= 2S")
     v = highest_weight(S, J)
     orbit = [v]
     for _ in range(2 * J):
@@ -111,16 +109,6 @@ def rep_basis(S, J):
     if not coproduct_apply(orbit[-1], XMINUS, (1, 2)).is_zero:
         raise AssertionError("orbit of J=%d did not terminate" % J)
     return orbit
-
-
-@dataclass
-class SectorData:
-    w: int
-    pairs: list        # (m1, m2) with m1 + m2 = w, m1 descending
-    Js: list           # total spins contributing to this sector, ascending
-    cols: list         # cols[j] = orbit vector of Js[j] over the pairs
-    duals: list        # duals[j] ~ W o cols[j], W the radicand weights
-    norms: list        # norms[j] = duals[j] . cols[j]; duals[j] . cols[k] = 0
 
 
 def _pair_weight(S, pair):
@@ -224,65 +212,61 @@ def _certify_orthogonality(S):
 
 
 @lru_cache(maxsize=None)
-def sector_system(S):
-    """Per-weight change of basis between the pair basis and the J basis.
-
-    The squared norm of the physical basis on a monomial-gauge pair (m1, m2)
-    is the radicand weight W = [S+m1]! [S-m1]! [S+m2]! [S-m2]!, and the
-    orbit vectors of distinct J are orthogonal under W, as
-    `_certify_orthogonality` proves; so with B the matrix of the orbit
-    columns cols[J], B^T W B is diagonal and row J of the inverse of B is
-    the dual row W o cols[J] over its norm n_J. The weights of a sector are
-    divided by their gcd before they meet the primitive orbit columns, and
-    the stored dual is that row over the gcd of its entries; n_J scales with
-    it. Only the diagonal n_J is formed: a nonzero n_J for every J makes B
-    invertible and the spin-J projectors orthogonal.
-    """
+def _sector_frame(S):
+    """{w: (pairs, weights)} for w = -2S..2S: the pairs (m1, w - m1), m1
+    descending, and their `_pair_weight`s over the gcd of the sector's,
+    formed after the orthogonality that every spin block relies on."""
     _certify_orthogonality(S)
-    orbit_amps = {}
-    for J in range(0, 2 * S + 1):
-        for t, poly in enumerate(rep_basis(S, J)):
-            orbit_amps[(J, t)] = poly_to_spin(poly, S, (1, 2)).amps
-    sectors = {}
+    frame = {}
     for w in range(-2 * S, 2 * S + 1):
         pairs = [(m1, w - m1)
                  for m1 in range(min(S, w + S), max(-S, w - S) - 1, -1)]
-        Js = list(range(abs(w), 2 * S + 1))
-        cols = [[orbit_amps[(J, J - w)].get(p, LaurentQ.zero()) for p in pairs]
-                for J in Js]
-        weights = _divide_content([_pair_weight(S, p) for p in pairs])
-        duals = [_divide_content([f * c for f, c in zip(weights, col)])
-                 for col in cols]
-        norms = [exact_dot(dual, col) for dual, col in zip(duals, cols)]
-        for J, n in zip(Js, norms):
-            if n.is_zero:
-                raise AssertionError("sector w=%d: orbit vector J=%d has zero "
-                                     "norm" % (w, J))
-        sectors[w] = SectorData(w, pairs, Js, cols, duals, norms)
-    return sectors
+        frame[w] = pairs, _divide_content([_pair_weight(S, p) for p in pairs])
+    return frame
+
+
+@lru_cache(maxsize=None)
+def sector_system(S, J):
+    """The spin-J block of the change of basis between the pair basis and
+    the J basis: {w: (pairs, col, dual, norm)} for w = J..-J.
+
+    The squared norm of the physical basis on a monomial-gauge pair (m1, m2)
+    is the radicand weight W = [S+m1]! [S-m1]! [S+m2]! [S-m2]!, and orbit
+    vectors of distinct J are orthogonal under W (`_certify_orthogonality`,
+    run by the frame before any block); so with B a sector's orbit columns,
+    B^T W B is diagonal and row J of B^-1 is the dual row W o col over its
+    norm n_J, which needs no other J. The weights come over their gcd and
+    the dual over the gcd of its entries; n_J scales with it and is checked
+    nonzero, so the spin-J projector is well defined.
+    """
+    frame = _sector_frame(S)
+    block = {}
+    for t, poly in enumerate(rep_basis(S, J)):
+        pairs, weights = frame[J - t]
+        amps = poly_to_spin(poly, S, (1, 2)).amps
+        col = [amps.get(p, LaurentQ.zero()) for p in pairs]
+        dual = _divide_content([f * c for f, c in zip(weights, col)])
+        norm = exact_dot(dual, col)
+        if norm.is_zero:
+            raise AssertionError("sector w=%d: orbit vector J=%d has zero "
+                                 "norm" % (J - t, J))
+        block[J - t] = pairs, col, dual, norm
+    return block
 
 
 class Projector:
     """Orthogonal projector onto the total-spin-J block of the two-site space.
 
-    Exact data lives sector by sector as a rank-one core: the orbit column of
-    J times its dual row over the norm n_J. Physical-basis entries carry the
-    usual sqrt-normalization dressing; `to_dense` evaluates them at a point
-    q0.
+    Exact data is the spin-J block `sector_system(S, J)`, one rank-one core
+    per sector: the orbit column of J times its dual row over the norm n_J.
+    Physical-basis entries carry the usual sqrt-normalization dressing;
+    `to_dense` evaluates them at a point q0.
     """
 
     def __init__(self, S, J):
-        if not (0 <= J <= 2 * S):
-            raise ValueError("need 0 <= J <= 2S")
         self.S = S
         self.J = J
-        self.dim = (2 * S + 1) ** 2
-        self._cores = {}
-        for w, sec in sector_system(S).items():
-            if J not in sec.Js:
-                continue
-            j = sec.Js.index(J)
-            self._cores[w] = (sec.pairs, sec.cols[j], sec.duals[j], sec.norms[j])
+        self._cores = sector_system(S, J)
 
     def pair_index(self, pair):
         m1, m2 = pair
@@ -311,11 +295,10 @@ def upper_dual_rows(S):
     A two-site vector is annihilated by every projector with J > S exactly
     when all these rows pair to zero against its monomial-gauge amplitudes.
     """
-    out = {}
-    for w, sec in sector_system(S).items():
-        rows = [(J, dual) for J, dual in zip(sec.Js, sec.duals) if J > S]
-        out[w] = (sec.pairs, rows)
-    return out
+    blocks = {J: sector_system(S, J) for J in range(S + 1, 2 * S + 1)}
+    return {w: (pairs, [(J, block[w][2]) for J, block in blocks.items()
+                        if w in block])
+            for w, (pairs, _) in _sector_frame(S).items()}
 
 
 def bond_list(L, boundary):
@@ -346,24 +329,40 @@ def open_prefactor(S, p1, p2):
 @dataclass
 class BondHamiltonian:
     """Sum over bonds (k, l) of the local h on sites k and l; only H @ v is
-    defined, for v of length d^L or a (d^L, n) block. h acts on each bond's
-    axis pair of the (d,)*L view, so the wrap bond (L, 1) is one more pair."""
+    defined, for v of length d^L or a (d^L, n) block. Bond (k, k+1) is one
+    GEMM of h as a (d^2, d^2) matrix on the view (d^(k-1), d^2, rest) of v;
+    the wrap bond (L, 1) gathers its two axes in front first."""
 
     h: np.ndarray  # [a', b', a, b] with a on the bond's first site
     L: int
     bonds: list
 
     def __matmul__(self, v):
-        v = np.asarray(v, dtype=float)
-        d = self.h.shape[0]
-        # held at once: input, accumulator, tensordot's copy and its result
-        check_budget(4 * 8 * v.size, "hamiltonian(S=%d, L=%d)" % (d // 2, self.L))
-        psi = v.reshape((d,) * self.L + v.shape[1:])
-        out = np.zeros_like(psi)
+        v = np.ascontiguousarray(v, dtype=float)
+        d, L = self.h.shape[0], self.L
+        # held at once: input, accumulator and one bond's product, or the
+        # wrap bond's gathered copy and a d-th of its product
+        check_budget(4 * 8 * v.size, "hamiltonian(S=%d, L=%d)" % (d // 2, L))
+        if v.shape[:1] != (d ** L,):
+            raise ValueError("H @ v needs %d rows, not %s" % (d ** L, v.shape))
+        h2, n = self.h.reshape(d * d, d * d), v.size // d ** L
+        out = np.zeros(v.size)
         for k, l in self.bonds:
-            out += np.moveaxis(
-                np.tensordot(self.h, psi, axes=([2, 3], [k - 1, l - 1])),
-                (0, 1), (k - 1, l - 1))
+            rest = d ** (L - l) * n
+            if l != k + 1:
+                # the wrap bond: axes (site L, site 1) in front, as h reads
+                # them, and the product formed one site-1 digit at a time
+                pair = v.reshape(d, -1, d, n).transpose(2, 0, 1, 3)
+                pair = pair.reshape(d * d, -1)
+                acc = out.reshape(d, -1, d, n)
+                for a in range(d):
+                    acc[a] += (h2[a::d] @ pair).reshape(d, -1, n).swapaxes(0, 1)
+            elif rest == 1:
+                acc = out.reshape(-1, d * d)
+                acc += v.reshape(-1, d * d) @ h2.T
+            else:
+                acc = out.reshape(-1, d * d, rest)
+                acc += np.matmul(h2, v.reshape(-1, d * d, rest))
         return out.reshape(v.shape)
 
 
@@ -371,7 +370,8 @@ def hamiltonian(S, L, q0, boundary="periodic", coeffs=None):
     """Sum of two-site projector embeddings as an operator at numeric q0.
 
     coeffs maps J in (S, 2S] to a finite weight >= 0; missing entries get 1.
-    Site 1 is the most significant digit of the basis index.
+    Only the spin blocks J = S+1..2S are built. Site 1 is the most
+    significant digit of the basis index.
     """
     if S < 1:
         raise ValueError("need S >= 1")

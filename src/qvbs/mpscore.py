@@ -277,13 +277,15 @@ def _charges(S, n):
     return tot
 
 
+@lru_cache(maxsize=None)
 def _charge_counts(S, n):
-    """Number of n-site digit strings of each total m = -nS..nS, as ints."""
+    """Number of n-site digit strings of each total m = -nS..nS, as a tuple
+    of ints, formed once per (S, n)."""
     counts = [1]
     for _ in range(n):
         counts = [sum(counts[max(0, k - 2 * S):k + 1])
                   for k in range(len(counts) + 2 * S)]
-    return counts
+    return tuple(counts)
 
 
 def _two_point_charge(S, L, q0):

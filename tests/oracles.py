@@ -36,6 +36,11 @@ primitive: the orbit lowered with no content removed, the full pair weights,
 then each row W o B over the gcd of its entries; the tests compare the two
 key for key.
 
+`bond_apply_tensordot` is H @ v bond by bond through `np.tensordot` over
+the bond's two axes of the (d,)*L view, each result moved back in place,
+so the tests can compare `cgproj.BondHamiltonian`'s contiguous GEMMs with
+it.
+
 `radical_layout` pairs the site-tensor radicands as expanded polynomials,
 sorted by their coefficients, so the tests can compare it with
 `mpscore._radical_layout`, which names each radicand by its q-factorials
@@ -95,6 +100,21 @@ def sector_duals(S):
                                    for f, p in zip(weights, pairs)])
                   for J in range(abs(w), 2 * S + 1)]
     return out
+
+
+def bond_apply_tensordot(H, v):
+    """H @ v for a `cgproj.BondHamiltonian` H, v of length d^L or a (d^L, n)
+    block: per bond (k, l), h contracted with the sites k and l axes of v
+    and moved back onto them."""
+    v = np.asarray(v, dtype=float)
+    d = H.h.shape[0]
+    psi = v.reshape((d,) * H.L + v.shape[1:])
+    out = np.zeros_like(psi)
+    for k, l in H.bonds:
+        out += np.moveaxis(
+            np.tensordot(H.h, psi, axes=([2, 3], [k - 1, l - 1])),
+            (0, 1), (k - 1, l - 1))
+    return out.reshape(v.shape)
 
 
 def radical_layout(S, entries):

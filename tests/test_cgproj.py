@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +22,28 @@ from qvbs.cgproj import (
     rep_basis,
     sector_system,
     spin2_reference_quotients,
+    upper_dual_rows,
 )
 from qvbs.qnum import LaurentQ, laurent_gcd
 from qvbs.weylrep import (XPLUS, SitePoly, bond_factor, coproduct_apply,
                           poly_to_spin, weight_radicand)
 
 Q0 = Fraction(4, 5)
+
+
+def _sectors(S):
+    """The whole two-site change of basis from the spin blocks J = 0..2S:
+    per sector w, ascending, its pairs and the Js, orbit columns, dual rows
+    and norms of every J that reaches it, J ascending."""
+    blocks = [(J, sector_system(S, J)) for J in range(2 * S + 1)]
+    out = {}
+    for w in range(-2 * S, 2 * S + 1):
+        cores = [(J, block[w]) for J, block in blocks if w in block]
+        out[w] = SimpleNamespace(
+            pairs=cores[0][1][0], Js=[J for J, _ in cores],
+            cols=[c[1] for _, c in cores], duals=[c[2] for _, c in cores],
+            norms=[c[3] for _, c in cores])
+    return out
 
 
 def test_highest_weight_top_is_monomial():
@@ -77,7 +95,7 @@ def test_sector_duals_match_unreduced_construction():
     # from the orbit lowered with no content removed and the full weights
     for S in (1, 2, 3):
         ref = oracles.sector_duals(S)
-        got = {w: sec.duals for w, sec in sector_system(S).items()}
+        got = {w: sec.duals for w, sec in _sectors(S).items()}
         assert got.keys() == ref.keys()
         for w, rows in ref.items():
             assert [[e.key() for e in row] for row in got[w]] \
@@ -104,7 +122,7 @@ def test_sector_inverse_identity():
     # rows D_J / n_J invert B = [cols] from both sides: D @ B = diag(n) and
     # sum_J cols_J D_J prod_{K != J} n_K = prod_K n_K * I
     for S in (1, 2):
-        for w, sec in sector_system(S).items():
+        for w, sec in _sectors(S).items():
             n = len(sec.pairs)
             assert len(sec.Js) == n
             for j in range(n):
@@ -132,7 +150,7 @@ def test_projector_idempotent_orthogonal_complete_exact():
     # with every n_J nonzero; the full Gram matrix is the reference for the
     # orthogonality that sector_system proves instead of forming it
     for S in (1, 2, 3, 4):
-        for w, sec in sector_system(S).items():
+        for w, sec in _sectors(S).items():
             n = len(sec.pairs)
             assert all(not nj.is_zero for nj in sec.norms)
             for j in range(n):
@@ -143,11 +161,11 @@ def test_projector_idempotent_orthogonal_complete_exact():
 
 def test_sector_orthogonality_check_rejects_wrong_weight(monkeypatch):
     # with unit radicand weights the orbit vectors are not orthogonal, and
-    # the exact check inside sector_system must refuse the sector
+    # the proof that sector_system runs first must refuse the sectors
     import qvbs.cgproj as cgproj
     monkeypatch.setattr(cgproj, "weight_radicand", lambda S, m: LaurentQ.one())
     with pytest.raises(AssertionError, match="not orthogonal"):
-        cgproj.sector_system.__wrapped__(2)
+        cgproj._certify_orthogonality(2)
 
 
 @pytest.mark.parametrize("m", (-2, 0, 1))
@@ -159,7 +177,7 @@ def test_sector_proof_rejects_a_weight_off_by_q(monkeypatch, m):
     monkeypatch.setattr(cgproj, "weight_radicand",
                         lambda S, k: real(S, k).shift(int(k == m)))
     with pytest.raises(AssertionError, match="not adjoint"):
-        cgproj.sector_system.__wrapped__(2)
+        cgproj._certify_orthogonality(2)
 
 
 def test_sector_proof_checks_the_commutator(monkeypatch):
@@ -170,14 +188,70 @@ def test_sector_proof_checks_the_commutator(monkeypatch):
     monkeypatch.setattr(cgproj, "coproduct_apply",
                         lambda p, gen, sites: real(p, gen, sites).scale(2))
     with pytest.raises(AssertionError, match=r"\[DX\+, DX-\] is not \[H\]"):
-        cgproj.sector_system.__wrapped__(1)
+        cgproj._certify_orthogonality(1)
+
+
+def _clear_spin_block_caches():
+    from qvbs import cgproj, vbsstate
+    for cache in (cgproj._sector_frame, cgproj.sector_system, cgproj.rep_basis,
+                  vbsstate._dual_layout, vbsstate._dual_residues):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("S, J", ((1, 2), (2, 0)))
+def test_cold_spin_block_runs_the_proof(monkeypatch, S, J):
+    # no block of any J is built before the orthogonality proof of its S
+    import qvbs.cgproj as cgproj
+
+    def refuse(S):
+        raise AssertionError("proof ran for S=%d" % S)
+    _clear_spin_block_caches()
+    monkeypatch.setattr(cgproj, "_certify_orthogonality", refuse)
+    with pytest.raises(AssertionError, match="proof ran for S=%d" % S):
+        sector_system(S, J)
+    assert cgproj.sector_system.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("S", (1, 2, 3))
+def test_parent_hamiltonian_builds_only_the_upper_blocks(S):
+    # the Hamiltonian and the two-site lemma read J = S+1..2S alone: after
+    # either, the block and orbit caches hold exactly those S keys, and
+    # asking for each of them again is a hit
+    from qvbs import cgproj
+    from qvbs.vbsstate import verify_two_site_lemma
+    for build in (lambda: hamiltonian(S, 3, Q0),
+                  lambda: verify_two_site_lemma(S)):
+        _clear_spin_block_caches()
+        build()
+        for cache in (cgproj.sector_system, cgproj.rep_basis):
+            assert cache.cache_info().currsize == S
+            misses = cache.cache_info().misses
+            for J in range(S + 1, 2 * S + 1):
+                cache(S, J)
+            assert cache.cache_info().misses == misses
+
+
+def test_upper_dual_rows_match_unreduced_construction():
+    # per sector w ascending, the J > S rows in J order, each equal key for
+    # key to the dual row formed with no content removed
+    for S in (1, 2, 3):
+        ref = oracles.sector_duals(S)
+        got = upper_dual_rows(S)
+        assert list(got) == list(ref) == list(range(-2 * S, 2 * S + 1))
+        for w, (pairs, rows) in got.items():
+            Js = list(range(max(abs(w), S + 1), 2 * S + 1))
+            assert [J for J, _ in rows] == Js
+            assert len(pairs) == 2 * S + 1 - abs(w)
+            assert [[e.key() for e in dual] for _, dual in rows] \
+                == [[e.key() for e in row]
+                    for row in ref[w][len(ref[w]) - len(Js):]], (S, w)
 
 
 def test_sector_system_spin4_frontier():
     # the orthogonality certificate holds at S=4 and the two-site kernel of
     # the J > 4 projectors has dimension (S+1)^2
     from qvbs.vbsstate import two_site_kernel_dimension
-    secs = sector_system(4)
+    secs = _sectors(4)
     assert sum(len(sec.Js) for sec in secs.values()) == 81
     assert two_site_kernel_dimension(4) == 25
 
@@ -189,7 +263,7 @@ def test_projector_defining_property_exact():
         for K in range(0, 2 * S + 1):
             for poly in rep_basis(S, K):
                 amps = poly_to_spin(poly, S, (1, 2)).amps
-                sec = sector_system(S)[sum(next(iter(amps)))]
+                sec = _sectors(S)[sum(next(iter(amps)))]
                 v = [amps.get(p, LaurentQ.zero()) for p in sec.pairs]
                 for j, J in enumerate(sec.Js):
                     s = exact_dot(sec.duals[j], v)
@@ -213,16 +287,13 @@ def test_projector_dense_entries_match_sector_data():
     S, J = 2, 3
     P = Projector(S, J)
     D = P.to_dense(Q0)
-    for w, sec in sector_system(S).items():
-        if J not in sec.Js:
-            continue
-        j = sec.Js.index(J)
+    for w, (pairs, col, dual, norm) in sector_system(S, J).items():
         W = [(weight_radicand(S, a) * weight_radicand(S, b)).eval_fraction(Q0)
-             for a, b in sec.pairs]
-        for iv, vp in enumerate(sec.pairs):
-            for iw, wp in enumerate(sec.pairs):
-                rat = (sec.cols[j][iv] * sec.duals[j][iw]).eval_fraction(Q0) / (
-                    sec.norms[j].eval_fraction(Q0) * W[iw])
+             for a, b in pairs]
+        for iv, vp in enumerate(pairs):
+            for iw, wp in enumerate(pairs):
+                rat = (col[iv] * dual[iw]).eval_fraction(Q0) / (
+                    norm.eval_fraction(Q0) * W[iw])
                 ref = float(rat) * math.sqrt(W[iv] * W[iw])
                 got = D[P.pair_index(vp), P.pair_index(wp)]
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
@@ -323,6 +394,53 @@ def test_hamiltonian_matches_bondwise_tensordot(S, L, boundary):
     block = H @ np.eye(dim)
     assert block.shape == (dim, dim)
     assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+APPLY_GRID = ([(1, L) for L in range(2, 11)] + [(2, L) for L in range(2, 8)]
+              + [(3, L) for L in range(2, 6)])
+
+
+@pytest.mark.parametrize("S, L", APPLY_GRID)
+def test_bond_apply_matches_tensordot(S, L):
+    # the contiguous GEMM per bond against the tensordot over the bond's
+    # axes, on a vector and on a (d^L, 3) block, both boundaries, with
+    # non-unit projector weights
+    dim = (2 * S + 1) ** L
+    rng = np.random.default_rng(L)
+    coeffs = {J: 0.5 + J for J in range(S + 1, 2 * S + 1)}
+    for boundary in ("periodic", "open"):
+        H = hamiltonian(S, L, Q0, boundary, coeffs)
+        for v in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            ref = oracles.bond_apply_tensordot(H, v)
+            got = H @ v
+            assert got.shape == v.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), \
+                (boundary, v.shape)
+
+
+def test_bond_apply_rejects_a_wrong_length():
+    H = hamiltonian(1, 3, Q0)
+    for shape in ((26,), (54,), (9, 3)):
+        with pytest.raises(ValueError, match="needs 27 rows"):
+            H @ np.zeros(shape)
+
+
+@pytest.mark.parametrize("S, L, n", ((1, 10, None), (2, 7, None), (1, 6, 729)))
+def test_bond_apply_budget_bounds_the_peak(monkeypatch, S, L, n):
+    # the input, made inside the traced window, counts against the charge
+    charged = []
+    H = hamiltonian(S, L, Q0)
+    monkeypatch.setattr("qvbs.cgproj.check_budget",
+                        lambda nbytes, what: charged.append(nbytes))
+    shape = ((2 * S + 1) ** L,) + ((n,) if n else ())
+    tracemalloc.start()
+    try:
+        H @ np.ones(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charged == [4 * 8 * math.prod(shape)]
+    assert 0.5 * charged[0] <= peak <= charged[0], (peak, charged)
 
 
 def test_divisibility_all_low_spin():

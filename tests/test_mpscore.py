@@ -388,6 +388,27 @@ def test_two_point_sweep_is_shared_by_every_r():
     assert (info().misses, info().hits) == (2, 13)
 
 
+def test_two_point_charge_matches_counts_tallied_string_by_string(
+        monkeypatch):
+    # the charge read from the counts kept per (S, n) is the charge formed
+    # from the totals of every digit string, counted one by one
+    charges = {(S, L): mpscore._two_point_charge(S, L, Q0)
+               for S in range(1, 5) for L in range(2, 11)}
+    monkeypatch.setattr(mpscore, "_charge_counts", lambda S, n: np.bincount(
+        mpscore._charges(S, n) + n * S).tolist())
+    for (S, L), charge in charges.items():
+        assert mpscore._two_point_charge(S, L, Q0) == charge, (S, L)
+
+
+def test_repeated_two_point_call_reuses_the_counts():
+    info = mpscore._charge_counts.cache_info
+    dense_pbc_two_point_sz(2, 6, Q0, 3)
+    misses = info().misses
+    for r in (3, 4, 6):
+        dense_pbc_two_point_sz(2, 6, Q0, r)
+    assert info().misses == misses
+
+
 def test_two_point_rejects_r_before_any_sweep():
     info = mpscore._two_point_joints.cache_info
     dense_pbc_two_point_sz(1, 5, Q0, 2)
